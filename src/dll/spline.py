@@ -25,6 +25,8 @@ FIT_TOL = 1e-7
 MAX_SWEEPS = 500
 PROX_ITERS = 100
 PROX_TOL = 1e-10
+# Penalty eigenvalues below this fraction of the largest are null space.
+EIG_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,10 @@ def fit_doubly_penalized(
                         f"empirical Gram matrix of coordinate {j} is singular"
                     )
                 ridge = max(ridge * 10, 1e-10 * float(np.trace(gram)) / gram.shape[0])
-        d = np.maximum(d, 0.0)
+        # The m null-space directions of the smoothness form come back as
+        # rounding noise of either sign; snap them to exactly zero so that
+        # float noise never decides which directions are penalized.
+        d = np.where(d > EIG_SNAP * d.max(), d, 0.0)
         bt = b_raw @ vecs
         designs.append(bt)
         eigvals.append(d)
