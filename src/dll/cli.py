@@ -109,6 +109,11 @@ def reference_config(name: str) -> dict[str, Any]:
     return entry
 
 
+# The fit options' defaults are the library's, so that `dll fit` and
+# `dll_pipeline` compute the same thing for the same input.
+_PIPELINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineOptions)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated CLI invocation."""
@@ -118,22 +123,22 @@ class RunConfig:
     output: str | None = None
     format: str = "json"
     x0: float | None = None
-    h: float | None = None
-    alpha: float = 0.05
-    mode: str = "linear"
-    seed: int = 0
+    h: float | None = _PIPELINE_DEFAULTS["h"]
+    alpha: float = _PIPELINE_DEFAULTS["alpha"]
+    mode: str = _PIPELINE_DEFAULTS["mode"]
+    seed: int = _PIPELINE_DEFAULTS["seed"]
     b: int | None = None
     name: str | None = None
     n: int = 200
     p: int = 2
     sigma1: float = 0.5
     sigma2: float = 1.0
-    bandwidth_const: float = 0.5
-    lasso_const: float = 1.01
-    rho_const: float = 1.0
-    lambda_const: float = 1.0
-    knots: int | None = None
-    ci_literal: bool = False
+    bandwidth_const: float = _PIPELINE_DEFAULTS["bandwidth_const"]
+    lasso_const: float = _PIPELINE_DEFAULTS["lasso_const"]
+    rho_const: float = _PIPELINE_DEFAULTS["rho_const"]
+    lambda_const: float = _PIPELINE_DEFAULTS["lambda_const"]
+    knots: int | None = _PIPELINE_DEFAULTS["num_interior_knots"]
+    ci_literal: bool = _PIPELINE_DEFAULTS["ci_literal"]
 
     def pipeline_options(self) -> PipelineOptions:
         return PipelineOptions(

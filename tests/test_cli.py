@@ -15,7 +15,7 @@ from dll.cli import (
     write_csv_dataset,
 )
 from dll.errors import DataError
-from dll.estimator import DLLFit
+from dll.estimator import DLLFit, PipelineOptions
 from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset
 
 
@@ -26,6 +26,15 @@ def test_parse_fit_defaults():
     assert cfg.x0 == 0.5
     assert cfg.alpha == 0.05
     assert cfg.mode == "linear"
+
+
+def test_parse_fit_options_match_library_defaults():
+    argv = ["fit", "--input", "d.csv", "--x0", "0.5"]
+    assert parse_args(argv).pipeline_options() == PipelineOptions()
+    flags = ["--rho-const", "0.2", "--lambda-const", "2", "--seed", "3", "--knots", "4"]
+    assert parse_args(argv + flags).pipeline_options() == PipelineOptions(
+        rho_const=0.2, lambda_const=2.0, seed=3, num_interior_knots=4
+    )
 
 
 def test_parse_rejects_bad_alpha_and_h():
