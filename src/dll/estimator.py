@@ -32,7 +32,9 @@ from .decorrelate import (
 )
 from .errors import (
     BandwidthSelectionError,
+    DataError,
     InsufficientLocalDataError,
+    NumericalError,
     SampleTooSmallError,
     SingularDesignError,
 )
@@ -58,6 +60,9 @@ class Dataset:
         object.__setattr__(self, "x2", x2)
         if not (self.y.shape[0] == self.x1.shape[0] == self.x2.shape[0]):
             raise ValueError("inconsistent sample sizes")
+        for name in ("y", "x1", "x2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} holds NaN or infinite values")
 
     @property
     def n(self) -> int:
@@ -348,6 +353,8 @@ def _assemble_fit(
     s_n = slope_normalizer(weights, x1, spec)
     estimate = float(np.mean(weights.centered * residuals * kernel_weight(x1, spec)) / s_n)
     variance = variance_estimate(weights, x1, spec, sigma1, s_n)
+    if not (math.isfinite(estimate) and math.isfinite(variance)):
+        raise NumericalError(f"non-finite estimate {estimate} or variance {variance}")
     ci_low, ci_high = confidence_interval(
         estimate, variance, options.alpha, literal=options.ci_literal
     )

@@ -4,7 +4,9 @@ import pytest
 from dll.decorrelate import build_weights
 from dll.errors import (
     BandwidthSelectionError,
+    DataError,
     InsufficientLocalDataError,
+    NumericalError,
     SampleTooSmallError,
     SingularDesignError,
 )
@@ -192,6 +194,24 @@ def test_pipeline_exact_linear_univariate():
     fit = dll_pipeline(ds, 0.0, PipelineOptions(h=0.5))
     assert fit.estimate == pytest.approx(3.0, abs=1e-8)
     assert fit.ci_low <= fit.estimate <= fit.ci_high
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["y", "x1", "x2"])
+def test_dataset_rejects_non_finite(field, bad):
+    rng = np.random.default_rng(13)
+    arrays = {"y": rng.normal(size=50), "x1": rng.normal(size=50), "x2": rng.normal(size=(50, 2))}
+    arrays[field].flat[7] = bad
+    with pytest.raises(DataError, match=field):
+        Dataset(**arrays)
+
+
+def test_pipeline_non_finite_result_raises():
+    rng = np.random.default_rng(14)
+    x1 = rng.uniform(-1, 1, 200)
+    ds = Dataset(y=2 * x1 + rng.normal(0, 0.5, 200), x1=x1, x2=np.empty((200, 0)))
+    with pytest.raises(NumericalError, match="non-finite"):
+        dll_pipeline(ds, 0.0, PipelineOptions(h=0.5, sigma1_override=np.inf))
 
 
 def test_pipeline_rejects_small_samples():
