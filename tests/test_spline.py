@@ -1,13 +1,21 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import BSpline
+from scipy.special import ndtr
+
+from dll import spline
 
 from dll.errors import RankDeficientError
 from dll.spline import (
     AdditiveFit,
     BasisSpec,
+    CoordinateBasis,
     bspline_basis,
     default_penalties,
     fit_doubly_penalized,
@@ -72,6 +80,17 @@ def test_basis_matches_cox_de_boor_oracle(uniform_basis):
     for z in [0.37, 0.02, 0.61, 0.99]:
         oracle = cox_de_boor_oracle(z, uniform_basis.knots, uniform_basis.degree)
         np.testing.assert_allclose(bspline_basis(z, uniform_basis), oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+def test_dense_design_matches_scipy_design_matrix(degree):
+    rng = np.random.default_rng(degree)
+    for interior in (np.array([]), np.sort(rng.uniform(0, 1, 7)), np.array([0.3, 0.3, 0.6])):
+        knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+        z = np.concatenate([[0.0, 1.0], interior, rng.uniform(0, 1, 50)])
+        ref = BSpline.design_matrix(z, knots, degree).toarray()
+        dense = CoordinateBasis(knots=knots, degree=degree).design(z)
+        np.testing.assert_allclose(dense, ref, rtol=0, atol=1e-14)
 
 
 def test_basis_rejects_out_of_range(uniform_basis):
@@ -141,6 +160,100 @@ def test_two_penalty_prox_optimality(seed):
         v /= np.linalg.norm(v)
         fd = (prox_objective(t + 1e-6 * v, z, d, rho, lam) - f0) / 1e-6
         assert fd >= -1e-8
+
+
+def prox_zero_case(rng, rho_mode, lam_mode):
+    q = int(rng.integers(1, 10))
+    z = rng.normal(size=q) * 10 ** rng.uniform(-3, 1)
+    d = 10 ** rng.uniform(-2, 6, q)
+    d[rng.random(q) < 0.3] = 0.0
+    pos = d > 0
+    s1 = 2 * math.sqrt(float(np.sum(z[pos] ** 2 / d[pos]))) if pos.any() else 1.0
+    rho = {"zero": 0.0, "free": rng.uniform(0, 2) * s1, "edge": s1}[rho_mode]
+    if lam_mode == "free":
+        lam = rng.uniform(0, 3) * float(np.linalg.norm(z))
+    elif lam_mode == "znorm":  # ||z|| right at lam / 2
+        lam = 2 * float(np.linalg.norm(z))
+    else:  # the weighted-shrinkage output right at lam / 2
+        lam = 2 * float(np.linalg.norm(two_penalty_prox(z, d, rho, 0.0)))
+    return z, d, rho, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["free", "zero", "edge"]),
+    st.sampled_from(["free", "znorm", "vnorm"]),
+)
+def test_prox_zero_blocks_agrees_with_prox(seed, rho_mode, lam_mode):
+    rng = np.random.default_rng(seed)
+    cases = [prox_zero_case(rng, rho_mode, lam_mode) for _ in range(int(rng.integers(1, 12)))]
+    z = np.concatenate([c[0] for c in cases])
+    d = np.concatenate([c[1] for c in cases])
+    starts = np.cumsum([0] + [len(c[0]) for c in cases])
+    rho = np.array([c[2] for c in cases])
+    lam = np.array([c[3] for c in cases])
+    with mock.patch.object(spline, "two_penalty_prox", wraps=two_penalty_prox) as spy:
+        zero = spline._prox_zero_blocks(z, d, starts, rho, lam)
+    expected = [not two_penalty_prox(*c).any() for c in cases]
+    assert zero.tolist() == expected
+    if rho_mode != "edge" and lam_mode == "free":
+        assert spy.call_count == 0  # decided in closed form, away from thresholds
+
+
+def golden_problem(n, p, seed):
+    """Correlated uniform design; four active components plus noise."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, p)) + rng.normal(size=(n, 1))
+    z = ndtr(g / np.sqrt(2))
+    y = (
+        np.sin(2 * np.pi * z[:, 0]) + 3 * (z[:, 1] - 0.5) ** 2 + z[:, 2]
+        + 0.5 * np.cos(3 * z[:, 3]) + rng.normal(0, 0.5, n)
+    )
+    return z, y
+
+
+# Produced by the plain per-block sweep (with null-space eigenvalues
+# snapped to zero); the screened sweep must follow the same path.
+GOLDEN_FITS = {
+    (200, 60, 41): ((0, 1, 2, 3, 38), 9, (
+        0.9568427581924626, 0.6677427917566416, 0.6605959747106455,
+        0.6598747120533321, 0.659755613579915, 0.6597332251296418,
+        0.6597286085886276, 0.6597277345049133, 0.6597276001912423,
+        0.659727578934074,
+    )),
+    (3000, 8, 42): ((0, 1, 2, 3), 11, (
+        0.9287103017056864, 0.39267187724755737, 0.37813019091309574,
+        0.37548550206883846, 0.37479858116021797, 0.37462314332259666,
+        0.3745945253472256, 0.374590414490472, 0.3745895598436234,
+        0.3745893231109244, 0.3745892685250988, 0.3745892593541867,
+    )),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_FITS), ids=["p-heavy", "n-heavy"])
+def test_fit_follows_golden_path(key):
+    n, p, seed = key
+    active, sweeps, trace = GOLDEN_FITS[key]
+    z, y = golden_problem(n, p, seed)
+    fit = fit_doubly_penalized(z, y, default_penalties(n, p, 2))
+    assert fit.active_set == active
+    assert fit.sweeps == sweeps and fit.converged
+    np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
+
+
+def test_fit_coordinate_with_few_distinct_values():
+    # Three distinct values leave a cubic basis's Gram matrix singular;
+    # that coordinate is retried alone with a growing ridge.
+    rng = np.random.default_rng(15)
+    z = rng.uniform(0, 1, (150, 4))
+    z[:, 2] = rng.choice([0.2, 0.5, 0.9], 150)
+    y = np.sin(2 * np.pi * z[:, 0]) + z[:, 2] + rng.normal(0, 0.2, 150)
+    fit = fit_doubly_penalized(z, y, default_penalties(150, 4, 2))
+    assert {0, 2} <= set(fit.active_set)
+    assert np.all(np.isfinite(fit.predict_sum(z)))
+    trace = fit.objective_trace
+    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 def test_fit_zero_response():
