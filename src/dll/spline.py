@@ -83,7 +83,7 @@ class CoordinateBasis:
 
     def design(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z < 0) or np.any(z > 1):
+        if not np.all((z >= 0) & (z <= 1)):
             raise ValueError("basis inputs must lie in [0, 1]")
         return _design_batch(z[None, :], self.knots[None, :], self.degree)[0]
 
@@ -613,7 +613,7 @@ def fit_doubly_penalized(
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     y = np.asarray(y, dtype=float)
     n, p = z_matrix.shape
-    if np.any(z_matrix < 0) or np.any(z_matrix > 1):
+    if not np.all((z_matrix >= 0) & (z_matrix <= 1)):
         raise ValueError("all inputs must lie in [0, 1]")
     pen = _normalize_penalties(penalties, p)
     if any(r < 0 or l < 0 for r, l in pen):

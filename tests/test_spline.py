@@ -94,8 +94,11 @@ def test_dense_design_matches_scipy_design_matrix(degree):
 
 
 def test_basis_rejects_out_of_range(uniform_basis):
-    with pytest.raises(ValueError):
-        uniform_basis.design(np.array([1.2]))
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            uniform_basis.design(np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            fit_doubly_penalized(np.full((20, 2), bad), np.zeros(20), (0.1, 0.1))
 
 
 def representation_coefficients(basis, func):
