@@ -2,9 +2,15 @@
 studies and bandwidth diagnostics.
 
 CSV format: UTF-8, comma-separated, dot decimal, header required with
-columns ``y, x1, x2_1 .. x2_p`` (p may be 0). Reports are JSON (full
-precision) or CSV; Monte Carlo CSV output writes one row per replication
-plus an aggregate footer file.
+columns ``y, x1, x2_1 .. x2_p`` (p may be 0). Every data row has p + 2
+cells; a cell is a number, optionally in double quotes and with spaces
+or tabs around it, and lines end in LF or CRLF. Blank lines, comments
+(``#`` is a non-numeric cell), digit separators (``1_0``), empty cells
+and NaN or infinite values are data errors naming the line number and
+column. Datasets are written with CRLF line ends and 17 significant
+digits, so a round trip is exact. Reports are JSON (full precision) or
+CSV; Monte Carlo CSV output writes one row per replication plus an
+aggregate footer file.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -238,10 +244,12 @@ def parse_args(argv: list[str]) -> RunConfig:
               **values}
     cfg = RunConfig(**merged)
 
-    if not (0 < cfg.alpha < 1):
-        raise SystemExit2(f"alpha must lie in (0,1), got {cfg.alpha}")
-    if cfg.h is not None and cfg.h <= 0:
-        raise SystemExit2(f"h must be > 0, got {cfg.h}")
+    # The fit options have one schema, PipelineOptions; check it before
+    # any data is read.
+    try:
+        cfg.pipeline_options()
+    except (TypeError, ValueError) as exc:
+        raise SystemExit2(str(exc))
     if cfg.subcommand in ("fit", "bandwidth"):
         if cfg.input is None:
             raise SystemExit2(f"{cfg.subcommand} requires --input")
@@ -252,48 +260,76 @@ def parse_args(argv: list[str]) -> RunConfig:
     return cfg
 
 
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(
+        lines, delimiter=",", comments=None, quotechar='"', dtype=float, ndmin=2
+    )
+
+
+def _parses(line: str, width: int) -> bool:
+    try:
+        return _parse_rows([line]).shape == (1, width)
+    except ValueError:
+        return False
+
+
+def _bad_cell(path: str, body: list[str], header: list[str]) -> DataError:
+    """Name the first cell the bulk parse rejected (failure path only)."""
+    for i, line in enumerate(body, start=2):
+        if _parses(line, len(header)):
+            continue
+        for name, cell in zip(header, line.split(",")):
+            if not cell or not _parses(cell, 1):
+                return DataError(f"{path}: row {i} column {name}: non-numeric {cell!r}")
+        return DataError(f"{path}: row {i}: cannot parse {line!r}")
+    return DataError(f"{path}: cannot parse the data rows")
+
+
 def load_csv(path: str) -> Dataset:
     """Read a dataset CSV with header ``y, x1, x2_1 .. x2_p``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:  # universal newlines
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    if not rows:
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in next(csv.reader(lines[:1]), [])]
     p = len(header) - 2
     expected = ["y", "x1"] + [f"x2_{j}" for j in range(1, p + 1)]
     if p < 0 or header != expected:
         raise DataError(
             f"{path}: header must be 'y,x1,x2_1..x2_p', got {','.join(header)}"
         )
-    if len(rows) == 1:
+    body = lines[1:]
+    if not body:
         raise DataError(f"{path}: empty dataset (header only)")
-    data = np.empty((len(rows) - 1, len(header)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {i} column {header[j]}: non-numeric {cell!r}")
-            if not np.isfinite(val):
-                raise DataError(f"{path}: row {i} column {header[j]}: non-finite value")
-            data[i - 2, j] = val
+    for i, line in enumerate(body, start=2):
+        if line.count(",") != p + 1:
+            cells = line.count(",") + 1 if line else 0
+            raise DataError(f"{path}: row {i} has {cells} cells, expected {p + 2}")
+    try:
+        data = _parse_rows(body)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), p + 2):
+        raise _bad_cell(path, body, header)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{path}: row {row + 2} column {header[col]}: non-finite value")
     return Dataset(y=data[:, 0], x1=data[:, 1], x2=data[:, 2:])
 
 
 def write_csv_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset in the canonical CSV layout at full precision."""
     header = ["y", "x1"] + [f"x2_{j}" for j in range(1, dataset.p + 1)]
+    block = np.column_stack([dataset.y, dataset.x1, dataset.x2])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        block = np.column_stack([dataset.y, dataset.x1, dataset.x2])
-        for row in block:
-            writer.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(fh, block, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def _fit_to_dict(fit: DLLFit) -> dict[str, Any]:

@@ -99,9 +99,22 @@ class PipelineOptions:
 
     def __post_init__(self) -> None:
         if not (0 < self.alpha < 1):
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.h is not None and not (self.h > 0):
-            raise ValueError("h must be > 0 when given")
+            raise ValueError(f"h must be > 0 when given, got {self.h}")
+        if not (self.bandwidth_const > 0):
+            raise ValueError(f"bandwidth_const must be > 0, got {self.bandwidth_const}")
+        if not (self.lasso_const > 1):
+            raise ValueError(f"lasso_const must exceed 1, got {self.lasso_const}")
+        if not (self.rho_const >= 0 and self.lambda_const >= 0):
+            raise ValueError(
+                f"rho_const and lambda_const must be >= 0, got {self.rho_const}, "
+                f"{self.lambda_const}"
+            )
+        if self.num_interior_knots is not None and self.num_interior_knots < 0:
+            raise ValueError(
+                f"num_interior_knots must be >= 0 when given, got {self.num_interior_knots}"
+            )
 
 
 @dataclass(frozen=True)

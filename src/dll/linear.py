@@ -69,12 +69,13 @@ def ols_projection(
     n, p = x2.shape
     if n <= p + 1:
         raise SampleTooSmallError(f"need n > p + 1, got n={n}, p={p}")
-    # Pivoted QR exposes rank deficiency that lstsq would silently absorb.
-    r = scipy.linalg.qr(x2, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r)[: min(n, p)])
+    # Pivoted QR exposes rank deficiency, then solves the full-rank system.
+    q, r, piv = scipy.linalg.qr(x2, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
         raise RankDeficientError("design matrix is rank deficient")
-    gamma, *_ = np.linalg.lstsq(x2, x1, rcond=None)
+    gamma = np.empty(p)
+    gamma[piv] = scipy.linalg.solve_triangular(r, q.T @ x1)
     rss = float(np.sum((x1 - x2 @ gamma) ** 2))
     sigma2 = max(np.sqrt(rss / (n - p)), sigma_floor(x1))
     return ProjectionFit(gamma, sigma2, "ols", iterations=0, converged=True)

@@ -45,7 +45,8 @@ EIG_SNAP = 1e-9
 # squares lose precision, go to the prox too.
 SCREEN_MARGIN = 1e-8
 SCREEN_FLOOR = 1e-150
-SCREEN_ROOT_STEPS = 3
+# Hard cap on the bracketing steps of the screen's shrinkage root.
+SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
 
@@ -335,6 +336,9 @@ def _prox_zero_blocks(
         zz_el = zz[el]
         c_el = zz_el * d[el]
         e_el = (rho[owner] * d)[el] / 2
+        top = np.sqrt(np.bincount(own, c_el, ids.size))
+        lo, hi = np.zeros(ids.size), top
+        slack = PROX_TOL * np.maximum(1.0, top)
 
         def psi(a):
             den = a[own] + e_el
@@ -342,24 +346,28 @@ def _prox_zero_blocks(
             slope = np.bincount(own, c_el / den**3, ids.size)
             return g**-0.5 - 1, g**-1.5 * slope
 
-        top = np.sqrt(np.bincount(own, c_el, ids.size))
-        lo, hi = np.zeros(ids.size), top
-        psi_hi = psi(hi)[0]
-        for _ in range(SCREEN_ROOT_STEPS):
-            psi_lo, slope = psi(lo)
-            gap = psi_hi - psi_lo
-            chord = lo - psi_lo * (hi - lo) / np.where(gap > 0, gap, 1.0)
-            hi = np.where(gap > 0, np.minimum(hi, chord), hi)
-            lo = np.maximum(lo, lo - psi_lo / slope)
-            psi_hi = psi(hi)[0]
-
         def vnorm(a):
             shrink = a[own] / (a[own] + e_el)
             return np.sqrt(null2[ids] + np.bincount(own, zz_el * shrink**2, ids.size))
 
-        slack = PROX_TOL * np.maximum(1.0, top)
-        zero[ids] |= vnorm(hi + slack) <= half[ids] - tol[ids]
-        nonzero[ids] |= vnorm(np.maximum(lo - slack, 0.0)) > half[ids] + tol[ids]
+        # Step only the blocks still undecided whose bracket is wider than
+        # the prox's own tolerance; the rest are decided or go to the prox.
+        for step in range(SCREEN_ROOT_CAP + 1):
+            zero[ids] |= vnorm(hi + slack) <= half[ids] - tol[ids]
+            nonzero[ids] |= vnorm(np.maximum(lo - slack, 0.0)) > half[ids] + tol[ids]
+            keep = ~zero[ids] & ~nonzero[ids] & (hi - lo > slack)
+            if step == SCREEN_ROOT_CAP or not keep.any():
+                break
+            if not keep.all():
+                el_keep = keep[own]
+                own = (np.cumsum(keep) - 1)[own[el_keep]]
+                zz_el, c_el, e_el = zz_el[el_keep], c_el[el_keep], e_el[el_keep]
+                ids, lo, hi, slack = ids[keep], lo[keep], hi[keep], slack[keep]
+            psi_lo, slope = psi(lo)
+            gap = psi(hi)[0] - psi_lo
+            chord = lo - psi_lo * (hi - lo) / np.where(gap > 0, gap, 1.0)
+            hi = np.where(gap > 0, np.minimum(hi, chord), hi)
+            lo = np.maximum(lo, lo - psi_lo / slope)
     for b in np.flatnonzero(~zero & ~nonzero):
         block = slice(starts[b], starts[b + 1])
         zero[b] = not two_penalty_prox(z[block], d[block], float(rho[b]), float(lam[b])).any()

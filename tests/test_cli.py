@@ -15,7 +15,7 @@ from dll.cli import (
     write_csv_dataset,
 )
 from dll.errors import DataError
-from dll.estimator import DLLFit, PipelineOptions
+from dll.estimator import Dataset, DLLFit, PipelineOptions
 from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset
 
 
@@ -42,6 +42,26 @@ def test_parse_rejects_bad_alpha_and_h():
         parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--alpha", "1.5"])
     with pytest.raises(SystemExit2):
         parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--h", "-1"])
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--knots", "-1"),
+        ("--rho-const", "-1"),
+        ("--lambda-const", "-2"),
+        ("--bandwidth-const", "-1"),
+        ("--bandwidth-const", "0"),
+        ("--lasso-const", "0.5"),
+    ],
+)
+def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, value):
+    missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
+    assert main(["fit", "--input", missing, "--x0", "0", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    if flag == "--bandwidth-const":
+        assert main(["bandwidth", "--input", missing, "--x0", "0", flag, value]) == 2
+        capsys.readouterr()
 
 
 def test_parse_requires_x0_for_fit():
@@ -98,6 +118,69 @@ def test_load_csv_errors(tmp_path):
     path.write_text("y,x1\n1,nan\n")
     with pytest.raises(DataError, match="row 2"):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y,x1,x2_1\n1,2,3\n4,5\n", "row 3 has 2 cells, expected 3"),
+        ("y,x1,x2_1\n1,2,3\n4,5,6,7\n", "row 3 has 4 cells, expected 3"),
+        ("y,x1\n1,2\n\n3,4\n", "row 3 has 0 cells, expected 2"),
+        ("y,x1\n1,2\n3,4\n\n", "row 4 has 0 cells, expected 2"),
+        ("y,x1,x2_1\n1,2,3\n4,abc,6\n", "row 3 column x1: non-numeric 'abc'"),
+        ("y,x1\n1,2\n#,4\n", "row 3 column y: non-numeric '#'"),
+        ("y,x1\n1,2 # note\n", "row 2 column x1: non-numeric '2 # note'"),
+        ("y,x1,x2_1\n1,2,3\n4,5,1_0\n", "row 3 column x2_1: non-numeric '1_0'"),
+        ("y,x1\n1,\n", "row 2 column x1: non-numeric ''"),
+        ("y,x1\n1,2\n3, \n", "row 3 column x1: non-numeric ' '"),
+        ("y,x1\n1,2\n3,0x10\n", "row 3 column x1: non-numeric '0x10'"),
+        ("y,x1,x2_1\n1,2,3\n4,5,nan\n", "row 3 column x2_1: non-finite value"),
+        ("y,x1,x2_1\n1,2,3\n4,5,6\n-inf,5,6\n", "row 4 column y: non-finite value"),
+        ("y,x1\n1,1e400\n", "row 2 column x1: non-finite value"),
+        ("y,x1\n", "empty dataset"),
+        ("y,x1", "empty dataset"),
+        ("", "empty file"),
+        ("y,x2\n1,2\n", "header"),
+    ],
+)
+def test_load_csv_reports_row_and_column(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError) as info:
+        load_csv(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+def test_load_csv_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"y,x1\n1,\xff\n")
+    with pytest.raises(DataError, match="cannot read"):
+        load_csv(str(path))
+
+
+def test_load_csv_accepts_crlf_quotes_and_spaces(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'"y","x1","x2_1"\r\n"1.5", 2 ,3\r\n4,\t-5e-1,"6"\r\n')
+    ds = load_csv(str(path))
+    np.testing.assert_array_equal(ds.y, [1.5, 4.0])
+    np.testing.assert_array_equal(ds.x1, [2.0, -0.5])
+    np.testing.assert_array_equal(ds.x2, [[3.0], [6.0]])
+
+
+def test_write_csv_dataset_golden(tmp_path):
+    ds = Dataset(
+        y=np.array([0.1, -2.5e-7]),
+        x1=np.array([1.0, 1 / 3]),
+        x2=np.array([[-0.0, 1e16], [5e-324, 123.0]]),
+    )
+    path = tmp_path / "w.csv"
+    write_csv_dataset(ds, str(path))
+    assert path.read_bytes() == (
+        b"y,x1,x2_1,x2_2\r\n"
+        b"0.10000000000000001,1,-0,10000000000000000\r\n"
+        b"-2.4999999999999999e-07,0.33333333333333331,4.9406564584124654e-324,123\r\n"
+    )
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -357,3 +357,26 @@ def test_pipeline_sigma2_per_fold_option():
     # same folds and fits; only the shift scale changes
     assert per_fold.sigma1 == pytest.approx(pooled.sigma1, rel=1e-12)
     assert abs(per_fold.estimate - pooled.estimate) < 0.2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", 1.5),
+        ("h", 0.0),
+        ("bandwidth_const", 0.0),
+        ("bandwidth_const", -1.0),
+        ("lasso_const", 1.0),
+        ("rho_const", -1.0),
+        ("lambda_const", -2.0),
+        ("lambda_const", float("nan")),
+        ("num_interior_knots", -1),
+    ],
+)
+def test_pipeline_options_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineOptions(**{field: value})
+
+
+def test_pipeline_options_accept_boundary_values():
+    PipelineOptions(rho_const=0.0, lambda_const=0.0, num_interior_knots=0)
