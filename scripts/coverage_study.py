@@ -3,7 +3,9 @@
 
 Usage: python scripts/coverage_study.py [name] [B]
 
-Names: lowdim, highdim, highdim-oracle, univariate-oracle.
+Names: lowdim, highdim, univariate-oracle. Studies with nuisance
+covariates also report `oracle_coverage`, the coverage of the same fits
+evaluated with the exact-law weights.
 Set DLL_JOBS=2 (or more) to run replications in worker processes.
 """
 
@@ -22,7 +24,7 @@ def main() -> int:
         return 2
     entry = reference_config(name)
     b = int(sys.argv[2]) if len(sys.argv) > 2 else entry["b"]
-    report = monte_carlo(entry["config"], b, entry["options"], oracle=entry["oracle"])
+    report = monte_carlo(entry["config"], b, entry["options"])
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 

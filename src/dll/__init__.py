@@ -16,6 +16,7 @@ from .decorrelate import (
     shift_linear,
     swap_split,
     weight_estimation_error,
+    window_shifts,
     window_tail_ratio,
 )
 from .errors import (
@@ -32,13 +33,16 @@ from .errors import (
     ZeroMassError,
 )
 from .estimator import (
+    CrossFit,
     Dataset,
     DLLFit,
     PipelineOptions,
     confidence_interval,
+    cross_fit,
     default_bandwidth,
     dll_pipeline,
     dll_point,
+    evaluate,
     kde_density,
     noise_sd_estimate,
     oracle_pipeline,

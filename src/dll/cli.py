@@ -48,6 +48,7 @@ from .simulate import (
 )
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
+REPORT_FORMATS = ("json", "csv")
 
 # Named scenarios so the standing coverage studies are one command each.
 REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
@@ -64,7 +65,6 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             seed=2024,
         ),
         options=PipelineOptions(transform="known"),
-        oracle=False,
         b=300,
     ),
     "highdim": dict(
@@ -84,10 +84,8 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             seed=2025,
         ),
         options=PipelineOptions(transform="known"),
-        oracle=False,
         b=200,
     ),
-    "highdim-oracle": dict(key="highdim", oracle=True),
     "univariate-oracle": dict(
         config=SimConfig(
             n=10_000,
@@ -100,19 +98,13 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             seed=2026,
         ),
         options=PipelineOptions(transform="known", sigma1_override=0.5),
-        oracle=False,
         b=500,
     ),
 }
 
 
 def reference_config(name: str) -> dict[str, Any]:
-    entry = dict(REFERENCE_CONFIGS[name])
-    if "key" in entry:
-        base = dict(REFERENCE_CONFIGS[entry.pop("key")])
-        base.update(entry)
-        entry = base
-    return entry
+    return dict(REFERENCE_CONFIGS[name])
 
 
 # The fit options' defaults are the library's, so that `dll fit` and
@@ -144,7 +136,6 @@ class RunConfig:
     rho_const: float = _PIPELINE_DEFAULTS["rho_const"]
     lambda_const: float = _PIPELINE_DEFAULTS["lambda_const"]
     knots: int | None = _PIPELINE_DEFAULTS["num_interior_knots"]
-    ci_literal: bool = _PIPELINE_DEFAULTS["ci_literal"]
 
     def pipeline_options(self) -> PipelineOptions:
         return PipelineOptions(
@@ -157,7 +148,6 @@ class RunConfig:
             rho_const=self.rho_const,
             lambda_const=self.lambda_const,
             num_interior_knots=self.knots,
-            ci_literal=self.ci_literal,
         )
 
 
@@ -178,7 +168,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="JSON file with defaults for any flag")
         p.add_argument("--output", help="report path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        p.add_argument("--format", choices=REPORT_FORMATS, default=None)
         p.add_argument("--seed", type=int, default=None)
 
     fit = sub.add_parser("fit", help="fit one derivative estimate from a CSV file")
@@ -192,7 +182,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--rho-const", type=float, default=None)
     fit.add_argument("--lambda-const", type=float, default=None)
     fit.add_argument("--knots", type=int, default=None)
-    fit.add_argument("--ci-literal", action="store_true", default=None)
     common(fit)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
@@ -250,6 +239,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         cfg.pipeline_options()
     except (TypeError, ValueError) as exc:
         raise SystemExit2(str(exc))
+    if cfg.format not in REPORT_FORMATS:
+        raise SystemExit2(
+            f"format must be one of {REPORT_FORMATS}, got {cfg.format!r}"
+        )
     if cfg.subcommand in ("fit", "bandwidth"):
         if cfg.input is None:
             raise SystemExit2(f"{cfg.subcommand} requires --input")
@@ -348,10 +341,6 @@ def _fit_to_dict(fit: DLLFit) -> dict[str, Any]:
     }
 
 
-def _report_to_dict(report: MCReport) -> dict[str, Any]:
-    return dataclasses.asdict(report)
-
-
 def emit_report(
     result: DLLFit | MCReport,
     path: str | None,
@@ -366,7 +355,7 @@ def emit_report(
     if isinstance(result, DLLFit):
         payload = _fit_to_dict(result)
     else:
-        payload = _report_to_dict(result)
+        payload = dataclasses.asdict(result)
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
         if path is None:
@@ -431,9 +420,7 @@ def _cmd_simulate(cfg: RunConfig) -> None:
 def _cmd_coverage(cfg: RunConfig) -> None:
     entry = reference_config(cfg.name)
     b = cfg.b or entry["b"]
-    report, records = monte_carlo_records(
-        entry["config"], b, entry["options"], oracle=entry["oracle"]
-    )
+    report, records = monte_carlo_records(entry["config"], b, entry["options"])
     emit_report(report, cfg.output, cfg.format, records=records)
 
 

@@ -24,7 +24,8 @@ UNDERFLOW_MASS = 1e-300
 SIMPSON_TOL = 1e-10
 SIMPSON_DEPTH = 20
 
-WEIGHT_MODES = ("linear", "exact_gaussian", "general_density", "oracle_known")
+SHIFT_MODES = ("linear", "exact_gaussian", "general_density")
+WEIGHT_MODES = SHIFT_MODES + ("oracle_known",)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ def _phi(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
 
 
-def shift_linear(x2_dot_gamma: float, sigma2: float, spec: KernelSpec) -> float:
-    """Small-bandwidth linearization of the conditional window shift."""
+def shift_linear(x2_dot_gamma, sigma2, spec: KernelSpec):
+    """Small-bandwidth linearization of the conditional window shift
+    (elementwise, so the arguments may be arrays)."""
     return spec.h**2 * (x2_dot_gamma - spec.x0) / (3 * sigma2**2)
 
 
@@ -147,6 +149,35 @@ def shift_general(
         raise ZeroMassError("density places no mass on the window")
     moment = adaptive_simpson(lambda t: (t - mu) * density(t), mu - half, mu + half)
     return sigma2 * moment / mass
+
+
+def window_shifts(
+    proj: np.ndarray,
+    sigma2,
+    spec: KernelSpec,
+    mode: str,
+    error_density: Callable[[float], float] | None = None,
+) -> tuple[np.ndarray, int]:
+    """Shifts of all observations, given their projections ``x2 @ gamma``
+    and projection-error scales (one, or one each), and the underflow count.
+    """
+    proj = np.asarray(proj, dtype=float)
+    if mode == "linear":
+        return shift_linear(proj, sigma2, spec), 0
+    if mode == "exact_gaussian":
+        mu = (spec.x0 - proj) / sigma2
+        shifts, underflow = _exact_gaussian_shifts(mu, spec.h / sigma2, sigma2)
+        return shifts, int(np.sum(underflow))
+    if mode == "general_density":
+        if error_density is None:
+            raise ValueError("general_density mode requires an error density")
+        scales = np.broadcast_to(sigma2, proj.shape)
+        shifts = [
+            shift_general(error_density, GaussianWindow((spec.x0 - v) / s, spec.h / s), s)
+            for v, s in zip(proj, scales)
+        ]
+        return np.array(shifts), 0
+    raise ValueError(f"unknown weight mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """Point estimate, variance, confidence interval and test for the
 derivative of the component of interest, plus the cross-fitted pipeline.
 
-The pipeline: split the sample in two folds; on each fold estimate the
-linear projection of the variable of interest on the nuisance covariates
-and the additive nuisance fit; swap fits across folds so every
-observation is evaluated with estimates independent of it; build
-decorrelated weights; combine with the nuisance-adjusted residuals into
-the weighted local slope and its variance.
+The pipeline has two steps. ``cross_fit`` splits the sample in two
+folds; on each fold it estimates the linear projection of the variable
+of interest on the nuisance covariates and the additive nuisance fit,
+and it swaps the fits across folds so every observation is evaluated
+with estimates independent of it. ``evaluate`` then builds decorrelated
+weights at a point and combines them with the nuisance-adjusted
+residuals into the weighted local slope and its variance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -20,14 +21,13 @@ from scipy.special import ndtri
 
 from . import spline
 from .decorrelate import (
+    SHIFT_MODES,
     DecorrelationWeights,
-    GaussianWindow,
     SwapPlan,
-    _exact_gaussian_shifts,
     build_weights,
-    shift_general,
     swap_split,
     weight_estimation_error,
+    window_shifts,
     window_tail_ratio,
 )
 from .errors import (
@@ -73,13 +73,22 @@ class Dataset:
         return self.x2.shape[1]
 
 
+_CHOICES = {
+    "mode": SHIFT_MODES,
+    "projection": ("auto", "ols", "scaled_lasso"),
+    "knot_placement": ("quantile", "uniform"),
+    "nuisance": ("doubly_penalized", "group_lasso"),
+    "transform": ("empirical", "known"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineOptions:
     """Tunables for the cross-fitted pipeline; every field has a default."""
 
     h: float | None = None
     alpha: float = 0.05
-    mode: str = "linear"  # linear | exact_gaussian | general_density
+    mode: str = "linear"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
     bandwidth_const: float = 0.5
     min_window: int = MIN_WINDOW_POINTS
@@ -94,10 +103,16 @@ class PipelineOptions:
     nuisance: str = "doubly_penalized"  # | group_lasso (smoothness penalty off)
     transform: str = "empirical"  # | known (requires known_cdfs)
     sigma1_override: float | None = None
-    ci_literal: bool = False
     error_density: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
+        if self.mode == "general_density" and self.error_density is None:
+            raise ValueError("mode 'general_density' requires error_density")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.h is not None and not (self.h > 0):
@@ -132,21 +147,33 @@ class DLLFit:
     n_effective: int
     mode: str  # estimated | oracle
     diagnostics: dict[str, Any] = field(default_factory=dict)
+    # The weights behind the estimate; not part of the reports.
+    weights: DecorrelationWeights | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class PipelineInternals:
-    """Intermediate objects of one pipeline run, for diagnostics."""
+@dataclass(frozen=True, eq=False)
+class CrossFit:
+    """Cross-fitted nuisance estimates, shared by every evaluation point.
 
-    spec: KernelSpec
-    plan: SwapPlan | None
-    projection_a: ProjectionFit | None
-    projection_b: ProjectionFit | None
-    additive_a: spline.AdditiveFit | None
-    additive_b: spline.AdditiveFit | None
-    weights: DecorrelationWeights
+    ``projection_rows`` and ``fold_sigma2`` hold each observation's
+    ``x2 @ gamma`` and projection-error scale from the opposite fold;
+    ``sigma2`` is the pooled scale, ``gamma`` the folds' mean coefficients
+    and ``flags`` the fit diagnostics that every evaluation reports. With
+    p == 0 there are no folds or fits, the residuals are the outcome and
+    the window shifts are zero.
+    """
+
+    dataset: Dataset
     residuals: np.ndarray
-    sigma2: float | None
+    sigma1: float
+    flags: dict[str, Any]
+    plan: SwapPlan | None = None
+    projections: tuple[ProjectionFit, ...] = ()
+    additive: tuple[spline.AdditiveFit, ...] = ()
+    projection_rows: np.ndarray | None = None
+    fold_sigma2: np.ndarray | None = None
+    sigma2: float | None = None
+    gamma: np.ndarray | None = None
 
 
 def slope_normalizer(
@@ -209,32 +236,26 @@ def variance_estimate(
     return sigma1**2 * total / (n * s_n) ** 2
 
 
-def confidence_interval(
-    estimate: float, variance: float, alpha: float, literal: bool = False
-) -> tuple[float, float]:
-    """Two-sided normal interval centered at the estimate.
-
-    The half-width is ``z_(alpha/2) * sqrt(variance)``; with
-    ``literal=True`` the square root is skipped (for comparison only).
-    """
+def _half_width(variance: float, alpha: float) -> float:
+    """Normal half-width ``z_(alpha/2) * sqrt(variance)``."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    z = float(ndtri(1 - alpha / 2))
-    half = z * (variance if literal else math.sqrt(variance))
+    return float(ndtri(1 - alpha / 2)) * math.sqrt(variance)
+
+
+def confidence_interval(
+    estimate: float, variance: float, alpha: float
+) -> tuple[float, float]:
+    """Two-sided normal interval centered at the estimate."""
+    half = _half_width(variance, alpha)
     return estimate - half, estimate + half
 
 
-def test_zero(
-    estimate: float, variance: float, alpha: float, literal: bool = False
-) -> bool:
+def test_zero(estimate: float, variance: float, alpha: float) -> bool:
     """Reject the zero-derivative hypothesis (closed rejection region)."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-    z = float(ndtri(1 - alpha / 2))
-    half = z * (variance if literal else math.sqrt(variance))
-    return bool(abs(estimate) >= half)
+    return bool(abs(estimate) >= _half_width(variance, alpha))
 
 
 def kde_density(x1: np.ndarray, x0: float) -> float:
@@ -277,14 +298,6 @@ def _fit_transforms(
     return tuple(EmpiricalCDF.fit(x_cols[:, j]) for j in range(n_coords))
 
 
-def _clamp_count(transforms, x_cols: np.ndarray) -> int:
-    total = 0
-    for j, tr in enumerate(transforms):
-        if isinstance(tr, EmpiricalCDF):
-            total += tr.clamp_count(x_cols[:, j])
-    return total
-
-
 def _fit_additive(
     x_cols: np.ndarray, y: np.ndarray, options: PipelineOptions, known_cdfs
 ) -> spline.AdditiveFit:
@@ -319,226 +332,161 @@ def _fit_projection(
     return scaled_lasso(x2, x1, options.lasso_const)
 
 
-def _shifts_for(
-    x2: np.ndarray,
-    gamma: np.ndarray,
-    sigma2: float,
-    spec: KernelSpec,
-    mode: str,
-    options: PipelineOptions,
-) -> tuple[np.ndarray, int]:
-    """Per-observation window shifts; returns (shifts, underflow count)."""
-    proj = x2 @ gamma if x2.shape[1] else np.zeros(x2.shape[0])
-    if mode == "linear":
-        return spec.h**2 * (proj - spec.x0) / (3 * sigma2**2), 0
-    if mode in ("exact_gaussian", "oracle_known"):
-        mu = (spec.x0 - proj) / sigma2
-        vals, underflow = _exact_gaussian_shifts(mu, spec.h / sigma2, sigma2)
-        return vals, int(np.sum(underflow))
-    if mode == "general_density":
-        if options.error_density is None:
-            raise ValueError("general_density mode requires options.error_density")
-        half = spec.h / sigma2
-        vals = np.array(
-            [
-                shift_general(
-                    options.error_density,
-                    GaussianWindow((spec.x0 - v) / sigma2, half),
-                    sigma2,
-                )
-                for v in proj
-            ]
-        )
-        return vals, 0
-    raise ValueError(f"unknown weight mode {mode!r}")
-
-
-def _assemble_fit(
-    weights: DecorrelationWeights,
-    residuals: np.ndarray,
-    x1: np.ndarray,
-    spec: KernelSpec,
-    sigma1: float,
-    options: PipelineOptions,
-    mode_label: str,
-    diagnostics: dict[str, Any],
-) -> DLLFit:
-    s_n = slope_normalizer(weights, x1, spec)
-    estimate = float(np.mean(weights.centered * residuals * kernel_weight(x1, spec)) / s_n)
-    variance = variance_estimate(weights, x1, spec, sigma1, s_n)
-    if not (math.isfinite(estimate) and math.isfinite(variance)):
-        raise NumericalError(f"non-finite estimate {estimate} or variance {variance}")
-    ci_low, ci_high = confidence_interval(
-        estimate, variance, options.alpha, literal=options.ci_literal
-    )
-    reject = test_zero(estimate, variance, options.alpha, literal=options.ci_literal)
-    return DLLFit(
-        estimate=estimate,
-        s_n=s_n,
-        sigma1=sigma1,
-        variance=variance,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        alpha=options.alpha,
-        reject_zero=reject,
-        n_effective=effective_sample_size(x1, spec),
-        mode=mode_label,
-        diagnostics=diagnostics,
-    )
-
-
-def _run_pipeline(
-    dataset: Dataset,
-    x0: float,
-    options: PipelineOptions,
-    known_cdfs=None,
-    true_projection: tuple[np.ndarray, float] | None = None,
-    oracle: bool = False,
-) -> tuple[DLLFit, PipelineInternals]:
-    y, x1, x2 = dataset.y, dataset.x1, dataset.x2
-    n, p = dataset.n, dataset.p
+def _check_size(n: int) -> None:
     if n < 40:
         raise SampleTooSmallError(f"pipeline needs n >= 40, got {n}")
-    if oracle and true_projection is None:
-        raise ValueError("oracle mode requires the true projection parameters")
 
+
+def _kernel_window(x1: np.ndarray, x0: float, options: PipelineOptions) -> KernelSpec:
+    """Window at x0 (given or plug-in bandwidth), checked to hold enough points."""
     h = options.h if options.h is not None else default_bandwidth(
         x1, x0, options.bandwidth_const
     )
     spec = KernelSpec(x0, h)
-    if effective_sample_size(x1, spec) < options.min_window:
+    in_window = effective_sample_size(x1, spec)
+    if in_window < options.min_window:
         raise InsufficientLocalDataError(
-            f"only {effective_sample_size(x1, spec)} in-window points, "
-            f"need {options.min_window}"
+            f"only {in_window} in-window points, need {options.min_window}"
         )
-    flags: dict[str, Any] = {"h": h}
+    return spec
 
+
+def cross_fit(
+    dataset: Dataset, options: PipelineOptions = PipelineOptions(), known_cdfs=None
+) -> CrossFit:
+    """The nuisance fits, which do not depend on x0, h or the weight rule.
+
+    Splits the sample in two folds, fits the projection of x1 on x2 and
+    the additive model of y on each, and evaluates every observation with
+    the fits of the opposite fold.
+    """
+    y, x1, x2 = dataset.y, dataset.x1, dataset.x2
+    n, p = dataset.n, dataset.p
+    _check_size(n)
+    sigma1 = options.sigma1_override
     if p == 0:
-        # Univariate reduction: no projection, no nuisance; centered
-        # window offsets are the weights and the outcome is the residual.
-        weights = build_weights(x1, np.zeros(n), spec, mode=options.mode)
-        residuals = y.copy()
-        if options.sigma1_override is not None:
-            sigma1 = options.sigma1_override
-        else:
+        # Univariate reduction: no projection and no nuisance, so the
+        # outcome is the residual and the window shifts are zero.
+        if sigma1 is None:
             uni = _fit_additive(x1[:, None], y, options, known_cdfs)
             fitted = uni.predict_sum(x1[:, None])
             sigma1 = noise_sd_estimate(y, fitted, uni.active_dimension + 1)
-        diagnostics = {
-            "weight_error": None,
-            "window_tail_ratio": None,
-            "flags": flags,
-        }
-        fit = _assemble_fit(
-            weights, residuals, x1, spec, sigma1,
-            options, "oracle" if oracle else "estimated", diagnostics,
-        )
-        internals = PipelineInternals(
-            spec, None, None, None, None, None, weights, residuals, None
-        )
-        return fit, internals
+        return CrossFit(dataset, y.copy(), sigma1, {})
 
     plan = swap_split(n, options.seed)
-    a, b = plan.fold_a, plan.fold_b
+    folds = (plan.fold_a, plan.fold_b)
     x_all = np.column_stack([x1, x2])
-
-    proj: dict[str, ProjectionFit] = {}
-    additive: dict[str, spline.AdditiveFit] = {}
-    for name, idx in (("a", a), ("b", b)):
-        proj[name] = _fit_projection(x2[idx], x1[idx], options)
-        additive[name] = _fit_additive(x_all[idx], y[idx], options, known_cdfs)
-    flags["projection_method"] = proj["a"].method
-    flags["projection_converged"] = proj["a"].converged and proj["b"].converged
-    flags["additive_converged"] = additive["a"].converged and additive["b"].converged
+    proj = [_fit_projection(x2[i], x1[i], options) for i in folds]
+    additive = [_fit_additive(x_all[i], y[i], options, known_cdfs) for i in folds]
 
     # Cross-application: each observation is evaluated with the fits from
     # the opposite fold. The two fold fits are aligned to a common level
     # (their average mean over the full sample): a constant offset that
     # differs by fold is not annihilated by the global centering of the
     # weights, so it would leak into the estimate as extra noise.
-    nuis_all = {g: additive[g].predict_sum(x2, exclude=0) for g in ("a", "b")}
-    full_all = {g: additive[g].predict_sum(x_all) for g in ("a", "b")}
-    nuis_level = {g: float(np.mean(nuis_all[g])) for g in ("a", "b")}
-    full_level = {g: float(np.mean(full_all[g])) for g in ("a", "b")}
-    nuis_mid = (nuis_level["a"] + nuis_level["b"]) / 2
-    full_mid = (full_level["a"] + full_level["b"]) / 2
+    nuis_all = [fit.predict_sum(x2, exclude=0) for fit in additive]
+    full_all = [fit.predict_sum(x_all) for fit in additive]
+    nuis_level = [float(np.mean(v)) for v in nuis_all]
+    full_level = [float(np.mean(v)) for v in full_all]
+    nuis_mid = (nuis_level[0] + nuis_level[1]) / 2
+    full_mid = (full_level[0] + full_level[1]) / 2
 
-    gamma_for = np.empty((n, p))
-    nuis = np.empty(n)
-    full = np.empty(n)
+    rows, fold_sigma2, nuis, full = (np.empty(n) for _ in range(4))
     clamped = 0
-    for idx, other in ((a, "b"), (b, "a")):
-        fit_o = additive[other]
-        gamma_for[idx] = proj[other].gamma
+    for idx, other in ((folds[0], 1), (folds[1], 0)):
+        rows[idx] = x2[idx] @ proj[other].gamma
+        fold_sigma2[idx] = proj[other].sigma2
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
-        if fit_o.transforms is not None:
-            clamped += _clamp_count(fit_o.transforms, x_all[idx])
-    flags["transform_clamped"] = clamped
-
-    cross_resid = x1 - np.einsum("ij,ij->i", x2, gamma_for)
-    sigma2_pooled = max(
-        float(np.sqrt(np.mean(cross_resid**2))), sigma_floor(x1)
-    )
-    flags["sigma2"] = sigma2_pooled
-
-    underflow = 0
-    if oracle:
-        gamma_true, sigma2_true = true_projection
-        shifts, underflow = _shifts_for(
-            x2, np.asarray(gamma_true, dtype=float), sigma2_true,
-            spec, "oracle_known", options,
+        clamped += sum(
+            tr.clamp_count(x_all[idx, j])
+            for j, tr in enumerate(additive[other].transforms or ())
+            if isinstance(tr, EmpiricalCDF)
         )
-        weights = build_weights(x1, shifts, spec, mode="oracle_known")
-    else:
-        shifts = np.empty(n)
-        for idx, other in ((a, "b"), (b, "a")):
-            sig = proj[other].sigma2 if options.sigma2_per_fold else sigma2_pooled
-            vals, uf = _shifts_for(
-                x2[idx], proj[other].gamma, sig, spec, options.mode, options
-            )
-            shifts[idx] = vals
-            underflow += uf
-        weights = build_weights(x1, shifts, spec, mode=options.mode)
-    flags["shift_underflow"] = underflow
 
-    residuals = y - nuis
-    if options.sigma1_override is not None:
-        sigma1 = options.sigma1_override
-    else:
-        df = round((additive["a"].active_dimension + additive["b"].active_dimension) / 2) + 1
+    sigma2 = max(float(np.sqrt(np.mean((x1 - rows) ** 2))), sigma_floor(x1))
+    if sigma1 is None:
+        df = round((additive[0].active_dimension + additive[1].active_dimension) / 2) + 1
         sigma1 = noise_sd_estimate(y, full, df)
-
-    weight_err = None
-    if true_projection is not None:
-        gamma_true, sigma2_true = true_projection
-        oracle_shifts, _ = _shifts_for(
-            x2, np.asarray(gamma_true, dtype=float), sigma2_true,
-            spec, "oracle_known", options,
-        )
-        oracle_weights = build_weights(x1, oracle_shifts, spec, mode="oracle_known")
-        weight_err = weight_estimation_error(weights, oracle_weights, x1, spec)
-
-    ratio_gamma = (
-        np.asarray(true_projection[0], dtype=float)
-        if oracle
-        else (proj["a"].gamma + proj["b"].gamma) / 2
-    )
-    ratio_sigma = true_projection[1] if oracle else sigma2_pooled
-    diagnostics = {
-        "weight_error": weight_err,
-        "window_tail_ratio": window_tail_ratio(x0, h, ratio_gamma, ratio_sigma, n),
-        "flags": flags,
+    flags = {
+        "projection_method": proj[0].method,
+        "projection_converged": proj[0].converged and proj[1].converged,
+        "additive_converged": additive[0].converged and additive[1].converged,
+        "transform_clamped": clamped,
+        "sigma2": sigma2,
     }
-    fit = _assemble_fit(
-        weights, residuals, x1, spec, sigma1,
-        options, "oracle" if oracle else "estimated", diagnostics,
+    return CrossFit(
+        dataset, y - nuis, sigma1, flags, plan, tuple(proj), tuple(additive),
+        rows, fold_sigma2, sigma2, (proj[0].gamma + proj[1].gamma) / 2,
     )
-    internals = PipelineInternals(
-        spec, plan, proj["a"], proj["b"], additive["a"], additive["b"],
-        weights, residuals, sigma2_pooled,
+
+
+def _weights(
+    cf: CrossFit,
+    spec: KernelSpec,
+    options: PipelineOptions,
+    projection: tuple[np.ndarray, float] | None,
+) -> tuple[DecorrelationWeights, int]:
+    """Decorrelated weights and the count of window-mass underflows."""
+    x1 = cf.dataset.x1
+    if projection is not None:
+        gamma, sigma2 = projection
+        rows = cf.dataset.x2 @ np.asarray(gamma, dtype=float)
+        shifts, underflow = window_shifts(rows, sigma2, spec, "exact_gaussian")
+        return build_weights(x1, shifts, spec, mode="oracle_known"), underflow
+    if cf.projection_rows is None:
+        return build_weights(x1, np.zeros(cf.dataset.n), spec, mode=options.mode), 0
+    sigma2 = cf.fold_sigma2 if options.sigma2_per_fold else cf.sigma2
+    shifts, underflow = window_shifts(
+        cf.projection_rows, sigma2, spec, options.mode, options.error_density
     )
-    return fit, internals
+    return build_weights(x1, shifts, spec, mode=options.mode), underflow
+
+
+def evaluate(
+    cf: CrossFit,
+    x0: float,
+    options: PipelineOptions = PipelineOptions(),
+    projection: tuple[np.ndarray, float] | None = None,
+) -> DLLFit:
+    """Estimate, variance, CI and test at x0 from one cross-fit.
+
+    The weights come from the cross-fitted projection, or with
+    ``projection=(gamma, sigma2)`` from the known Gaussian law of x1 given
+    x2 (the oracle weights of a simulation); the nuisance fits are the
+    same either way.
+    """
+    x1 = cf.dataset.x1
+    spec = _kernel_window(x1, x0, options)
+    weights, underflow = _weights(cf, spec, options, projection)
+    gamma, sigma2 = (cf.gamma, cf.sigma2) if projection is None else projection
+    diagnostics = {
+        "weight_error": None,
+        "window_tail_ratio": None if sigma2 is None else window_tail_ratio(
+            x0, spec.h, np.asarray(gamma, dtype=float), sigma2, cf.dataset.n
+        ),
+        "flags": {"h": spec.h, **cf.flags, "shift_underflow": underflow},
+    }
+    s_n = slope_normalizer(weights, x1, spec)
+    estimate = dll_point(weights, cf.residuals, x1, spec)
+    variance = variance_estimate(weights, x1, spec, cf.sigma1, s_n)
+    if not (math.isfinite(estimate) and math.isfinite(variance)):
+        raise NumericalError(f"non-finite estimate {estimate} or variance {variance}")
+    ci_low, ci_high = confidence_interval(estimate, variance, options.alpha)
+    return DLLFit(
+        estimate=estimate,
+        s_n=s_n,
+        sigma1=cf.sigma1,
+        variance=variance,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        alpha=options.alpha,
+        reject_zero=test_zero(estimate, variance, options.alpha),
+        n_effective=effective_sample_size(x1, spec),
+        mode="estimated" if projection is None else "oracle",
+        diagnostics=diagnostics,
+        weights=weights,
+    )
 
 
 def dll_pipeline(
@@ -548,13 +496,23 @@ def dll_pipeline(
     known_cdfs=None,
     true_projection: tuple[np.ndarray, float] | None = None,
 ) -> DLLFit:
-    """Full cross-fitted decorrelated local linear fit.
+    """Full cross-fitted decorrelated local linear fit at one point.
 
+    The sample size, bandwidth and window are checked before any fit.
     When the true projection parameters are supplied (simulation only)
     the diagnostics include the kernel-weighted error of the estimated
     weights against the oracle weights.
     """
-    return _run_pipeline(dataset, x0, options, known_cdfs, true_projection)[0]
+    _check_size(dataset.n)
+    spec = _kernel_window(dataset.x1, x0, options)
+    options = replace(options, h=spec.h)
+    cf = cross_fit(dataset, options, known_cdfs)
+    fit = evaluate(cf, x0, options)
+    if true_projection is None:
+        return fit
+    oracle, _ = _weights(cf, spec, options, true_projection)
+    error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
+    return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 
 
 def oracle_pipeline(
@@ -571,11 +529,5 @@ def oracle_pipeline(
     shifts use the exact conditional distribution of the variable of
     interest given the nuisance covariates.
     """
-    return _run_pipeline(
-        dataset,
-        x0,
-        options,
-        known_cdfs,
-        true_projection=(np.asarray(true_gamma, dtype=float), true_sigma2),
-        oracle=True,
-    )[0]
+    cf = cross_fit(dataset, options, known_cdfs)
+    return evaluate(cf, x0, options, projection=(true_gamma, true_sigma2))

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DLLError
-from .estimator import Dataset, PipelineOptions, _run_pipeline, dll_point
-from .kernel import local_linear_slope
+from .decorrelate import weight_estimation_error
+from .estimator import Dataset, PipelineOptions, cross_fit, dll_point, evaluate
+from .kernel import KernelSpec, local_linear_slope
 from .spline import nuisance_fit_error
 
 # Sub-seed offsets so design, noise, swap and fresh draws are independent
@@ -176,7 +177,9 @@ def make_dataset(config: SimConfig, seed: int | None = None) -> Dataset:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Outcome of a single Monte Carlo replication."""
+    """Outcome of a single Monte Carlo replication. The ``oracle_*`` fields
+    evaluate the same cross-fit with the exact-law weights; they stay NaN
+    (not covered) when p == 0 or when that evaluation fails."""
 
     estimate: float = math.nan
     ci_low: float = math.nan
@@ -188,6 +191,10 @@ class RepRecord:
     nuisance_error: float = math.nan
     failed: bool = False
     message: str = ""
+    oracle_estimate: float = math.nan
+    oracle_ci_low: float = math.nan
+    oracle_ci_high: float = math.nan
+    oracle_covered: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,44 +211,57 @@ class MCReport:
     mean_nuisance_error: float
     replications: int
     failures: int
+    oracle_coverage: float = math.nan
 
 
 def run_replication(
     config: SimConfig,
     options: PipelineOptions = PipelineOptions(transform="known"),
-    oracle: bool = False,
     seed: int | None = None,
 ) -> RepRecord:
-    """One full pipeline run on fresh data; failures become records."""
+    """One cross-fit on fresh data, evaluated with the estimated weights
+    and, when p > 0, with the exact-law weights; failures become records.
+    """
     seed = config.seed if seed is None else seed
     cfg = replace(config, seed=seed)
     dataset = make_dataset(cfg, seed)
     options = replace(options, seed=seed)
     known = cfg.known_cdfs() if options.transform == "known" else None
     truth = cfg.target
-    gamma = np.asarray(cfg.gamma_true, dtype=float)
-    true_proj = (gamma, cfg.sigma2_true) if cfg.p > 0 else None
     try:
-        fit, internals = _run_pipeline(
-            dataset, cfg.x0, options, known,
-            true_projection=true_proj, oracle=oracle,
-        )
+        cf = cross_fit(dataset, options, known)
+        fit = evaluate(cf, cfg.x0, options)
     except DLLError as exc:
         return RepRecord(failed=True, message=f"{type(exc).__name__}: {exc}")
 
-    nuis_err = math.nan
-    if cfg.p > 0 and internals.additive_a is not None:
+    extra = {}
+    if cfg.p > 0:
         rng = np.random.default_rng([seed, _FRESH])
         fresh = rng.standard_normal((500, cfg.p)) @ np.linalg.cholesky(cfg._cov()).T
-        nuis_err = nuisance_fit_error(
-            internals.additive_a,
-            internals.additive_b,
+        extra["nuisance_error"] = nuisance_fit_error(
+            *cf.additive,
             lambda rows: nuisance_truth(cfg, rows),
             fresh,
             exclude=0,
             include_intercept=False,
         )
-    weight_err = fit.diagnostics.get("weight_error")
+        try:
+            oracle = evaluate(
+                cf, cfg.x0, options, projection=(cfg.gamma_true, cfg.sigma2_true)
+            )
+        except DLLError:
+            pass  # the oracle fields stay NaN
+        else:
+            extra.update(
+                weight_error=weight_estimation_error(
+                    fit.weights, oracle.weights, dataset.x1,
+                    KernelSpec(cfg.x0, fit.diagnostics["flags"]["h"]),
+                ),
+                oracle_estimate=oracle.estimate,
+                oracle_ci_low=oracle.ci_low,
+                oracle_ci_high=oracle.ci_high,
+                oracle_covered=bool(oracle.ci_low <= truth <= oracle.ci_high),
+            )
     return RepRecord(
         estimate=fit.estimate,
         ci_low=fit.ci_low,
@@ -249,15 +269,12 @@ def run_replication(
         ci_length=fit.ci_high - fit.ci_low,
         covered=bool(fit.ci_low <= truth <= fit.ci_high),
         rejected=fit.reject_zero,
-        weight_error=math.nan if weight_err is None else weight_err,
-        nuisance_error=nuis_err,
-        failed=False,
+        **extra,
     )
 
 
 def _replication_task(args) -> RepRecord:
-    config, options, oracle, seed = args
-    return run_replication(config, options, oracle, seed)
+    return run_replication(*args)
 
 
 def _aggregate(config: SimConfig, records: list[RepRecord]) -> MCReport:
@@ -272,6 +289,7 @@ def _aggregate(config: SimConfig, records: list[RepRecord]) -> MCReport:
     rmse = float(np.sqrt(np.mean((est - truth) ** 2)))
     werr = np.array([r.weight_error for r in ok])
     nerr = np.array([r.nuisance_error for r in ok])
+    oracle = [r.oracle_covered for r in ok if not math.isnan(r.oracle_estimate)]
     return MCReport(
         coverage=float(np.mean([r.covered for r in ok])),
         mean_ci_length=float(np.mean([r.ci_length for r in ok])),
@@ -283,6 +301,7 @@ def _aggregate(config: SimConfig, records: list[RepRecord]) -> MCReport:
         mean_nuisance_error=float(np.nanmean(nerr)) if np.any(np.isfinite(nerr)) else math.nan,
         replications=len(ok),
         failures=failures,
+        oracle_coverage=float(np.mean(oracle)) if oracle else math.nan,
     )
 
 
@@ -294,7 +313,6 @@ def monte_carlo_records(
     config: SimConfig,
     b: int,
     options: PipelineOptions = PipelineOptions(transform="known"),
-    oracle: bool = False,
     n_jobs: int | None = None,
 ) -> tuple[MCReport, list[RepRecord]]:
     """Run B replications with seeds seed+1..seed+B and aggregate.
@@ -306,7 +324,7 @@ def monte_carlo_records(
     if b < 1:
         raise ValueError("need at least one replication")
     n_jobs = default_jobs() if n_jobs is None else n_jobs
-    tasks = [(config, options, oracle, config.seed + r) for r in range(1, b + 1)]
+    tasks = [(config, options, config.seed + r) for r in range(1, b + 1)]
     if n_jobs > 1 and b > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             records = list(pool.map(_replication_task, tasks, chunksize=4))
@@ -319,11 +337,10 @@ def monte_carlo(
     config: SimConfig,
     b: int,
     options: PipelineOptions = PipelineOptions(transform="known"),
-    oracle: bool = False,
     n_jobs: int | None = None,
 ) -> MCReport:
     """Aggregate Monte Carlo report over B replications."""
-    return monte_carlo_records(config, b, options, oracle, n_jobs)[0]
+    return monte_carlo_records(config, b, options, n_jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -365,7 +382,8 @@ def compare_naive(
         opts = replace(options, seed=seed)
         known = cfg.known_cdfs() if opts.transform == "known" else None
         try:
-            _, internals = _run_pipeline(dataset, cfg.x0, opts, known)
+            cf = cross_fit(dataset, opts, known)
+            fit = evaluate(cf, cfg.x0, opts)
             rng = np.random.default_rng([seed, 23])
             if orthogonal:
                 noise_col = rng.standard_normal(cfg.n)
@@ -373,10 +391,10 @@ def compare_naive(
             else:
                 gamma = np.asarray(cfg.gamma_true, dtype=float)
                 bump = contamination * (dataset.x2 @ gamma)
-            residuals = internals.residuals - bump
-            spec = internals.spec
+            residuals = cf.residuals - bump
+            spec = KernelSpec(cfg.x0, fit.diagnostics["flags"]["h"])
             naive = local_linear_slope(dataset.x1, residuals, spec)
-            dll_est = dll_point(internals.weights, residuals, dataset.x1, spec)
+            dll_est = dll_point(fit.weights, residuals, dataset.x1, spec)
         except DLLError:
             failures += 1
             continue

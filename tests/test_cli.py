@@ -64,6 +64,18 @@ def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, va
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("mode", "bogus"), ("mode", "general_density"), ("format", "xml")]
+)
+def test_bad_config_choice_is_usage_error_before_reading(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
+    argv = ["fit", "--input", missing, "--x0", "0", "--config", str(cfg_file)]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_parse_requires_x0_for_fit():
     with pytest.raises(SystemExit2):
         parse_args(["fit", "--input", "d.csv"])
@@ -320,9 +332,6 @@ def test_main_simulate_writes_dataset(tmp_path, capsys):
 
 
 def test_reference_registry_names():
-    assert {"lowdim", "highdim", "highdim-oracle", "univariate-oracle"} <= set(
-        REFERENCE_CONFIGS
-    )
-    entry = reference_config("highdim-oracle")
-    assert entry["oracle"] is True
+    assert {"lowdim", "highdim", "univariate-oracle"} <= set(REFERENCE_CONFIGS)
+    entry = reference_config("highdim")
     assert entry["config"].p == 300

@@ -6,13 +6,13 @@ from scipy.integrate import quad
 
 from dll.decorrelate import (
     GaussianWindow,
-    _exact_gaussian_shifts,
     build_weights,
     shift_exact_gaussian,
     shift_general,
     shift_linear,
     swap_split,
     weight_estimation_error,
+    window_shifts,
     window_tail_ratio,
 )
 from dll.errors import InsufficientLocalDataError, ZeroMassError
@@ -92,7 +92,9 @@ def test_exact_shift_small_window_bound():
 def test_exact_shift_tail_underflow_fallback():
     # Window mass far in the tail underflows; the linearized value is used.
     window = GaussianWindow(45.0, 0.1)
-    vals, underflow = _exact_gaussian_shifts(np.array(45.0), 0.1, 1.0)
+    vals, underflow = window_shifts(
+        np.array([-45.0]), 1.0, KernelSpec(0.0, 0.1), "exact_gaussian"
+    )
     assert underflow
     assert shift_exact_gaussian(window, 1.0) == pytest.approx(
         -1.0 * 45.0 * 0.1**2 / 3
@@ -178,6 +180,31 @@ def test_build_weights_rejects_unknown_mode():
         build_weights(np.zeros(3), np.zeros(3), KernelSpec(0.0, 1.0), mode="bogus")
 
 
+def test_window_shifts_match_the_scalar_shifts():
+    rng = np.random.default_rng(21)
+    proj = rng.normal(size=40)
+    sigma2 = rng.uniform(0.5, 2.0, size=40)
+    spec = KernelSpec(0.2, 0.3)
+    for mode, scalar in (
+        ("linear", lambda v, s: shift_linear(v, s, spec)),
+        ("exact_gaussian", lambda v, s: shift_exact_gaussian(
+            GaussianWindow((spec.x0 - v) / s, spec.h / s), s)),
+        ("general_density", lambda v, s: shift_general(
+            normal_density, GaussianWindow((spec.x0 - v) / s, spec.h / s), s)),
+    ):
+        shifts, underflow = window_shifts(proj, sigma2, spec, mode, normal_density)
+        expected = [scalar(v, s) for v, s in zip(proj, sigma2)]
+        np.testing.assert_allclose(shifts, expected, rtol=1e-14, atol=1e-300)
+        assert underflow == 0
+        pooled, _ = window_shifts(proj, 1.3, spec, mode, normal_density)
+        per_row, _ = window_shifts(proj, np.full(40, 1.3), spec, mode, normal_density)
+        np.testing.assert_allclose(pooled, per_row, rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match="error density"):
+        window_shifts(proj, 1.0, spec, "general_density")
+    with pytest.raises(ValueError, match="unknown weight mode"):
+        window_shifts(proj, 1.0, spec, "oracle_known")
+
+
 def test_decorrelation_property_monte_carlo():
     # Exact-law weights: the kernel-weighted sample covariance with any
     # bounded function of the nuisance covariates vanishes at the 1/sqrt(n)
@@ -188,8 +215,7 @@ def test_decorrelation_property_monte_carlo():
     x2 = rng.standard_normal((n, p))
     x1 = x2 @ gamma + rng.normal(0, 1.0, n)
     spec = KernelSpec(0.3, 0.1)
-    mu = (spec.x0 - x2 @ gamma) / 1.0
-    shifts, _ = _exact_gaussian_shifts(mu, spec.h, 1.0)
+    shifts, _ = window_shifts(x2 @ gamma, 1.0, spec, "exact_gaussian")
     w = build_weights(x1, shifts, spec, mode="exact_gaussian")
     kh = kernel_weight(x1, spec)
     tests = [
@@ -243,7 +269,7 @@ def test_weight_error_lemma_shape_bound():
         fit = scaled_lasso(x2, x1)
         shifts = h**2 * (x2 @ fit.gamma - spec.x0) / (3 * fit.sigma2**2)
         w = build_weights(x1, shifts, spec)
-        oracle_shifts, _ = _exact_gaussian_shifts((spec.x0 - x2 @ gamma), h, 1.0)
+        oracle_shifts, _ = window_shifts(x2 @ gamma, 1.0, spec, "exact_gaussian")
         oracle = build_weights(x1, oracle_shifts, spec, mode="oracle_known")
         ratios.append(weight_estimation_error(w, oracle, x1, spec) / h**2 / shape)
     assert max(ratios) <= 1.0

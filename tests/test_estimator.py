@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from dll.estimator import (
     Dataset,
     PipelineOptions,
     confidence_interval,
+    cross_fit,
     default_bandwidth,
     dll_pipeline,
     dll_point,
+    evaluate,
     kde_density,
     noise_sd_estimate,
     oracle_pipeline,
@@ -155,13 +159,6 @@ def test_confidence_interval_oracle_values():
     assert lo == hi == 2.0
     with pytest.raises(ValueError):
         confidence_interval(0.0, 1.0, 1.5)
-
-
-def test_confidence_interval_literal_variant():
-    lo, hi = confidence_interval(0.0, 4.0, 0.05, literal=True)
-    assert hi == pytest.approx(4 * Z_975)
-    lo_s, hi_s = confidence_interval(0.0, 4.0, 0.05)
-    assert hi_s == pytest.approx(2 * Z_975)
 
 
 def test_test_zero_decisions():
@@ -380,3 +377,129 @@ def test_pipeline_options_reject_out_of_range(field, value):
 
 def test_pipeline_options_accept_boundary_values():
     PipelineOptions(rho_const=0.0, lambda_const=0.0, num_interior_knots=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode", "bogus"),
+        ("mode", "oracle_known"),
+        ("projection", "ridge"),
+        ("transform", "rank"),
+        ("nuisance", "lasso"),
+        ("knot_placement", "even"),
+    ],
+)
+def test_pipeline_options_reject_unknown_choice(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineOptions(**{field: value})
+
+
+def test_general_density_mode_requires_a_density():
+    with pytest.raises(ValueError, match="error_density"):
+        PipelineOptions(mode="general_density")
+    PipelineOptions(mode="general_density", error_density=std_normal_pdf)
+
+
+# Golden (estimate, variance, ci_low, ci_high) of each pipeline path on
+# fixed inputs, taken before the pipeline was split into cross_fit and
+# evaluate.
+PARITY_GAMMA = np.array([0.5, -0.3])
+PARITY_GOLDEN = {
+    "p0": (
+        1.7684180919674615, 0.013881117448604373,
+        1.537498753097733, 1.9993374308371898,
+    ),
+    "linear": (
+        0.897700078387643, 0.35141122244649775,
+        -0.26416555074423065, 2.059565707519517,
+    ),
+    "exact_gaussian": (
+        1.3435353659336395, 0.036959969041795035,
+        0.9667327663032955, 1.7203379655639837,
+    ),
+    "general_density": (
+        1.3435353659342157, 0.03695996904178001,
+        0.9667327663039482, 1.7203379655644833,
+    ),
+    "sigma2_per_fold": (
+        1.3335597627701983, 0.03740981870697876,
+        0.9544710158355371, 1.7126485097048594,
+    ),
+    "oracle": (
+        1.3215381803976147, 0.03702560510645283,
+        0.9444011531413128, 1.6986752076539167,
+    ),
+}
+PARITY_WEIGHT_ERROR = 0.0034913977727000917
+
+
+def std_normal_pdf(t):
+    return float(np.exp(-t * t / 2) / np.sqrt(2 * np.pi))
+
+
+def parity_dataset(p):
+    if p == 0:
+        rng = np.random.default_rng(41)
+        x1 = rng.uniform(-1, 1, 200)
+        y = np.sin(2 * x1) + rng.normal(0, 0.3, 200)
+        return Dataset(y=y, x1=x1, x2=np.empty((200, 0)))
+    rng = np.random.default_rng(42)
+    x2 = rng.standard_normal((160, 2))
+    x1 = x2 @ PARITY_GAMMA + rng.normal(0, 1, 160)
+    y = np.sin(x1) + 0.4 * np.sin(x2[:, 0]) + rng.normal(0, 0.3, 160)
+    return Dataset(y=y, x1=x1, x2=x2)
+
+
+def parity_fit(path):
+    if path == "p0":
+        return dll_pipeline(parity_dataset(0), 0.1, PipelineOptions(h=0.5))
+    ds = parity_dataset(2)
+    if path == "linear":  # plug-in bandwidth
+        return dll_pipeline(
+            ds, 0.0, PipelineOptions(seed=3), true_projection=(PARITY_GAMMA, 1.0)
+        )
+    opts = PipelineOptions(seed=3, h=0.5)
+    if path == "oracle":
+        return oracle_pipeline(ds, 0.0, PARITY_GAMMA, 1.0, opts)
+    if path == "sigma2_per_fold":
+        return dll_pipeline(ds, 0.0, replace(opts, sigma2_per_fold=True))
+    return dll_pipeline(
+        ds, 0.0, replace(opts, mode=path, error_density=std_normal_pdf)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PARITY_GOLDEN))
+def test_pipeline_matches_golden_values(path):
+    fit = parity_fit(path)
+    got = (fit.estimate, fit.variance, fit.ci_low, fit.ci_high)
+    np.testing.assert_allclose(got, PARITY_GOLDEN[path], rtol=1e-12, atol=0)
+    if path == "linear":
+        assert fit.diagnostics["weight_error"] == pytest.approx(
+            PARITY_WEIGHT_ERROR, rel=1e-12
+        )
+
+
+def test_one_cross_fit_serves_every_evaluation():
+    ds = parity_dataset(2)
+    opts = PipelineOptions(seed=3, h=0.5)
+    cf = cross_fit(ds, opts)
+    for mode in ("linear", "exact_gaussian"):
+        mode_opts = replace(opts, mode=mode)
+        assert evaluate(cf, 0.0, mode_opts) == dll_pipeline(ds, 0.0, mode_opts)
+    oracle = evaluate(cf, 0.0, opts, projection=(PARITY_GAMMA, 1.0))
+    assert oracle == oracle_pipeline(ds, 0.0, PARITY_GAMMA, 1.0, opts)
+    assert oracle.mode == "oracle" and oracle.sigma1 == cf.sigma1
+
+
+def test_pipeline_checks_the_window_before_fitting(monkeypatch):
+    import dll.estimator as estimator
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("cross_fit ran before the window check")
+
+    monkeypatch.setattr(estimator, "cross_fit", no_fit)
+    with pytest.raises(InsufficientLocalDataError):
+        dll_pipeline(parity_dataset(2), 40.0, PipelineOptions(h=0.1))
+    with pytest.raises(BandwidthSelectionError):
+        dll_pipeline(parity_dataset(2), 80.0)

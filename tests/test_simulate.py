@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from dll.estimator import PipelineOptions
+from dll.estimator import PipelineOptions, dll_pipeline, oracle_pipeline
 from dll.simulate import (
     SimConfig,
     compare_naive,
     gen_design,
     gen_response,
+    make_dataset,
     monte_carlo,
     monte_carlo_records,
     nuisance_truth,
@@ -113,6 +114,37 @@ def test_run_replication_deterministic():
     assert a == b
 
 
+def test_run_replication_oracle_fields_match_oracle_pipeline():
+    cfg = small_config()
+    rec = run_replication(cfg, PipelineOptions(transform="known"), seed=77)
+    seeded = dataclasses.replace(cfg, seed=77)
+    dataset = make_dataset(seeded, 77)
+    opts = PipelineOptions(transform="known", seed=77)
+    known = seeded.known_cdfs()
+    law = (np.asarray(cfg.gamma_true), cfg.sigma2_true)
+    orc = oracle_pipeline(dataset, cfg.x0, *law, opts, known)
+    assert (rec.oracle_estimate, rec.oracle_ci_low, rec.oracle_ci_high) == (
+        orc.estimate, orc.ci_low, orc.ci_high
+    )
+    assert rec.oracle_covered == (orc.ci_low <= cfg.target <= orc.ci_high)
+    est = dll_pipeline(dataset, cfg.x0, opts, known, true_projection=law)
+    assert (rec.estimate, rec.ci_low, rec.ci_high) == (
+        est.estimate, est.ci_low, est.ci_high
+    )
+    assert rec.weight_error == est.diagnostics["weight_error"]
+
+
+def test_monte_carlo_reports_oracle_coverage():
+    cfg = small_config(n=120)
+    report, records = monte_carlo_records(cfg, 4, PipelineOptions(h=0.6))
+    assert report.oracle_coverage == np.mean([r.oracle_covered for r in records])
+    univariate = SimConfig(n=200, p=0, gamma_true=(), f1=("linear", (2.0,)),
+                           sigma1_true=0.0, seed=7)
+    report, records = monte_carlo_records(univariate, 2, PipelineOptions(h=0.5))
+    assert math.isnan(report.oracle_coverage)
+    assert all(math.isnan(r.oracle_estimate) for r in records)
+
+
 def test_run_replication_records_failures():
     # Window too small: insufficient local data is recorded, not raised.
     cfg = small_config(x0=50.0)
@@ -177,6 +209,7 @@ def test_mc_report_is_serializable():
     assert set(payload) == {
         "coverage", "mean_ci_length", "bias", "sd", "rmse", "rejection_rate",
         "mean_weight_error", "mean_nuisance_error", "replications", "failures",
+        "oracle_coverage",
     }
 
 

@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
-from scipy.stats import kstest
+from scipy.stats import kstest, rankdata
 
 from dll.transforms import (
     EmpiricalCDF,
@@ -20,6 +23,25 @@ def test_rank_transform_small_cases():
         empirical_cdf_transform([3.0, 1.0, 2.0]), [3 / 4, 1 / 4, 2 / 4]
     )
     np.testing.assert_allclose(empirical_cdf_transform([5.0, 5.0, 5.0]), [0.5] * 3)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_rank_transform_equals_average_ranks(ties):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 500):
+        column = rng.normal(size=n)
+        if ties:
+            column = np.round(column, 1)
+        expected = rankdata(column, method="average") / (n + 1)
+        np.testing.assert_array_equal(empirical_cdf_transform(column), expected)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, dll, dll.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_empirical_transform_ks_against_uniform():
