@@ -20,7 +20,14 @@ from scipy.special import ndtr
 
 from .errors import DLLError
 from .decorrelate import weight_estimation_error
-from .estimator import Dataset, PipelineOptions, cross_fit, dll_point, evaluate
+from .estimator import (
+    Dataset,
+    PipelineOptions,
+    check_window,
+    cross_fit,
+    dll_point,
+    evaluate,
+)
 from .kernel import KernelSpec, local_linear_slope
 from .spline import nuisance_fit_error
 
@@ -229,6 +236,7 @@ def run_replication(
     known = cfg.known_cdfs() if options.transform == "known" else None
     truth = cfg.target
     try:
+        options = check_window(dataset, cfg.x0, options)
         cf = cross_fit(dataset, options, known)
         fit = evaluate(cf, cfg.x0, options)
     except DLLError as exc:
@@ -382,6 +390,7 @@ def compare_naive(
         opts = replace(options, seed=seed)
         known = cfg.known_cdfs() if opts.transform == "known" else None
         try:
+            opts = check_window(dataset, cfg.x0, opts)
             cf = cross_fit(dataset, opts, known)
             fit = evaluate(cf, cfg.x0, opts)
             rng = np.random.default_rng([seed, 23])

@@ -99,13 +99,14 @@ def _design_batch(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
     the last nonempty interval.
     """
     c, n = x.shape
-    q = knots.shape[1] - degree - 1
+    size = knots.shape[1]
+    q = size - degree - 1
     span = np.count_nonzero(knots[:, None, :] <= x[:, :, None], axis=2) - 1
     span = np.clip(span, degree, q - 1)
-    knot_at = {
-        off: np.take_along_axis(knots, span + off, axis=1)
-        for off in range(1 - degree, degree + 1)
-    }
+    # Flat indices into the raveled knots and output rows of each point.
+    at = span + (size * np.arange(c))[:, None]
+    flat_knots = knots.ravel()
+    knot_at = {off: flat_knots[at + off] for off in range(1 - degree, degree + 1)}
     vals = [np.ones((c, n))]
     for j in range(1, degree + 1):
         saved = 0.0
@@ -118,10 +119,11 @@ def _design_batch(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
             saved = left * temp
         nxt.append(saved)
         vals = nxt
-    out = np.zeros((c, n, q))
-    cols = span[:, :, None] - degree + np.arange(degree + 1)
-    np.put_along_axis(out, cols, np.stack(vals, axis=2), axis=2)
-    return out
+    out = np.zeros(c * n * q)
+    first = span - degree + (q * np.arange(c * n)).reshape(c, n)
+    for r, val in enumerate(vals):
+        out[first + r] = val
+    return out.reshape(c, n, q)
 
 
 def default_interior_knots(n: int) -> int:
@@ -150,8 +152,11 @@ def _coordinate_bases(
     count = 1 if columns is None else columns.shape[1]
     if spec.placement == "quantile" and columns is not None and k > 0:
         probs = np.arange(1, k + 1) / (k + 1)
-        cuts = np.quantile(columns, probs, axis=0).T
-        interiors = [np.unique(c[(c > 1e-9) & (c < 1 - 1e-9)]) for c in cuts]
+        # Interior knots are the distinct in-range quantiles, in order.
+        cuts = np.sort(np.quantile(columns, probs, axis=0).T, axis=1)
+        keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
+        keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+        interiors = [row[mask] for row, mask in zip(cuts, keep)]
     else:
         interiors = [np.linspace(0.0, 1.0, k + 2)[1:-1]] * count
     d = spec.degree
@@ -268,15 +273,17 @@ def two_penalty_prox(
         v = z.copy()
         if pos.any():
             zp, dp = z[pos], d[pos]
-            if 2 * math.sqrt(float(np.sum(zp**2 / dp))) <= rho:
+            zp2 = np.square(zp)
+            if 2 * math.sqrt(float((zp2 / dp).sum())) <= rho:
                 v[pos] = 0.0
             else:
-                target = zp**2 * dp
-                hi = math.sqrt(float(np.sum(target)))
+                target = zp2 * dp
+                rdp = rho * dp
+                hi = math.sqrt(float(target.sum()))
                 lo = 0.0
                 for _ in range(PROX_ITERS):
                     a = (lo + hi) / 2
-                    val = float(np.sum(target / (1 + rho * dp / (2 * a)) ** 2))
+                    val = float((target / np.square(1 + rdp / (2 * a))).sum())
                     if val > a * a:
                         lo = a
                     else:
@@ -284,7 +291,7 @@ def two_penalty_prox(
                     if hi - lo < PROX_TOL * max(1.0, hi):
                         break
                 a = (lo + hi) / 2
-                v[pos] = zp / (1 + rho * dp / (2 * a))
+                v[pos] = zp / (1 + rdp / (2 * a))
     vnorm = float(np.linalg.norm(v))
     if vnorm <= lam / 2:
         return np.zeros_like(z)
@@ -331,7 +338,9 @@ def _prox_zero_blocks(
     if ids.size:
         remap = np.zeros(nb, dtype=np.intp)
         remap[ids] = np.arange(ids.size)
-        el = np.isin(owner, ids) & pos
+        picked = np.zeros(nb, dtype=bool)
+        picked[ids] = True
+        el = picked[owner] & pos
         own = remap[owner[el]]
         zz_el = zz[el]
         c_el = zz_el * d[el]

@@ -38,9 +38,11 @@ def empirical_cdf_transform(column) -> np.ndarray:
 class EmpiricalCDF:
     """Empirical CDF transform fitted on a training column.
 
-    Training values map to rank/(n+1); new values interpolate the
-    empirical CDF piecewise-linearly between order statistics and are
-    clamped to [1/(n+1), n/(n+1)].
+    New values interpolate the empirical CDF piecewise-linearly between
+    order statistics and are clamped to [1/(n+1), n/(n+1)]. A training
+    value maps to the top rank of its tie group over n + 1 (its count of
+    values at or below it); ``train_values`` holds these, equal to the
+    transform of the training column.
     """
 
     order_stats: np.ndarray
@@ -49,7 +51,13 @@ class EmpiricalCDF:
     @classmethod
     def fit(cls, column) -> "EmpiricalCDF":
         column = np.asarray(column, dtype=float)
-        return cls(np.sort(column), empirical_cdf_transform(column))
+        if column.size < 1:
+            raise ValueError("need at least one observation")
+        order = np.argsort(column)
+        s = column[order]
+        values = np.empty(column.size)
+        values[order] = np.searchsorted(s, s, "right") / (column.size + 1)
+        return cls(s, values)
 
     def __call__(self, x):
         n = self.order_stats.size

@@ -503,3 +503,15 @@ def test_pipeline_checks_the_window_before_fitting(monkeypatch):
         dll_pipeline(parity_dataset(2), 40.0, PipelineOptions(h=0.1))
     with pytest.raises(BandwidthSelectionError):
         dll_pipeline(parity_dataset(2), 80.0)
+
+
+def test_oracle_pipeline_checks_the_window_before_fitting(monkeypatch):
+    import dll.estimator as estimator
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("cross_fit ran before the window check")
+
+    monkeypatch.setattr(estimator, "cross_fit", no_fit)
+    gamma = np.zeros(parity_dataset(2).p)
+    with pytest.raises(InsufficientLocalDataError):
+        oracle_pipeline(parity_dataset(2), 40.0, gamma, 1.0, PipelineOptions(h=0.1))

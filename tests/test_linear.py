@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dll.errors import RankDeficientError, SampleTooSmallError
 from dll.linear import (
+    _cd_lasso,
     kkt_check,
     lasso_coordinate_descent,
     ols_projection,
@@ -210,3 +213,105 @@ def test_cd_lasso_max_iterations_error():
     y = rng.normal(size=100)
     with pytest.raises(ConvergenceError):
         lasso_coordinate_descent(x, y, 1e-6, max_sweeps=2)
+
+
+def reference_cd_lasso(x, y, lam, beta0, max_sweeps=10_000, tol=1e-9, kkt_tol=1e-8):
+    """The plain coordinate-by-coordinate sweep the screened one must match."""
+    n, p = x.shape
+    col_sq = np.einsum("ij,ij->j", x, x) / n
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    resid = y - x @ beta
+    sweeps = 0
+
+    def sweep(indices):
+        nonlocal resid
+        max_delta = 0.0
+        for j in indices:
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = x[:, j] @ resid / n + col_sq[j] * old
+            shrunk = abs(rho) - lam
+            new = (np.sign(rho) * shrunk if shrunk > 0 else 0.0) / col_sq[j]
+            if new != old:
+                resid += x[:, j] * (old - new)
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        return max_delta
+
+    while sweeps < max_sweeps:
+        sweeps += 1
+        delta = sweep(range(p))
+        active = np.flatnonzero(beta)
+        while delta > tol and sweeps < max_sweeps:
+            sweeps += 1
+            delta = sweep(active)
+        if kkt_check(x, y, lam, beta) <= kkt_tol:
+            return beta, sweeps, True
+    return beta, sweeps, kkt_check(x, y, lam, beta) <= kkt_tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["free", "zero", "tie", "hair"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_cd_lasso_matches_plain_sweep(seed, lam_mode, zero_cols, warm):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(10, 60)), int(rng.integers(1, 80))
+    x = rng.normal(size=(n, p))
+    if seed % 2:
+        x = np.round(x, 1)  # repeated values, exact ties in the scores
+    if zero_cols:
+        x[:, rng.random(p) < 0.2] = 0.0
+    beta_true = np.zeros(p)
+    beta_true[: min(p, 3)] = rng.normal(size=min(p, 3))
+    y = x @ beta_true + rng.normal(size=n)
+    beta0 = rng.normal(size=p) * (rng.random(p) < 0.2) if warm else None
+    if lam_mode == "zero":
+        lam = 0.0
+    elif lam_mode in ("tie", "hair"):
+        # Coordinate 0 starts at zero with |grad| exactly lam, or one ulp
+        # above it, so that the first update moves it by a hair.
+        start = np.zeros(p) if beta0 is None else beta0
+        start[0] = 0.0
+        lam = abs(float(x[:, 0] @ (y - x @ start) / n))
+        if lam_mode == "hair":
+            lam = float(np.nextafter(lam, 0.0))
+    else:
+        lam = float(rng.uniform(0.01, 1.0))
+    got = _cd_lasso(x, y, lam, beta0, max_sweeps=300)
+    want = reference_cd_lasso(x, y, lam, beta0, max_sweeps=300)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+# A p > n problem (AR design, 3-sparse) solved by the parent commit of the
+# screened sweep; the screen must not move one iterate.
+GOLDEN_LASSO_SUPPORT = [4, 90, 211]
+GOLDEN_LASSO_VALUES = [0.781128035392877, -0.5993233095046011, 0.37558778506471435]
+GOLDEN_LASSO_SIGMA = 1.1006718758589273
+GOLDEN_LASSO_TRACE = [
+    1.6957527741531766, 1.64713440327181, 1.6442932756113913, 1.6441930654463721,
+    1.6441900218121666, 1.6441899320671187, 1.6441899294346465, 1.6441899293574977,
+    1.6441899293552371, 1.644189929355171, 1.6441899293551692, 1.6441899293551692,
+    1.6441899293551692, 1.644189929355169, 1.6441899293551692, 1.6441899293551692,
+    1.6441899293551692,
+]
+
+
+def test_scaled_lasso_golden_path():
+    rng = np.random.default_rng(55)
+    z = rng.standard_normal((200, 301))
+    x = z[:, 1:] + 0.8 * z[:, :-1]
+    y = x[:, [4, 90, 211]] @ np.array([1.0, -0.8, 0.6]) + rng.standard_normal(200)
+    fit = scaled_lasso(x, y)
+    assert np.flatnonzero(fit.gamma).tolist() == GOLDEN_LASSO_SUPPORT
+    np.testing.assert_allclose(
+        fit.gamma[GOLDEN_LASSO_SUPPORT], GOLDEN_LASSO_VALUES, rtol=1e-12, atol=0
+    )
+    np.testing.assert_allclose(fit.sigma2, GOLDEN_LASSO_SIGMA, rtol=1e-12, atol=0)
+    assert fit.iterations == len(GOLDEN_LASSO_TRACE) and fit.converged
+    np.testing.assert_allclose(fit.objective_trace, GOLDEN_LASSO_TRACE, rtol=1e-12, atol=0)

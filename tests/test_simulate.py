@@ -153,6 +153,18 @@ def test_run_replication_records_failures():
     assert "InsufficientLocalData" in rec.message or "Bandwidth" in rec.message
 
 
+def test_run_replication_checks_the_window_before_fitting(monkeypatch):
+    import dll.simulate as simulate
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("cross_fit ran before the window check")
+
+    monkeypatch.setattr(simulate, "cross_fit", no_fit)
+    rec = run_replication(small_config(x0=50.0), PipelineOptions(h=0.01))
+    assert rec.failed
+    assert rec.message.startswith("InsufficientLocalDataError")
+
+
 def test_monte_carlo_single_replication_matches_record():
     cfg = small_config()
     report, records = monte_carlo_records(cfg, 1, PipelineOptions())

@@ -450,3 +450,55 @@ def test_nuisance_fit_error_examples():
         transforms=fit.transforms,
     )
     assert nuisance_fit_error(fit, shifted, truth, fresh) == pytest.approx(0.1)
+
+
+def unique_knot_reference(spec, n, columns):
+    """Interior knots as distinct in-range quantiles, one ``np.unique`` per column."""
+    k = spec.num_interior_knots
+    if k is None:
+        k = spline.default_interior_knots(n)
+    cuts = np.quantile(columns, np.arange(1, k + 1) / (k + 1), axis=0).T
+    return [np.unique(c[(c > 1e-9) & (c < 1 - 1e-9)]) for c in cuts]
+
+
+EDGE_VALUES = [0.0, 1.0, 1e-9, 1 - 1e-9, 5e-10, 1 - 5e-10, 2e-9, 1 - 2e-9, 0.5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, 0, 1, 5, 12]))
+def test_coordinate_bases_match_unique_reference(seed, knots):
+    rng = np.random.default_rng(seed)
+    n, c = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+    columns = rng.random((n, c))
+    for j in range(c):
+        kind = rng.integers(4)
+        if kind == 1:  # ties
+            columns[:, j] = np.round(columns[:, j], 1)
+        elif kind == 2:  # values at and near the ends of [0, 1]
+            columns[:, j] = rng.choice(EDGE_VALUES + list(rng.random(3)), size=n)
+        elif kind == 3:  # a constant column
+            columns[:, j] = rng.choice(EDGE_VALUES)
+    spec = BasisSpec(num_interior_knots=knots)
+    bases = spline._coordinate_bases(spec, n, columns)
+    for basis, inner in zip(bases, unique_knot_reference(spec, n, columns)):
+        np.testing.assert_array_equal(basis.knots[4:-4], inner)
+        assert basis.knots.size == inner.size + 8
+
+
+def test_coordinate_bases_rows_keep_different_knot_counts():
+    rng = np.random.default_rng(3)
+    columns = np.column_stack([
+        rng.random(200),  # all quantiles distinct
+        np.round(rng.random(200) * 4) / 4,  # ties merge some, and some are 0 or 1
+        np.full(200, 0.25),  # a constant: one knot
+        np.r_[np.zeros(100), rng.random(100)],  # half the quantiles at 0: dropped
+        np.full(200, 1.0),  # a constant at the end: no knot
+    ])
+    spec = BasisSpec(num_interior_knots=6)
+    bases = spline._coordinate_bases(spec, 200, columns)
+    reference = unique_knot_reference(spec, 200, columns)
+    counts = [b.knots.size - 8 for b in bases]
+    assert counts == [r.size for r in reference]
+    assert counts == [6, 3, 1, 3, 0]
+    for basis, inner in zip(bases, reference):
+        np.testing.assert_array_equal(basis.knots[4:-4], inner)

@@ -173,3 +173,15 @@ def test_density_lower_bound_tail_term_structure():
         assert bound == pytest.approx(expected, rel=1e-6)
         interior_minima.append(np.nanmin(interior_formula))
         assert np.nanmin(tail_formula) > np.nanmin(interior_formula)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=300))
+def test_empirical_train_values_equal_the_transform(seed, n):
+    # A training value maps to the top rank of its tie group over n + 1.
+    rng = np.random.default_rng(seed)
+    column = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    tr = EmpiricalCDF.fit(column)
+    np.testing.assert_array_equal(tr.train_values, tr(column))
+    top = np.array([np.sum(column <= v) for v in column]) / (n + 1)
+    np.testing.assert_array_equal(tr.train_values, top)
