@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from . import spline
 from .decorrelate import (
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
 from .linear import ProjectionFit, ols_projection, scaled_lasso, sigma_floor
-from .transforms import EmpiricalCDF, KnownCDF
+from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,8 @@ def _fit_transforms(
         if known_cdfs is None or len(known_cdfs) != n_coords:
             raise ValueError("transform='known' requires one CDF per coordinate")
         transforms = tuple(KnownCDF(cdf) for cdf in known_cdfs)
+        if all(isinstance(cdf, GaussianCDF) for cdf in known_cdfs):
+            return transforms, ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs]))
         z = [tr(x_cols[:, j]) for j, tr in enumerate(transforms)]
     else:
         transforms = tuple(EmpiricalCDF.fit(x_cols[:, j]) for j in range(n_coords))

@@ -107,11 +107,19 @@ def kkt_check(x: np.ndarray, y: np.ndarray, lam: float, beta: np.ndarray) -> flo
     return worst
 
 
+def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every ``_cd_lasso`` call on ``x`` needs: a row-contiguous copy
+    of ``x.T`` and the columns' mean squares and root mean squares."""
+    col_sq = np.einsum("ij,ij->j", x, x) / x.shape[0]
+    return np.ascontiguousarray(x.T), col_sq, np.sqrt(col_sq)
+
+
 def _cd_lasso(
     x: np.ndarray,
     y: np.ndarray,
     lam: float,
     beta0: np.ndarray | None,
+    stats: tuple[np.ndarray, np.ndarray, np.ndarray],
     max_sweeps: int = MAX_SWEEPS,
     tol: float = COEF_TOL,
     kkt_tol: float = KKT_TOL,
@@ -131,12 +139,11 @@ def _cd_lasso(
     skipped coordinate is one the scalar update leaves at zero. A zero
     coordinate that stays zero leaves the residual untouched, so the
     scores stay valid until an update moves it; the iterates are those of
-    the plain coordinate-by-coordinate sweep, bit for bit.
+    the plain coordinate-by-coordinate sweep, bit for bit. ``stats`` is
+    ``_column_stats(x)``.
     """
     n, p = x.shape
-    col_sq = np.einsum("ij,ij->j", x, x) / n
-    col_norm = np.sqrt(col_sq)
-    xt = np.ascontiguousarray(x.T)
+    xt, col_sq, col_norm = stats
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     resid = y - x @ beta
     sweeps = 0
@@ -204,7 +211,7 @@ def lasso_coordinate_descent(
         raise ValueError("penalty must be nonnegative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    beta, _, ok = _cd_lasso(x, y, lam, warm_start, max_sweeps=max_sweeps)
+    beta, _, ok = _cd_lasso(x, y, lam, warm_start, _column_stats(x), max_sweeps=max_sweeps)
     if not ok:
         raise ConvergenceError(f"coordinate descent did not converge in {max_sweeps} sweeps")
     return beta
@@ -255,11 +262,12 @@ def scaled_lasso(
 
     sig = max(float(np.linalg.norm(x1) / np.sqrt(n)), floor)
     beta = np.zeros(p)
+    stats = _column_stats(xs)
     trace = []
     converged = False
     it = 0
     for it in range(1, max_outer + 1):
-        beta, _, _ = _cd_lasso(xs, x1, sig * lam0, beta, kkt_tol=KKT_TOL / 10)
+        beta, _, _ = _cd_lasso(xs, x1, sig * lam0, beta, stats, kkt_tol=KKT_TOL / 10)
         sig_new = max(float(np.linalg.norm(x1 - xs @ beta) / np.sqrt(n)), floor)
         trace.append(_scaled_lasso_objective(xs, x1, lam0, beta, sig_new))
         rel = abs(sig_new - sig) / max(sig, floor)

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DLLError
 from .decorrelate import weight_estimation_error
@@ -30,6 +29,7 @@ from .estimator import (
 )
 from .kernel import KernelSpec, local_linear_slope
 from .spline import nuisance_fit_error
+from .transforms import GaussianCDF
 
 # Sub-seed offsets so design, noise, swap and fresh draws are independent
 # streams derived from one replication seed.
@@ -127,14 +127,10 @@ class SimConfig:
             return self.ar1_rho ** np.abs(idx[:, None] - idx[None, :])
         raise ValueError(f"unknown design_cov {self.design_cov!r}")
 
-    def known_cdfs(self) -> list:
+    def known_cdfs(self) -> list[GaussianCDF]:
         """Exact marginal CDFs for [x1, nuisance columns]."""
-        sd1 = self.x1_marginal_sd()
-        cdfs = [lambda x, s=sd1: ndtr(np.asarray(x, float) / s)]
         diag = np.sqrt(np.diag(self._cov())) if self.p else np.empty(0)
-        for j in range(self.p):
-            cdfs.append(lambda x, s=float(diag[j]): ndtr(np.asarray(x, float) / s))
-        return cdfs
+        return [GaussianCDF(self.x1_marginal_sd())] + [GaussianCDF(float(s)) for s in diag]
 
 
 def gen_design(config: SimConfig, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:

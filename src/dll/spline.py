@@ -17,9 +17,11 @@ is passed to the prox itself), and jumps to the first block whose update
 is nonzero. The visiting order, the updates made and hence the iterates
 are those of the plain block-by-block sweep; only the work of the
 updates that change nothing is batched. The set-up is batched as well:
-dense B-spline design matrices (de Boor's recursion), smoothness
-penalties (Gauss-Legendre quadrature) and the generalized
-eigendecompositions run for many coordinates per call.
+quantile knots come from one sort of all columns, with numpy's "linear"
+quantile formula applied to the sorted values, and dense B-spline design
+matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
+quadrature) and the generalized eigendecompositions run for many
+coordinates per call.
 """
 
 from __future__ import annotations
@@ -101,22 +103,26 @@ def _design_batch(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
     c, n = x.shape
     size = knots.shape[1]
     q = size - degree - 1
-    span = np.count_nonzero(knots[:, None, :] <= x[:, :, None], axis=2) - 1
-    span = np.clip(span, degree, q - 1)
+    # The clamped ends sit at 0 and 1, so a point's interval index is
+    # degree plus the count of interior knots at or below it.
+    span = np.full((c, n), degree)
+    for i in range(degree + 1, q):
+        span += x >= knots[:, i : i + 1]
+    np.minimum(span, q - 1, out=span)
     # Flat indices into the raveled knots and output rows of each point.
     at = span + (size * np.arange(c))[:, None]
     flat_knots = knots.ravel()
-    knot_at = {off: flat_knots[at + off] for off in range(1 - degree, degree + 1)}
+    # right[k - 1] = t[span + k] - x and left[k - 1] = x - t[span + 1 - k].
+    right = [flat_knots[at + k] - x for k in range(1, degree + 1)]
+    left = [x - flat_knots[at + 1 - k] for k in range(1, degree + 1)]
     vals = [np.ones((c, n))]
     for j in range(1, degree + 1):
         saved = 0.0
         nxt = []
         for r in range(j):
-            right = knot_at[r + 1] - x
-            left = x - knot_at[r + 1 - j]
-            temp = vals[r] / (right + left)
-            nxt.append(saved + right * temp)
-            saved = left * temp
+            temp = vals[r] / (right[r] + left[j - r - 1])
+            nxt.append(saved + right[r] * temp)
+            saved = left[j - r - 1] * temp
         nxt.append(saved)
         vals = nxt
     out = np.zeros(c * n * q)
@@ -136,10 +142,32 @@ def make_coordinate_basis(
     """Build a concrete basis; quantile placement requires a data column."""
     if column is not None:
         column = np.asarray(column, dtype=float)
+        if not np.all((column >= 0) & (column <= 1)):
+            raise ValueError("basis inputs must lie in [0, 1]")
         return _coordinate_bases(spec, column.size, column[:, None])[0]
     if n is None:
         raise ValueError("need a data column or a sample size")
     return _coordinate_bases(spec, n)[0]
+
+
+def _column_quantiles(columns: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(columns, probs, axis=0).T`` from one sort, bit for bit.
+
+    numpy's "linear" method: the virtual index ``v = (n - 1) * p`` falls
+    between sorted values a and b with fraction ``g = v - floor(v)``; the
+    quantile is ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` where
+    ``g >= 0.5``. An index at or past n - 1 takes the largest value.
+    """
+    n = columns.shape[0]
+    ordered = np.sort(columns, axis=0)
+    virtual = (n - 1) * probs
+    below = np.floor(virtual)
+    frac = virtual - below
+    last = virtual >= n - 1
+    a = ordered[np.where(last, n - 1, below).astype(np.intp)].T
+    b = ordered[np.where(last, n - 1, below + 1).astype(np.intp)].T
+    gap = b - a
+    return np.where(frac >= 0.5, b - gap * (1 - frac), a + gap * frac)
 
 
 def _coordinate_bases(
@@ -151,19 +179,20 @@ def _coordinate_bases(
         k = default_interior_knots(n)
     count = 1 if columns is None else columns.shape[1]
     if spec.placement == "quantile" and columns is not None and k > 0:
-        probs = np.arange(1, k + 1) / (k + 1)
         # Interior knots are the distinct in-range quantiles, in order.
-        cuts = np.sort(np.quantile(columns, probs, axis=0).T, axis=1)
+        cuts = np.sort(_column_quantiles(columns, np.arange(1, k + 1) / (k + 1)), axis=1)
         keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
         keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
-        interiors = [row[mask] for row, mask in zip(cuts, keep)]
     else:
-        interiors = [np.linspace(0.0, 1.0, k + 2)[1:-1]] * count
+        cuts = np.broadcast_to(np.linspace(0.0, 1.0, k + 2)[1:-1], (count, k))
+        keep = np.ones((count, k), dtype=bool)
+    # Every row's full knot vector, cut out of one flat array.
     d = spec.degree
-    return [
-        CoordinateBasis(knots=np.concatenate([np.zeros(d + 1), inner, np.ones(d + 1)]), degree=d)
-        for inner in interiors
-    ]
+    ends = ((0, 0), (d + 1, d + 1))
+    padded = np.pad(cuts, ends, constant_values=((0, 0), (0, 1)))
+    keep = np.pad(keep, ends, constant_values=True)
+    rows = np.split(padded[keep], np.cumsum(keep.sum(axis=1))[:-1])
+    return [CoordinateBasis(knots=row, degree=d) for row in rows]
 
 
 def bspline_basis(z: float, basis: CoordinateBasis) -> np.ndarray:
@@ -251,6 +280,39 @@ def default_penalties(
     return rho, lam
 
 
+def _bisection_band(target: np.ndarray, half_rdp: np.ndarray, top: float) -> tuple[float, float]:
+    """Interval outside which the prox's bisection test follows from its root.
+
+    At a midpoint ``a`` the bisection of ``two_penalty_prox`` tests
+    ``val > a * a``, which holds exactly when
+    ``G(a) = sum(target / (a + half_rdp)**2) > 1``. G is convex and
+    decreasing, so the test holds below the root of G = 1 and fails above
+    it. The root is bracketed in [0, top] by Newton steps from below and
+    chords from above on ``G**-0.5 - 1``, which is concave and increasing
+    (the steps of ``_prox_zero_blocks``). Either sum carries a relative
+    rounding error of about (m + 5) eps for m terms, so the computed test
+    can differ from the exact one only within ``(m + 5) eps / |G'|`` of
+    the root; the band is the bracket widened by four times that. It is
+    the whole line when the bracket does not close within SCREEN_ROOT_CAP
+    steps.
+    """
+    widen = 4 * (target.size + 5) * np.finfo(float).eps
+    lo, hi = 0.0, top
+    for _ in range(SCREEN_ROOT_CAP):
+        den = np.array([[lo], [hi]]) + half_rdp
+        g_lo, g_hi = (target / den**2).sum(axis=1)
+        s_lo, s_hi = (target / den**3).sum(axis=1)  # -G' / 2
+        guard = widen / (2 * s_hi)
+        if hi - lo <= guard:
+            return lo - guard, hi + guard
+        psi_lo, psi_hi = g_lo**-0.5 - 1, g_hi**-0.5 - 1
+        gap = psi_hi - psi_lo
+        if gap > 0:
+            hi = min(hi, lo - psi_lo * (hi - lo) / gap)
+        lo = max(lo, lo - psi_lo / (g_lo**-1.5 * s_lo))
+    return -math.inf, math.inf
+
+
 def two_penalty_prox(
     z: np.ndarray, d: np.ndarray, rho: float, lam: float
 ) -> np.ndarray:
@@ -259,7 +321,10 @@ def two_penalty_prox(
     Solved exactly in two stages: the weighted-norm shrinkage (scalar
     bisection on the weighted block norm), then the Euclidean-norm
     shrinkage, which rescales without moving the weighted-norm
-    subgradient off its cone.
+    subgradient off its cone. The bisection's midpoints away from the
+    root are decided by the root itself (see ``_bisection_band``); only
+    those near it evaluate the test, so the result is the plain
+    bisection's, bit for bit.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -281,10 +346,14 @@ def two_penalty_prox(
                 rdp = rho * dp
                 hi = math.sqrt(float(target.sum()))
                 lo = 0.0
+                below, above = _bisection_band(target, rdp / 2, hi)
                 for _ in range(PROX_ITERS):
                     a = (lo + hi) / 2
-                    val = float((target / np.square(1 + rdp / (2 * a))).sum())
-                    if val > a * a:
+                    if a < below:
+                        lo = a
+                    elif a > above:
+                        hi = a
+                    elif float((target / np.square(1 + rdp / (2 * a))).sum()) > a * a:
                         lo = a
                     else:
                         hi = a
@@ -557,10 +626,10 @@ class _WhitenedDesign:
 
 def _reduced_eigh(omega: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``eigh(omega, gram)`` by reduction with the Cholesky factor."""
-    low = np.linalg.cholesky(gram)
-    left = np.linalg.solve(low, omega)
-    d, w = np.linalg.eigh(np.linalg.solve(low, left.transpose(0, 2, 1)))
-    return d, np.linalg.solve(low.transpose(0, 2, 1), w)
+    inv = np.linalg.inv(np.linalg.cholesky(gram))
+    inv_t = inv.transpose(0, 2, 1)
+    d, w = np.linalg.eigh(inv @ omega @ inv_t)
+    return d, inv_t @ w
 
 
 def _penalty_eigh(

@@ -1,9 +1,9 @@
 """Monotone maps from covariates to [0,1] for the spline additive fit.
 
 Three variants: the rank-based empirical CDF (values strictly inside
-(0,1)), a user-supplied exact CDF, and a heavier-tail mixture
-``(1 - c0) * G0(x) + c0 * Phi(T(x))`` that compresses the tails more
-slowly than the exact quantile map.
+(0,1)), a user-supplied exact CDF (such as a ``GaussianCDF``), and a
+heavier-tail mixture ``(1 - c0) * G0(x) + c0 * Phi(T(x))`` that
+compresses the tails more slowly than the exact quantile map.
 """
 
 from __future__ import annotations
@@ -81,6 +81,20 @@ class KnownCDF:
     def __call__(self, x):
         out = np.asarray(self.cdf(np.asarray(x, dtype=float)), dtype=float)
         return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class GaussianCDF:
+    """CDF of a centered normal law with standard deviation ``scale``.
+
+    A frozen value rather than a closure, so it pickles, and a fit whose
+    CDFs are all Gaussian transforms its columns with one ``ndtr`` call.
+    """
+
+    scale: float
+
+    def __call__(self, x):
+        return ndtr(np.asarray(x, dtype=float) / self.scale)
 
 
 @dataclass(frozen=True)

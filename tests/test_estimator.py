@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dll import estimator, spline
 from dll.decorrelate import build_weights
 from dll.errors import (
     BandwidthSelectionError,
@@ -515,3 +517,37 @@ def test_oracle_pipeline_checks_the_window_before_fitting(monkeypatch):
     gamma = np.zeros(parity_dataset(2).p)
     with pytest.raises(InsufficientLocalDataError):
         oracle_pipeline(parity_dataset(2), 40.0, gamma, 1.0, PipelineOptions(h=0.1))
+
+
+def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
+    # nuisance="group_lasso" drops the smoothness penalty (rho = 0). In the
+    # whitened coordinates of each block (identity Gram matrix) the fit then
+    # solves mean(r^2) + lam * sum_b ||theta_b||, whose optimality
+    # conditions on the scores z_b = B_b' r / n of the final residual are
+    # ||z_b|| <= lam / 2 for a zero block and z_b = (lam / 2) theta_b /
+    # ||theta_b|| for an active one. Tolerance: the last sweep lowered the
+    # objective F by at most FIT_TOL * F; each block update is an exact
+    # minimization of a function 2-strongly convex in that block, so the
+    # squared moves of that sweep sum to at most FIT_TOL * F, and the moves
+    # made after a block's update shift its score by at most their sum,
+    # below sqrt(p * FIT_TOL * F).
+    rng = np.random.default_rng(0)
+    n, p = 300, 12
+    x = rng.normal(size=(n, p))
+    y = np.sin(x[:, 0]) + 0.5 * x[:, 1] ** 2 + 0.3 * x[:, 2] + rng.normal(0, 0.5, n)
+    fit = estimator._fit_additive(x, y, PipelineOptions(nuisance="group_lasso"), None)
+    assert fit.converged and {rho for rho, _ in fit.penalties} == {0.0}
+    assert 0 < len(fit.active_set) < p
+    z = np.column_stack([tr.train_values for tr in fit.transforms])
+    design = spline._WhitenedDesign(list(fit.bases), z, 2)
+    resid = y - fit.intercept - sum(fit.component(j, z[:, j]) for j in fit.active_set)
+    half = fit.penalties[0][1] / 2
+    tol = math.sqrt(p * spline.FIT_TOL * fit.objective_trace[-2])
+    for j in range(p):
+        score = design.block(j) @ resid / n
+        if j in fit.active_set:
+            theta = design.block(j) @ fit.component(j, z[:, j]) / n
+            gap = np.linalg.norm(score - half * theta / np.linalg.norm(theta))
+            assert gap <= tol
+        else:
+            assert np.linalg.norm(score) <= half + tol

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dll.errors import RankDeficientError, SampleTooSmallError
 from dll.linear import (
     _cd_lasso,
+    _column_stats,
     kkt_check,
     lasso_coordinate_descent,
     ols_projection,
@@ -282,7 +283,7 @@ def test_cd_lasso_matches_plain_sweep(seed, lam_mode, zero_cols, warm):
             lam = float(np.nextafter(lam, 0.0))
     else:
         lam = float(rng.uniform(0.01, 1.0))
-    got = _cd_lasso(x, y, lam, beta0, max_sweeps=300)
+    got = _cd_lasso(x, y, lam, beta0, _column_stats(x), max_sweeps=300)
     want = reference_cd_lasso(x, y, lam, beta0, max_sweeps=300)
     np.testing.assert_array_equal(got[0], want[0])
     assert got[1:] == want[1:]

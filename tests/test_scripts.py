@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import dll
+from dll.cli import write_csv_dataset
+from dll.simulate import SimConfig, make_dataset
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "estimate_parity.py"
 
@@ -41,3 +46,27 @@ def test_estimate_parity_needs_common_inputs(tmp_path):
     assert parity(a, record(tmp_path, "b.json", [[0, 11, 2.0, 0.2]])).returncode == 2
     other = record(tmp_path, "c.json", [[0, 10, 2.0, 0.2]], workload="cli-fit")
     assert parity(a, other).returncode == 2
+
+
+RSS_PROBE = SCRIPT.parent / "rss_probe.py"
+
+
+def test_rss_probe_prints_peak_rss_after_each_fit(tmp_path):
+    cfg = SimConfig(
+        n=200, p=2, gamma_true=(0.5, 0.0), nuisance_components=((0, "sine", (1.0, 1.0)),)
+    )
+    data = tmp_path / "data.csv"
+    write_csv_dataset(make_dataset(cfg, 3), str(data))
+    src = str(Path(dll.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["2", "--input", str(data), "--x0", "0", "--output", str(tmp_path / "fit.json")]
+    out = subprocess.run(
+        [sys.executable, str(RSS_PROBE), *argv], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["op 1: exit 0", "op 2: exit 0"]
+    peaks = [float(line.rsplit(" ", 1)[1]) for line in lines]
+    assert 0 < peaks[0] <= peaks[1]
+    bad = subprocess.run([sys.executable, str(RSS_PROBE), "x"], capture_output=True, env=env)
+    assert bad.returncode == 2

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from dll.estimator import PipelineOptions, dll_pipeline, oracle_pipeline
+from dll.estimator import PipelineOptions, _fit_transforms, dll_pipeline, oracle_pipeline
 from dll.simulate import (
     SimConfig,
     compare_naive,
@@ -245,3 +247,24 @@ def test_harness_defaults_to_known_transforms():
 
     sig = inspect.signature(run_replication)
     assert sig.parameters["options"].default.transform == "known"
+
+
+def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
+    cfg = small_config(design_cov="ar1")
+    cdfs = cfg.known_cdfs()
+    assert pickle.loads(pickle.dumps(cdfs)) == cdfs
+    data = make_dataset(cfg, 5)
+    x_cols = np.column_stack([data.x1, data.x2])
+    # The per-column closures known_cdfs returned before GaussianCDF.
+    sds = [cfg.x1_marginal_sd()] + [float(s) for s in np.sqrt(np.diag(cfg._cov()))]
+    want = np.column_stack(
+        [ndtr(np.asarray(x_cols[:, j], float) / s) for j, s in enumerate(sds)]
+    )
+    opts = PipelineOptions(transform="known")
+    transforms, z = _fit_transforms(x_cols, opts, cdfs)
+    np.testing.assert_array_equal(z, want)
+    for j, tr in enumerate(transforms):
+        np.testing.assert_array_equal(tr(x_cols[:, j]), want[:, j])
+    # Any other callable keeps the per-column path, with the same values.
+    other = cdfs[:-1] + [lambda x, s=sds[-1]: ndtr(np.asarray(x, float) / s)]
+    np.testing.assert_array_equal(_fit_transforms(x_cols, opts, other)[1], want)

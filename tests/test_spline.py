@@ -99,6 +99,8 @@ def test_basis_rejects_out_of_range(uniform_basis):
             uniform_basis.design(np.array([0.5, bad]))
         with pytest.raises(ValueError):
             fit_doubly_penalized(np.full((20, 2), bad), np.zeros(20), (0.1, 0.1))
+        with pytest.raises(ValueError):
+            make_coordinate_basis(BasisSpec(), np.array([0.5, bad]))
 
 
 def representation_coefficients(basis, func):
@@ -502,3 +504,149 @@ def test_coordinate_bases_rows_keep_different_knot_counts():
     assert counts == [6, 3, 1, 3, 0]
     for basis, inner in zip(bases, reference):
         np.testing.assert_array_equal(basis.knots[4:-4], inner)
+
+
+# Reference copies of replaced set-up and prox code. The replacements
+# must give the same floats, so they are compared with assert_array_equal.
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=14),
+)
+@example(n=1, seed=0, k=5)
+@example(n=2, seed=1, k=1)
+def test_column_quantiles_match_np_quantile(n, seed, k):
+    rng = np.random.default_rng(seed)
+    columns = rng.random((n, 6))
+    columns[:, 1] = np.round(columns[:, 1], 1)  # ties
+    columns[:, 2] = 0.0  # constant columns, at both ends of [0, 1]
+    columns[:, 3] = 1.0
+    columns[:, 4] = rng.choice([0.0, 1.0, 0.5], size=n)  # values at 0 and 1
+    probs = np.arange(1, k + 1) / (k + 1)
+    got = spline._column_quantiles(columns, probs)
+    np.testing.assert_array_equal(got, np.quantile(columns, probs, axis=0).T)
+
+
+def reference_design_batch(x, knots, degree):
+    """The batched design with spans from a comparison against every knot."""
+    c, n = x.shape
+    size = knots.shape[1]
+    q = size - degree - 1
+    span = np.count_nonzero(knots[:, None, :] <= x[:, :, None], axis=2) - 1
+    span = np.clip(span, degree, q - 1)
+    at = span + (size * np.arange(c))[:, None]
+    flat_knots = knots.ravel()
+    knot_at = {off: flat_knots[at + off] for off in range(1 - degree, degree + 1)}
+    vals = [np.ones((c, n))]
+    for j in range(1, degree + 1):
+        saved = 0.0
+        nxt = []
+        for r in range(j):
+            right = knot_at[r + 1] - x
+            left = x - knot_at[r + 1 - j]
+            temp = vals[r] / (right + left)
+            nxt.append(saved + right * temp)
+            saved = left * temp
+        nxt.append(saved)
+        vals = nxt
+    out = np.zeros(c * n * q)
+    first = span - degree + (q * np.arange(c * n)).reshape(c, n)
+    for r, val in enumerate(vals):
+        out[first + r] = val
+    return out.reshape(c, n, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_design_batch_matches_knot_comparison(degree, interior, seed):
+    # Each row has its own interior knots, some repeated, so the rows'
+    # points fall in different numbers of distinct intervals; points sit
+    # at 0, at 1, on every knot and in between.
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 5))
+    inner = np.sort(rng.random((c, interior)), axis=1)
+    if interior > 1:
+        rows = rng.random(c) < 0.5
+        inner[rows, 1] = inner[rows, 0]
+    knots = np.hstack([np.zeros((c, degree + 1)), inner, np.ones((c, degree + 1))])
+    x = np.hstack([np.zeros((c, 1)), np.ones((c, 1)), inner, rng.random((c, 7))])
+    np.testing.assert_array_equal(
+        spline._design_batch(x, knots, degree), reference_design_batch(x, knots, degree)
+    )
+
+
+def reference_two_penalty_prox(z, d, rho, lam):
+    """The prox with the plain bisection: every midpoint evaluates the sum."""
+    znorm = float(np.linalg.norm(z))
+    if znorm == 0.0 or znorm <= lam / 2:
+        return np.zeros_like(z)
+    if rho == 0.0:
+        v = z
+    else:
+        pos = d > 0
+        v = z.copy()
+        if pos.any():
+            zp, dp = z[pos], d[pos]
+            zp2 = np.square(zp)
+            if 2 * math.sqrt(float((zp2 / dp).sum())) <= rho:
+                v[pos] = 0.0
+            else:
+                target = zp2 * dp
+                rdp = rho * dp
+                hi = math.sqrt(float(target.sum()))
+                lo = 0.0
+                for _ in range(spline.PROX_ITERS):
+                    a = (lo + hi) / 2
+                    val = float((target / np.square(1 + rdp / (2 * a))).sum())
+                    if val > a * a:
+                        lo = a
+                    else:
+                        hi = a
+                    if hi - lo < spline.PROX_TOL * max(1.0, hi):
+                        break
+                a = (lo + hi) / 2
+                v[pos] = zp / (1 + rdp / (2 * a))
+    vnorm = float(np.linalg.norm(v))
+    if vnorm <= lam / 2:
+        return np.zeros_like(z)
+    return v * (1 - lam / (2 * vnorm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["spread", "dyadic", "threshold"]),
+)
+def test_prox_matches_plain_bisection(seed, rho_mode):
+    # "dyadic" puts the root of the bisection exactly on one of its
+    # midpoints, where only rounding decides the test; "threshold" puts
+    # rho at the stage-one threshold, where the penalized part is zeroed.
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        q = int(rng.integers(1, 12))
+        z = rng.normal(size=q) * 10 ** rng.uniform(-3, 3)
+        d = 10 ** rng.uniform(-2, 8, q)
+        d[rng.random(q) < 0.2] = 0.0
+        pos = d > 0
+        s1 = 2 * math.sqrt(float(np.sum(z[pos] ** 2 / d[pos]))) if pos.any() else 1.0
+        if rho_mode == "spread":
+            rho = s1 * 10 ** rng.uniform(-6, 0.1)
+        elif rho_mode == "dyadic":
+            # Equal eigenvalues: the root is top - rho d / 2 in closed form.
+            pos[0] = True
+            d = np.where(pos, 10 ** rng.uniform(-2, 8), 0.0)
+            top = math.sqrt(float(np.sum(z[pos] ** 2 * d[pos])))
+            rho = 2 * top * (1 - int(rng.integers(1, 64)) / 64) / d[0]
+        else:
+            rho = float(rng.choice([s1, np.nextafter(s1, 0.0), np.nextafter(s1, np.inf)]))
+        lam = float(rng.choice([0.0, rng.uniform(0, 2) * float(np.linalg.norm(z))]))
+        np.testing.assert_array_equal(
+            two_penalty_prox(z, d, rho, lam), reference_two_penalty_prox(z, d, rho, lam)
+        )
