@@ -13,8 +13,8 @@ import dataclasses
 import json
 import sys
 
-from dll.cli import REFERENCE_CONFIGS, reference_config
-from dll.simulate import monte_carlo
+from dll.cli import REFERENCE_CONFIGS
+from dll.simulate import monte_carlo_records
 
 
 def main() -> int:
@@ -22,9 +22,9 @@ def main() -> int:
     if name not in REFERENCE_CONFIGS:
         print(f"unknown study {name!r}; choose from {sorted(REFERENCE_CONFIGS)}")
         return 2
-    entry = reference_config(name)
+    entry = REFERENCE_CONFIGS[name]
     b = int(sys.argv[2]) if len(sys.argv) > 2 else entry["b"]
-    report = monte_carlo(entry["config"], b, entry["options"])
+    report, _ = monte_carlo_records(entry["config"], b, entry["options"])
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 

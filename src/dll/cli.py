@@ -103,10 +103,6 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
 }
 
 
-def reference_config(name: str) -> dict[str, Any]:
-    return dict(REFERENCE_CONFIGS[name])
-
-
 # The fit options' defaults are the library's, so that `dll fit` and
 # `dll_pipeline` compute the same thing for the same input.
 _PIPELINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineOptions)}
@@ -418,7 +414,7 @@ def _cmd_simulate(cfg: RunConfig) -> None:
 
 
 def _cmd_coverage(cfg: RunConfig) -> None:
-    entry = reference_config(cfg.name)
+    entry = REFERENCE_CONFIGS[cfg.name]
     b = cfg.b or entry["b"]
     report, records = monte_carlo_records(entry["config"], b, entry["options"])
     emit_report(report, cfg.output, cfg.format, records=records)

@@ -81,14 +81,19 @@ def shift_linear(x2_dot_gamma, sigma2, spec: KernelSpec):
 
 
 def _exact_gaussian_shifts(
-    mu: np.ndarray, half_width: float, sigma2: float
+    proj: np.ndarray, sigma2, spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact shift under Gaussian projection errors.
+    """Exact conditional window shifts for Gaussian projection errors.
 
-    Returns (shifts, underflow_mask); where the window mass underflows,
-    the linearized shift is substituted.
+    Closed form of the truncated-normal mean offset
+    ``sigma2 * int (t - mu) phi(t) dt / int phi(t) dt`` over
+    ``[mu - L, mu + L]``, with window center ``mu = (x0 - proj) / sigma2``
+    and half-width ``L = h / sigma2``. Returns (shifts, underflow_mask);
+    where the window mass underflows, the linearized shift is substituted
+    (such points carry no kernel weight anyway).
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = (spec.x0 - proj) / sigma2
+    half_width = spec.h / sigma2
     # Work on |mu| and restore the sign afterwards so the map is exactly
     # odd in the window center.
     amu = np.abs(mu)
@@ -97,26 +102,8 @@ def _exact_gaussian_shifts(
     underflow = mass < UNDERFLOW_MASS
     numer = _phi(lo) - _phi(hi) - amu * mass
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = sigma2 * numer / mass
-    linear = -sigma2 * amu * half_width**2 / 3
-    signed = np.sign(mu) * np.where(underflow, linear, exact)
-    return signed, underflow
-
-
-def shift_exact_gaussian(window: GaussianWindow, sigma2: float) -> float:
-    """Exact conditional window shift for Gaussian projection errors.
-
-    Closed form of the truncated-normal mean offset
-    ``sigma2 * int (t - mu) phi(t) dt / int phi(t) dt`` over
-    ``[mu - L, mu + L]``. Falls back to the linearization when the window
-    mass underflows (such points carry no kernel weight anyway).
-    """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be > 0")
-    val, _ = _exact_gaussian_shifts(
-        np.array(window.center), window.half_width, sigma2
-    )
-    return float(val)
+        exact = np.sign(mu) * (sigma2 * numer / mass)
+    return np.where(underflow, shift_linear(proj, sigma2, spec), exact), underflow
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -165,8 +152,7 @@ def window_shifts(
     if mode == "linear":
         return shift_linear(proj, sigma2, spec), 0
     if mode == "exact_gaussian":
-        mu = (spec.x0 - proj) / sigma2
-        shifts, underflow = _exact_gaussian_shifts(mu, spec.h / sigma2, sigma2)
+        shifts, underflow = _exact_gaussian_shifts(proj, sigma2, spec)
         return shifts, int(np.sum(underflow))
     if mode == "general_density":
         if error_density is None:

@@ -76,7 +76,6 @@ class Dataset:
 _CHOICES = {
     "mode": SHIFT_MODES,
     "projection": ("auto", "ols", "scaled_lasso"),
-    "knot_placement": ("quantile", "uniform"),
     "nuisance": ("doubly_penalized", "group_lasso"),
     "transform": ("empirical", "known"),
 }
@@ -91,13 +90,10 @@ class PipelineOptions:
     mode: str = "linear"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
     bandwidth_const: float = 0.5
-    min_window: int = MIN_WINDOW_POINTS
     projection: str = "auto"  # auto | ols | scaled_lasso
     lasso_const: float = 1.01
     sigma2_per_fold: bool = False
-    smoothness: int = 2
     num_interior_knots: int | None = None
-    knot_placement: str = "quantile"
     rho_const: float = spline.DEFAULT_RHO_CONST
     lambda_const: float = spline.DEFAULT_LAMBDA_CONST
     nuisance: str = "doubly_penalized"  # | group_lasso (smoothness penalty off)
@@ -312,22 +308,17 @@ def _fit_transforms(
 def _fit_additive(
     x_cols: np.ndarray, y: np.ndarray, options: PipelineOptions, known_cdfs
 ) -> spline.AdditiveFit:
-    """Transform the training columns and run the penalized additive fit."""
+    """Transform the training columns and run the penalized additive fit:
+    cubic splines on quantile knots, second-derivative smoothness penalty."""
     n, n_coords = x_cols.shape
     transforms, z = _fit_transforms(x_cols, options, known_cdfs)
     rho, lam = spline.default_penalties(
-        n, n_coords, options.smoothness, options.rho_const, options.lambda_const
+        n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
     if options.nuisance == "group_lasso":
         rho = 0.0
-    spec = spline.BasisSpec(
-        degree=3,
-        num_interior_knots=options.num_interior_knots,
-        placement=options.knot_placement,
-    )
-    return spline.fit_doubly_penalized(
-        z, y, (rho, lam), spec, m=options.smoothness, transforms=transforms
-    )
+    spec = spline.BasisSpec(num_interior_knots=options.num_interior_knots)
+    return spline.fit_doubly_penalized(z, y, (rho, lam), spec, transforms=transforms)
 
 
 def _fit_projection(
@@ -354,9 +345,9 @@ def _kernel_window(x1: np.ndarray, x0: float, options: PipelineOptions) -> Kerne
     )
     spec = KernelSpec(x0, h)
     in_window = effective_sample_size(x1, spec)
-    if in_window < options.min_window:
+    if in_window < MIN_WINDOW_POINTS:
         raise InsufficientLocalDataError(
-            f"only {in_window} in-window points, need {options.min_window}"
+            f"only {in_window} in-window points, need {MIN_WINDOW_POINTS}"
         )
     return spec
 
@@ -461,6 +452,21 @@ def _weights(
     return build_weights(x1, shifts, spec, mode=options.mode), underflow
 
 
+def oracle_weight_error(
+    cf: CrossFit,
+    fit: DLLFit,
+    x0: float,
+    options: PipelineOptions,
+    projection: tuple[np.ndarray, float],
+) -> float:
+    """Kernel-weighted RMS distance of the weights of ``fit`` (evaluated on
+    ``cf`` at x0) from the oracle weights of the known projection
+    ``(gamma, sigma2)`` on the same window."""
+    spec = KernelSpec(x0, fit.diagnostics["flags"]["h"])
+    oracle, _ = _weights(cf, spec, options, projection)
+    return weight_estimation_error(fit.weights, oracle, cf.dataset.x1, spec)
+
+
 def evaluate(
     cf: CrossFit,
     x0: float,
@@ -526,9 +532,7 @@ def dll_pipeline(
     fit = evaluate(cf, x0, options)
     if true_projection is None:
         return fit
-    spec = KernelSpec(x0, options.h)
-    oracle, _ = _weights(cf, spec, options, true_projection)
-    error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
+    error = oracle_weight_error(cf, fit, x0, options, true_projection)
     return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 
 

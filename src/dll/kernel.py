@@ -34,10 +34,6 @@ class KernelSpec:
         if not (self.h > 0):
             raise InvalidBandwidthError(f"bandwidth must be > 0, got {self.h}")
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.x0 - self.h, self.x0 + self.h)
-
 
 def base_kernel(u):
     """Indicator kernel on [-1, 1]; integrates to 2 over the real line."""

@@ -55,20 +55,14 @@ class ProjectionFit:
         return int(np.count_nonzero(self.gamma))
 
 
-def ols_projection(
-    x2: np.ndarray, x1: np.ndarray, intercept: bool = False
-) -> ProjectionFit:
+def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
     """Least squares projection of ``x1`` on the columns of ``x2``.
 
-    No intercept by default: the projection is defined through uncentered
-    second moments. ``intercept=True`` appends a constant column (its
-    coefficient is the last entry of ``gamma``). The residual scale is
-    sqrt(RSS / (n - p)), floored.
+    No intercept: the projection is defined through uncentered second
+    moments. The residual scale is sqrt(RSS / (n - p)), floored.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    if intercept:
-        x2 = np.column_stack([x2, np.ones(x2.shape[0])])
     n, p = x2.shape
     if n <= p + 1:
         raise SampleTooSmallError(f"need n > p + 1, got n={n}, p={p}")
@@ -227,9 +221,6 @@ def scaled_lasso(
     x2: np.ndarray,
     x1: np.ndarray,
     a_const: float = DEFAULT_PENALTY_CONST,
-    max_outer: int = MAX_OUTER,
-    standardize: bool = True,
-    intercept: bool = False,
 ) -> ProjectionFit:
     """Joint estimate of projection coefficients and noise level.
 
@@ -248,15 +239,13 @@ def scaled_lasso(
         raise ValueError(f"penalty constant must exceed 1, got {a_const}")
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    if intercept:
-        x2 = np.column_stack([x2, np.ones(x2.shape[0])])
     n, p = x2.shape
     if p < 1:
         raise ValueError("need at least one column")
     floor = sigma_floor(x1)
     lam0 = np.sqrt(2 * a_const * np.log(p) / n)
 
-    scale = np.sqrt(np.einsum("ij,ij->j", x2, x2) / n) if standardize else np.ones(p)
+    scale = np.sqrt(np.einsum("ij,ij->j", x2, x2) / n)
     scale[scale == 0] = 1.0
     xs = x2 / scale
 
@@ -266,7 +255,7 @@ def scaled_lasso(
     trace = []
     converged = False
     it = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, MAX_OUTER + 1):
         beta, _, _ = _cd_lasso(xs, x1, sig * lam0, beta, stats, kkt_tol=KKT_TOL / 10)
         sig_new = max(float(np.linalg.norm(x1 - xs @ beta) / np.sqrt(n)), floor)
         trace.append(_scaled_lasso_objective(xs, x1, lam0, beta, sig_new))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DLLError
-from .decorrelate import weight_estimation_error
 from .estimator import (
     Dataset,
     PipelineOptions,
@@ -26,6 +25,7 @@ from .estimator import (
     cross_fit,
     dll_point,
     evaluate,
+    oracle_weight_error,
 )
 from .kernel import KernelSpec, local_linear_slope
 from .spline import nuisance_fit_error
@@ -114,10 +114,6 @@ class SimConfig:
             return self.sigma2_true
         cov = self._cov()
         return float(np.sqrt(gamma @ cov @ gamma + self.sigma2_true**2))
-
-    def x1_density(self, x: float) -> float:
-        sd = self.x1_marginal_sd()
-        return math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
 
     def _cov(self) -> np.ndarray:
         if self.design_cov == "identity":
@@ -249,18 +245,14 @@ def run_replication(
             exclude=0,
             include_intercept=False,
         )
+        law = (cfg.gamma_true, cfg.sigma2_true)
         try:
-            oracle = evaluate(
-                cf, cfg.x0, options, projection=(cfg.gamma_true, cfg.sigma2_true)
-            )
+            oracle = evaluate(cf, cfg.x0, options, projection=law)
         except DLLError:
             pass  # the oracle fields stay NaN
         else:
             extra.update(
-                weight_error=weight_estimation_error(
-                    fit.weights, oracle.weights, dataset.x1,
-                    KernelSpec(cfg.x0, fit.diagnostics["flags"]["h"]),
-                ),
+                weight_error=oracle_weight_error(cf, fit, cfg.x0, options, law),
                 oracle_estimate=oracle.estimate,
                 oracle_ci_low=oracle.ci_low,
                 oracle_ci_high=oracle.ci_high,
@@ -335,16 +327,6 @@ def monte_carlo_records(
     else:
         records = [_replication_task(t) for t in tasks]
     return _aggregate(config, records), records
-
-
-def monte_carlo(
-    config: SimConfig,
-    b: int,
-    options: PipelineOptions = PipelineOptions(transform="known"),
-    n_jobs: int | None = None,
-) -> MCReport:
-    """Aggregate Monte Carlo report over B replications."""
-    return monte_carlo_records(config, b, options, n_jobs)[0]
 
 
 @dataclass(frozen=True)

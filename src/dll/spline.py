@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -193,11 +193,6 @@ def _coordinate_bases(
     keep = np.pad(keep, ends, constant_values=True)
     rows = np.split(padded[keep], np.cumsum(keep.sum(axis=1))[:-1])
     return [CoordinateBasis(knots=row, degree=d) for row in rows]
-
-
-def bspline_basis(z: float, basis: CoordinateBasis) -> np.ndarray:
-    """All basis function values at a point; rows sum to one."""
-    return basis.design(z)[0]
 
 
 @functools.cache
@@ -466,7 +461,7 @@ class AdditiveFit:
     intercept: float
     coef_blocks: tuple[np.ndarray, ...]
     bases: tuple[CoordinateBasis, ...]
-    penalties: tuple[tuple[float, float], ...]
+    penalties: tuple[float, float]  # (rho, lam), shared by every coordinate
     active_set: tuple[int, ...]
     objective_trace: tuple[float, ...]
     converged: bool
@@ -509,25 +504,6 @@ class AdditiveFit:
         return out
 
 
-def predict_nuisance(fit: AdditiveFit, x2_row, exclude: int = 0) -> float:
-    """Nuisance prediction at one raw covariate row.
-
-    The row holds every coordinate except ``exclude`` (the coordinate of
-    interest, fitted jointly but dropped at prediction time).
-    """
-    row = np.atleast_1d(np.asarray(x2_row, dtype=float))
-    return float(fit.predict_sum(row[None, :], exclude=exclude)[0])
-
-
-def nuisance_residuals(y, f2hat) -> np.ndarray:
-    """Outcome minus the nuisance prediction, elementwise."""
-    y = np.asarray(y, dtype=float)
-    f2hat = np.asarray(f2hat, dtype=float)
-    if y.shape != f2hat.shape:
-        raise ValueError("length mismatch")
-    return y - f2hat
-
-
 def nuisance_fit_error(
     fit_a: AdditiveFit,
     fit_b: AdditiveFit,
@@ -554,17 +530,6 @@ def nuisance_fit_error(
             pred = pred - float(np.mean(pred))
         errs.append(float(np.sqrt(np.mean((pred - target) ** 2))))
     return max(errs)
-
-
-def _normalize_penalties(
-    penalties, p: int
-) -> list[tuple[float, float]]:
-    if isinstance(penalties, tuple) and len(penalties) == 2 and np.isscalar(penalties[0]):
-        return [(float(penalties[0]), float(penalties[1]))] * p
-    out = [(float(r), float(l)) for r, l in penalties]
-    if len(out) != p:
-        raise ValueError(f"expected {p} penalty pairs, got {len(out)}")
-    return out
 
 
 class _WhitenedDesign:
@@ -669,17 +634,16 @@ def _penalty_eigh(
 def fit_doubly_penalized(
     z_matrix: np.ndarray,
     y: np.ndarray,
-    penalties: tuple[float, float] | Sequence[tuple[float, float]],
-    basis: BasisSpec | Sequence[CoordinateBasis] = BasisSpec(),
+    penalties: tuple[float, float],
+    basis: BasisSpec = BasisSpec(),
     m: int = 2,
     transforms: tuple[Callable, ...] | None = None,
-    fit_tol: float = FIT_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> AdditiveFit:
     """Backfitting solver for the doubly penalized additive objective.
 
     Minimizes ``mean((y - intercept - sum_j g_j(z_j))^2)
-    + sum_j (rho_j * smoothness_norm(g_j) + lam_j * empirical_norm(g_j))``
+    + sum_j (rho * smoothness_norm(g_j) + lam * empirical_norm(g_j))``
+    for ``penalties = (rho, lam)``
     by block coordinate descent with exact block proximal updates;
     components are re-centered every sweep so their training means stay
     at zero. Negative penalties are rejected; a fully unpenalized fit is
@@ -701,24 +665,18 @@ def fit_doubly_penalized(
     n, p = z_matrix.shape
     if not np.all((z_matrix >= 0) & (z_matrix <= 1)):
         raise ValueError("all inputs must lie in [0, 1]")
-    pen = _normalize_penalties(penalties, p)
-    if any(r < 0 or l < 0 for r, l in pen):
+    rho, lam = float(penalties[0]), float(penalties[1])
+    if rho < 0 or lam < 0:
         raise ValueError("penalties must be nonnegative")
-    if all(r == 0 and l == 0 for r, l in pen) and p > 1:
+    if rho == 0 and lam == 0 and p > 1:
         raise RankDeficientError(
             "zero penalties with several coordinates leave the stacked basis singular"
         )
 
-    if isinstance(basis, BasisSpec):
-        bases = _coordinate_bases(basis, n, z_matrix)
-    else:
-        bases = list(basis)
-        if len(bases) != p:
-            raise ValueError("one basis per coordinate required")
-
+    bases = _coordinate_bases(basis, n, z_matrix)
     design = _WhitenedDesign(bases, z_matrix, m)
-    rho_all = np.array([r for r, _ in pen])
-    lam_all = np.array([l for _, l in pen])
+    rho_all = np.full(p, rho)
+    lam_all = np.full(p, lam)
     starts = design.starts
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)
@@ -729,8 +687,8 @@ def fit_doubly_penalized(
         val = float(np.mean(resid**2))
         for j in np.flatnonzero(active):
             th = thetas[j]
-            val += pen[j][0] * math.sqrt(float(th @ (design.eig[j] * th)))
-            val += pen[j][1] * float(np.linalg.norm(th))
+            val += rho * math.sqrt(float(th @ (design.eig[j] * th)))
+            val += lam * float(np.linalg.norm(th))
         return val
 
     def update(j: int, z: np.ndarray | None = None) -> None:
@@ -740,7 +698,7 @@ def fit_doubly_penalized(
             resid += thetas[j] @ block
         if z is None:
             z = block @ resid / n
-        th_new = two_penalty_prox(z, design.eig[j], pen[j][0], pen[j][1])
+        th_new = two_penalty_prox(z, design.eig[j], rho, lam)
         if th_new.any():
             shift = float(design.col_means[j] @ th_new)
             if shift != 0.0:
@@ -753,7 +711,7 @@ def fit_doubly_penalized(
     trace = [objective()]
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         j = 0
         while j < p:
             if active[j]:
@@ -782,7 +740,7 @@ def fit_doubly_penalized(
             intercept += delta
             resid -= delta
         trace.append(objective())
-        if abs(trace[-2] - trace[-1]) <= fit_tol * max(abs(trace[-2]), 1e-12):
+        if abs(trace[-2] - trace[-1]) <= FIT_TOL * max(abs(trace[-2]), 1e-12):
             converged = True
             break
 
@@ -805,7 +763,7 @@ def fit_doubly_penalized(
         intercept=intercept,
         coef_blocks=tuple(betas),
         bases=tuple(bases),
-        penalties=tuple(pen),
+        penalties=(rho, lam),
         active_set=active_set,
         objective_trace=tuple(trace),
         converged=converged,

@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from dll.cli import reference_config
-from dll.decorrelate import GaussianWindow, build_weights, shift_exact_gaussian, shift_linear
+from dll.cli import REFERENCE_CONFIGS
+from dll.decorrelate import build_weights, shift_linear, window_shifts
 from dll.estimator import Dataset, PipelineOptions, dll_pipeline
 from dll.kernel import KernelSpec, base_kernel, kernel_weight, local_linear_slope
 from dll.linear import scaled_lasso
@@ -38,7 +38,7 @@ def report(number, name, ok, detail, started):
 def highdim_estimated():
     # One cross-fit per replication, evaluated with both the estimated and
     # the exact-law (oracle) weights.
-    entry = reference_config("highdim")
+    entry = REFERENCE_CONFIGS["highdim"]
     return monte_carlo_records(
         entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
     )
@@ -93,6 +93,13 @@ def test_criterion_03_centering_invariant():
     report(3, "centering invariant", ok, f"worst relative residual={worst:.2e}", t0)
 
 
+def exact_shift(mu, half):
+    """Exact Gaussian shift of the standardized window (mu - half, mu + half)
+    with sigma2 = 1: the projection -mu at x0 = 0 with bandwidth half."""
+    shifts, _ = window_shifts(np.array([-mu]), 1.0, KernelSpec(0.0, half), "exact_gaussian")
+    return float(shifts[0])
+
+
 def test_criterion_04_shift_consistency():
     t0 = time.time()
     phi = lambda t: np.exp(-t * t / 2) / np.sqrt(2 * np.pi)
@@ -102,12 +109,12 @@ def test_criterion_04_shift_consistency():
             num, _ = quad(lambda t: (t - mu) * phi(t), mu - half, mu + half,
                           epsabs=1e-14)
             den, _ = quad(phi, mu - half, mu + half, epsabs=1e-14)
-            got = shift_exact_gaussian(GaussianWindow(float(mu), float(half)), 1.0)
+            got = exact_shift(float(mu), float(half))
             worst = max(worst, abs(got - num / den))
     hs = np.array([0.4, 0.2, 0.1, 0.05])
     diffs = [
         abs(
-            shift_exact_gaussian(GaussianWindow(0.3, h), 1.0)
+            exact_shift(0.3, h)
             - shift_linear(-0.3, 1.0, KernelSpec(0.0, h))
         )
         for h in hs
@@ -134,7 +141,7 @@ def test_criterion_05_variance_constant():
 
 def test_criterion_06_lowdim_coverage():
     t0 = time.time()
-    entry = reference_config("lowdim")
+    entry = REFERENCE_CONFIGS["lowdim"]
     rep, _ = monte_carlo_records(
         entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
     )
@@ -221,7 +228,7 @@ def test_criterion_09_scaled_lasso_correctness():
 
 def test_criterion_10_standardized_error_normality():
     t0 = time.time()
-    entry = reference_config("univariate-oracle")
+    entry = REFERENCE_CONFIGS["univariate-oracle"]
     rep, records = monte_carlo_records(
         entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
     )

@@ -11,7 +11,6 @@ from dll.cli import (
     load_csv,
     main,
     parse_args,
-    reference_config,
     write_csv_dataset,
 )
 from dll.errors import DataError
@@ -333,5 +332,5 @@ def test_main_simulate_writes_dataset(tmp_path, capsys):
 
 def test_reference_registry_names():
     assert {"lowdim", "highdim", "univariate-oracle"} <= set(REFERENCE_CONFIGS)
-    entry = reference_config("highdim")
+    entry = REFERENCE_CONFIGS["highdim"]
     assert entry["config"].p == 300

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from dll.decorrelate import (
     GaussianWindow,
     build_weights,
-    shift_exact_gaussian,
     shift_general,
     shift_linear,
     swap_split,
@@ -22,6 +21,16 @@ from dll.linear import scaled_lasso
 
 def normal_density(t):
     return float(np.exp(-t * t / 2) / np.sqrt(2 * np.pi))
+
+
+def exact_shift(mu, half, sigma2):
+    """Exact Gaussian shift of the window with center ``mu`` and half-width
+    ``half`` on the standardized scale: one projection ``-mu * sigma2`` at
+    x0 = 0 with bandwidth ``half * sigma2`` (exact for sigma2 = 1)."""
+    shifts, _ = window_shifts(
+        np.array([-mu * sigma2]), sigma2, KernelSpec(0.0, half * sigma2), "exact_gaussian"
+    )
+    return float(shifts[0])
 
 
 def quadrature_shift_oracle(mu, half, sigma2):
@@ -50,13 +59,13 @@ def test_swap_split_deterministic_and_odd():
 
 
 def test_exact_shift_symmetric_window_is_zero():
-    assert shift_exact_gaussian(GaussianWindow(0.0, 0.4), 1.0) == 0.0
+    assert exact_shift(0.0, 0.4, 1.0) == 0.0
 
 
 def test_exact_shift_matches_quadrature():
     for mu, half, s2 in [(0.1, 0.2, 1.0), (0.5, 0.3, 2.0), (-1.2, 0.05, 0.7),
                          (2.0, 1.0, 1.0)]:
-        got = shift_exact_gaussian(GaussianWindow(mu, half), s2)
+        got = exact_shift(mu, half, s2)
         assert got == pytest.approx(quadrature_shift_oracle(mu, half, s2), abs=1e-8)
 
 
@@ -65,7 +74,7 @@ def test_exact_shift_grid_against_quadrature():
     halves = np.linspace(0.05, 1.0, 10)
     for mu in mus:
         for half in halves:
-            got = shift_exact_gaussian(GaussianWindow(float(mu), float(half)), 1.0)
+            got = exact_shift(float(mu), float(half), 1.0)
             assert got == pytest.approx(
                 quadrature_shift_oracle(float(mu), float(half), 1.0), abs=1e-8
             )
@@ -77,28 +86,25 @@ def test_exact_shift_grid_against_quadrature():
     st.floats(min_value=0.01, max_value=1.5, allow_nan=False),
 )
 def test_exact_shift_odd_in_center(mu, half):
-    plus = shift_exact_gaussian(GaussianWindow(mu, half), 1.3)
-    minus = shift_exact_gaussian(GaussianWindow(-mu, half), 1.3)
+    plus = exact_shift(mu, half, 1.3)
+    minus = exact_shift(-mu, half, 1.3)
     assert plus == pytest.approx(-minus, rel=1e-12, abs=1e-300)
 
 
 def test_exact_shift_small_window_bound():
     for half in (0.01, 0.005, 0.002):
         for mu in (0.5, 1.5, -2.0):
-            val = shift_exact_gaussian(GaussianWindow(mu, half), 2.0)
+            val = exact_shift(mu, half, 2.0)
             assert abs(val) <= half**2 * abs(mu) * 2.0
 
 
 def test_exact_shift_tail_underflow_fallback():
     # Window mass far in the tail underflows; the linearized value is used.
-    window = GaussianWindow(45.0, 0.1)
     vals, underflow = window_shifts(
         np.array([-45.0]), 1.0, KernelSpec(0.0, 0.1), "exact_gaussian"
     )
     assert underflow
-    assert shift_exact_gaussian(window, 1.0) == pytest.approx(
-        -1.0 * 45.0 * 0.1**2 / 3
-    )
+    assert vals[0] == pytest.approx(-1.0 * 45.0 * 0.1**2 / 3)
 
 
 def test_linear_shift_values():
@@ -113,7 +119,7 @@ def test_exact_minus_linear_scales_as_fourth_power():
     hs = np.array([0.4, 0.2, 0.1, 0.05])
     diffs = []
     for h in hs:
-        exact = shift_exact_gaussian(GaussianWindow(0.3, h), 1.0)
+        exact = exact_shift(0.3, h, 1.0)
         lin = shift_linear(-0.3, 1.0, KernelSpec(0.0, h))
         diffs.append(abs(exact - lin))
     slope = np.polyfit(np.log(hs), np.log(diffs), 1)[0]
@@ -123,7 +129,7 @@ def test_exact_minus_linear_scales_as_fourth_power():
 def test_general_shift_consistency_with_gaussian():
     w = GaussianWindow(0.5, 0.3)
     assert shift_general(normal_density, w, 1.0) == pytest.approx(
-        shift_exact_gaussian(w, 1.0), abs=1e-8
+        exact_shift(0.5, 0.3, 1.0), abs=1e-8
     )
     assert shift_general(normal_density, GaussianWindow(0.0, 0.4), 1.0) == pytest.approx(
         0.0, abs=1e-12
@@ -187,8 +193,8 @@ def test_window_shifts_match_the_scalar_shifts():
     spec = KernelSpec(0.2, 0.3)
     for mode, scalar in (
         ("linear", lambda v, s: shift_linear(v, s, spec)),
-        ("exact_gaussian", lambda v, s: shift_exact_gaussian(
-            GaussianWindow((spec.x0 - v) / s, spec.h / s), s)),
+        ("exact_gaussian", lambda v, s: window_shifts(
+            np.array([v]), s, spec, "exact_gaussian")[0][0]),
         ("general_density", lambda v, s: shift_general(
             normal_density, GaussianWindow((spec.x0 - v) / s, spec.h / s), s)),
     ):

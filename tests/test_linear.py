@@ -198,10 +198,11 @@ def test_projection_intercept_flag():
     rng = np.random.default_rng(14)
     x2 = rng.normal(size=(200, 2))
     x1 = x2 @ np.array([1.0, -0.5]) + 3.0 + rng.normal(0, 0.1, 200)
-    fit = ols_projection(x2, x1, intercept=True)
+    x2 = np.column_stack([x2, np.ones(200)])
+    fit = ols_projection(x2, x1)
     assert fit.gamma.shape == (3,)
     assert fit.gamma[-1] == pytest.approx(3.0, abs=0.05)
-    lasso_fit = scaled_lasso(x2, x1, intercept=True)
+    lasso_fit = scaled_lasso(x2, x1)
     assert lasso_fit.gamma.shape == (3,)
 
 

@@ -70,3 +70,15 @@ def test_rss_probe_prints_peak_rss_after_each_fit(tmp_path):
     assert 0 < peaks[0] <= peaks[1]
     bad = subprocess.run([sys.executable, str(RSS_PROBE), "x"], capture_output=True, env=env)
     assert bad.returncode == 2
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # Constructing a Tracer looks up every (owner, attribute) in TARGETS, so
+    # a traced public name that is removed or renamed fails here, not only
+    # in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(SCRIPT.parents[1] / "benchmarks"))
+    import tracing
+
+    originals = {id(raw) for _, _, raw, _ in tracing.Tracer()._patches}
+    for _, owner, attr in tracing.TARGETS:
+        assert id(owner.__dict__[attr]) in originals, attr

@@ -13,7 +13,6 @@ from dll.simulate import (
     gen_design,
     gen_response,
     make_dataset,
-    monte_carlo,
     monte_carlo_records,
     nuisance_truth,
     run_replication,
@@ -183,7 +182,7 @@ def test_monte_carlo_noiseless_coverage():
         n=200, p=0, gamma_true=(), f1=("linear", (2.0,)),
         sigma1_true=0.0, x0=0.0, seed=7,
     )
-    report = monte_carlo(cfg, 5, PipelineOptions(h=0.5))
+    report = monte_carlo_records(cfg, 5, PipelineOptions(h=0.5))[0]
     assert report.coverage == 1.0
     assert report.failures == 0
 
@@ -191,8 +190,8 @@ def test_monte_carlo_noiseless_coverage():
 def test_monte_carlo_rmse_identity_and_determinism():
     cfg = small_config(n=120)
     opts = PipelineOptions(h=0.6)
-    rep1 = monte_carlo(cfg, 8, opts)
-    rep2 = monte_carlo(cfg, 8, opts)
+    rep1 = monte_carlo_records(cfg, 8, opts)[0]
+    rep2 = monte_carlo_records(cfg, 8, opts)[0]
     assert rep1 == rep2  # byte-identical dataclasses
     assert rep1.rmse**2 == pytest.approx(rep1.bias**2 + rep1.sd**2, rel=1e-8)
     assert (rep1.coverage * rep1.replications) == pytest.approx(
@@ -203,8 +202,8 @@ def test_monte_carlo_rmse_identity_and_determinism():
 def test_monte_carlo_parallel_matches_serial():
     cfg = small_config(n=120)
     opts = PipelineOptions(h=0.6)
-    serial = monte_carlo(cfg, 6, opts, n_jobs=1)
-    parallel = monte_carlo(cfg, 6, opts, n_jobs=2)
+    serial = monte_carlo_records(cfg, 6, opts, n_jobs=1)[0]
+    parallel = monte_carlo_records(cfg, 6, opts, n_jobs=2)[0]
     assert serial == parallel
 
 
@@ -218,7 +217,7 @@ def test_compare_naive_zero_contamination_balanced():
 
 def test_mc_report_is_serializable():
     cfg = small_config(n=120)
-    report = monte_carlo(cfg, 2, PipelineOptions(h=0.6))
+    report = monte_carlo_records(cfg, 2, PipelineOptions(h=0.6))[0]
     payload = dataclasses.asdict(report)
     assert set(payload) == {
         "coverage", "mean_ci_length", "bias", "sd", "rmse", "rejection_rate",

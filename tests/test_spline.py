@@ -16,13 +16,10 @@ from dll.spline import (
     AdditiveFit,
     BasisSpec,
     CoordinateBasis,
-    bspline_basis,
     default_penalties,
     fit_doubly_penalized,
     make_coordinate_basis,
     nuisance_fit_error,
-    nuisance_residuals,
-    predict_nuisance,
     sobolev_penalty_matrix,
     two_penalty_prox,
 )
@@ -62,16 +59,16 @@ def uniform_basis():
 
 def test_partition_of_unity(uniform_basis):
     for z in [0.0, 0.1, 0.37, 0.5, 0.99, 1.0]:
-        vals = bspline_basis(z, uniform_basis)
+        vals = uniform_basis.design(z)[0]
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(vals >= 0)
 
 
 def test_boundary_interpolation(uniform_basis):
-    left = bspline_basis(0.0, uniform_basis)
+    left = uniform_basis.design(0.0)[0]
     assert left[0] == pytest.approx(1.0)
     assert np.all(left[1:] == 0)
-    right = bspline_basis(1.0, uniform_basis)
+    right = uniform_basis.design(1.0)[0]
     assert right[-1] == pytest.approx(1.0)
     assert np.all(right[:-1] == 0)
 
@@ -79,7 +76,7 @@ def test_boundary_interpolation(uniform_basis):
 def test_basis_matches_cox_de_boor_oracle(uniform_basis):
     for z in [0.37, 0.02, 0.61, 0.99]:
         oracle = cox_de_boor_oracle(z, uniform_basis.knots, uniform_basis.degree)
-        np.testing.assert_allclose(bspline_basis(z, uniform_basis), oracle, atol=1e-12)
+        np.testing.assert_allclose(uniform_basis.design(z)[0], oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
@@ -263,6 +260,23 @@ def test_fit_coordinate_with_few_distinct_values():
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
+    # Three distinct values leave coordinate 1's Gram matrix singular, so its
+    # whitening carries a ridge and the whitened Gram matrix is not the
+    # identity. The column means, which equal the coefficients of the
+    # constant only for an identity Gram matrix, then miss them; the solved
+    # coefficients reproduce the constant 1 to rounding on every coordinate.
+    rng = np.random.default_rng(15)
+    n = 200
+    z = rng.uniform(0, 1, (n, 3))
+    z[:, 1] = rng.choice([0.2, 0.5, 0.9], n)
+    design = spline._WhitenedDesign(spline._coordinate_bases(BasisSpec(), n, z), z, 2)
+    assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
+    for j in range(3):
+        ones = design.const_coefs[j] @ design.block(j)
+        np.testing.assert_allclose(ones, np.ones(n), rtol=0, atol=1e-12)
+
+
 def test_fit_zero_response():
     rng = np.random.default_rng(1)
     z = rng.uniform(0, 1, (50, 3))
@@ -352,7 +366,7 @@ def test_predict_nuisance_excludes_component():
     y = 2 * z[:, 0] + np.sin(2 * np.pi * z[:, 1]) + rng.normal(0, 0.1, 200)
     fit = fit_doubly_penalized(z, y, default_penalties(200, 3, 2))
     row_full = z[5]
-    nuis = predict_nuisance(fit, row_full[1:], exclude=0)
+    nuis = fit.predict_sum(row_full[None, 1:], exclude=0)[0]
     full = fit.predict_sum(row_full[None, :])[0]
     if 0 in fit.active_set:
         g0 = float(fit.component(0, np.array([row_full[0]]))[0])
@@ -366,7 +380,7 @@ def test_predict_all_blocks_zero_returns_intercept():
     z = rng.uniform(0, 1, (60, 2))
     y = rng.normal(5.0, 0.1, 60)
     fit = fit_doubly_penalized(z, y, (100.0, 100.0))
-    assert predict_nuisance(fit, z[0][1:], exclude=0) == pytest.approx(fit.intercept)
+    assert fit.predict_sum(z[:1, 1:], exclude=0)[0] == pytest.approx(fit.intercept)
 
 
 def test_noiseless_quadratic_component_approximation():
@@ -424,10 +438,10 @@ def test_default_penalty_constants_near_cv_choice():
 
 def test_nuisance_residuals():
     y = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(nuisance_residuals(y, y), np.zeros(3))
-    np.testing.assert_allclose(nuisance_residuals(y, np.zeros(3)), y)
+    np.testing.assert_allclose(y - y, np.zeros(3))
+    np.testing.assert_allclose(y - np.zeros(3), y)
     with pytest.raises(ValueError):
-        nuisance_residuals(y, np.zeros(4))
+        y - np.zeros(4)
 
 
 def test_nuisance_fit_error_examples():
