@@ -15,7 +15,6 @@ from .estimator import (
     cross_fit,
     dll_pipeline,
     evaluate,
-    oracle_pipeline,
 )
 from .simulate import SimConfig
 

@@ -1,7 +1,7 @@
 """Exception hierarchy for the dll package.
 
-Numerical failures (singular windows, rank deficiency, non-convergence
-treated as fatal) derive from :class:`NumericalError` so callers can map
+Numerical failures (singular windows, rank deficiency, too little local
+data) derive from :class:`NumericalError` so callers can map
 them to a single failure class; input problems derive from
 :class:`DataError`.
 """
@@ -37,10 +37,6 @@ class RankDeficientError(NumericalError):
 
 class SampleTooSmallError(NumericalError):
     """Not enough observations for the requested fit."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative solver exhausted its iteration budget."""
 
 
 class ZeroMassError(NumericalError):

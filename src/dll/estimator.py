@@ -75,7 +75,6 @@ class Dataset:
 
 _CHOICES = {
     "mode": SHIFT_MODES,
-    "projection": ("auto", "ols", "scaled_lasso"),
     "nuisance": ("doubly_penalized", "group_lasso"),
     "transform": ("empirical", "known"),
 }
@@ -90,9 +89,7 @@ class PipelineOptions:
     mode: str = "linear"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
     bandwidth_const: float = 0.5
-    projection: str = "auto"  # auto | ols | scaled_lasso
     lasso_const: float = 1.01
-    sigma2_per_fold: bool = False
     num_interior_knots: int | None = None
     rho_const: float = spline.DEFAULT_RHO_CONST
     lambda_const: float = spline.DEFAULT_LAMBDA_CONST
@@ -111,16 +108,23 @@ class PipelineOptions:
             raise ValueError("mode 'general_density' requires error_density")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.h is not None and not (self.h > 0):
-            raise ValueError(f"h must be > 0 when given, got {self.h}")
-        if not (self.bandwidth_const > 0):
-            raise ValueError(f"bandwidth_const must be > 0, got {self.bandwidth_const}")
-        if not (self.lasso_const > 1):
-            raise ValueError(f"lasso_const must exceed 1, got {self.lasso_const}")
-        if not (self.rho_const >= 0 and self.lambda_const >= 0):
+        # Chained comparisons with math.inf also reject NaN.
+        if self.h is not None and not (0 < self.h < math.inf):
+            raise ValueError(f"h must be finite and > 0 when given, got {self.h}")
+        if not (0 < self.bandwidth_const < math.inf):
             raise ValueError(
-                f"rho_const and lambda_const must be >= 0, got {self.rho_const}, "
+                f"bandwidth_const must be finite and > 0, got {self.bandwidth_const}"
+            )
+        if not (1 < self.lasso_const < math.inf):
+            raise ValueError(f"lasso_const must be finite and exceed 1, got {self.lasso_const}")
+        if not (0 <= self.rho_const < math.inf and 0 <= self.lambda_const < math.inf):
+            raise ValueError(
+                f"rho_const and lambda_const must be finite and >= 0, got {self.rho_const}, "
                 f"{self.lambda_const}"
+            )
+        if self.sigma1_override is not None and not (0 < self.sigma1_override < math.inf):
+            raise ValueError(
+                f"sigma1_override must be finite and > 0 when given, got {self.sigma1_override}"
             )
         if self.num_interior_knots is not None and self.num_interior_knots < 0:
             raise ValueError(
@@ -151,12 +155,12 @@ class DLLFit:
 class CrossFit:
     """Cross-fitted nuisance estimates, shared by every evaluation point.
 
-    ``projection_rows`` and ``fold_sigma2`` hold each observation's
-    ``x2 @ gamma`` and projection-error scale from the opposite fold;
-    ``sigma2`` is the pooled scale, ``gamma`` the folds' mean coefficients
-    and ``flags`` the fit diagnostics that every evaluation reports. With
-    p == 0 there are no folds or fits, the residuals are the outcome and
-    the window shifts are zero.
+    ``projection_rows`` holds each observation's ``x2 @ gamma`` from the
+    opposite fold; ``sigma2`` is the pooled projection-error scale,
+    ``gamma`` the folds' mean coefficients and ``flags`` the fit
+    diagnostics that every evaluation reports. With p == 0 there are no
+    folds or fits, the residuals are the outcome and the window shifts
+    are zero.
     """
 
     dataset: Dataset
@@ -167,7 +171,6 @@ class CrossFit:
     projections: tuple[ProjectionFit, ...] = ()
     additive: tuple[spline.AdditiveFit, ...] = ()
     projection_rows: np.ndarray | None = None
-    fold_sigma2: np.ndarray | None = None
     sigma2: float | None = None
     gamma: np.ndarray | None = None
 
@@ -229,7 +232,9 @@ def variance_estimate(
     n = x1.shape[0]
     kh = kernel_weight(x1, spec)
     total = float(np.sum(weights.centered**2 * kh**2))
-    return sigma1**2 * total / (n * s_n) ** 2
+    # numpy's power overflows to inf where Python's raises OverflowError;
+    # both call the C pow, so finite results agree bit for bit.
+    return float(np.float64(sigma1) ** 2 * total / (n * s_n) ** 2)
 
 
 def _half_width(variance: float, alpha: float) -> float:
@@ -325,10 +330,7 @@ def _fit_projection(
     x2: np.ndarray, x1: np.ndarray, options: PipelineOptions
 ) -> ProjectionFit:
     n, p = x2.shape
-    method = options.projection
-    if method == "auto":
-        method = "ols" if n > max(4 * p, p + 10) else "scaled_lasso"
-    if method == "ols":
+    if n > max(4 * p, p + 10):
         return ols_projection(x2, x1)
     return scaled_lasso(x2, x1, options.lasso_const)
 
@@ -400,11 +402,10 @@ def cross_fit(
     nuis_mid = (nuis_level[0] + nuis_level[1]) / 2
     full_mid = (full_level[0] + full_level[1]) / 2
 
-    rows, fold_sigma2, nuis, full = (np.empty(n) for _ in range(4))
+    rows, nuis, full = (np.empty(n) for _ in range(3))
     clamped = 0
     for idx, other in ((folds[0], 1), (folds[1], 0)):
         rows[idx] = x2[idx] @ proj[other].gamma
-        fold_sigma2[idx] = proj[other].sigma2
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
         clamped += sum(
@@ -426,7 +427,7 @@ def cross_fit(
     }
     return CrossFit(
         dataset, y - nuis, sigma1, flags, plan, tuple(proj), tuple(additive),
-        rows, fold_sigma2, sigma2, (proj[0].gamma + proj[1].gamma) / 2,
+        rows, sigma2, (proj[0].gamma + proj[1].gamma) / 2,
     )
 
 
@@ -445,9 +446,8 @@ def _weights(
         return build_weights(x1, shifts, spec, mode="oracle_known"), underflow
     if cf.projection_rows is None:
         return build_weights(x1, np.zeros(cf.dataset.n), spec, mode=options.mode), 0
-    sigma2 = cf.fold_sigma2 if options.sigma2_per_fold else cf.sigma2
     shifts, underflow = window_shifts(
-        cf.projection_rows, sigma2, spec, options.mode, options.error_density
+        cf.projection_rows, cf.sigma2, spec, options.mode, options.error_density
     )
     return build_weights(x1, shifts, spec, mode=options.mode), underflow
 
@@ -535,21 +535,3 @@ def dll_pipeline(
     error = oracle_weight_error(cf, fit, x0, options, true_projection)
     return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 
-
-def oracle_pipeline(
-    dataset: Dataset,
-    x0: float,
-    true_gamma: np.ndarray,
-    true_sigma2: float,
-    options: PipelineOptions = PipelineOptions(),
-    known_cdfs=None,
-) -> DLLFit:
-    """Pipeline variant with weights built from the known conditional law.
-
-    The nuisance fit is still estimated and cross-fitted; only the window
-    shifts use the exact conditional distribution of the variable of
-    interest given the nuisance covariates.
-    """
-    options = check_window(dataset, x0, options)
-    cf = cross_fit(dataset, options, known_cdfs)
-    return evaluate(cf, x0, options, projection=(true_gamma, true_sigma2))

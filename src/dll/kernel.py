@@ -3,7 +3,8 @@
 The window around the evaluation point is the closed interval
 ``[x0 - h, x0 + h]``; the rescaled kernel has constant weight ``1/h``
 inside the window and zero outside, so weighted local fits coincide with
-unweighted fits restricted to the window.
+unweighted fits restricted to the window. The base kernel, the indicator
+of ``[-1, 1]``, is ``kernel_weight(u, KernelSpec(0.0, 1.0))``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not (self.h > 0):
             raise InvalidBandwidthError(f"bandwidth must be > 0, got {self.h}")
-
-
-def base_kernel(u):
-    """Indicator kernel on [-1, 1]; integrates to 2 over the real line."""
-    u = np.asarray(u, dtype=float)
-    out = (np.abs(u) <= 1.0).astype(float)
-    return float(out) if out.ndim == 0 else out
 
 
 def kernel_weight(x, spec: KernelSpec):

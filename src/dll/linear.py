@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, RankDeficientError, SampleTooSmallError
+from .errors import RankDeficientError, SampleTooSmallError
 
 DEFAULT_PENALTY_CONST = 1.01  # must exceed 1
 KKT_TOL = 1e-8
@@ -44,7 +44,7 @@ class ProjectionFit:
 
     gamma: np.ndarray
     sigma2: float
-    method: str  # "ols" | "scaled_lasso" | "oracle"
+    method: str  # "ols" | "scaled_lasso"
     iterations: int
     converged: bool
     kkt_residual: float = 0.0
@@ -191,24 +191,6 @@ def _cd_lasso(
         if kkt_check(x, y, lam, beta) <= kkt_tol:
             return beta, sweeps, True
     return beta, sweeps, kkt_check(x, y, lam, beta) <= kkt_tol
-
-
-def lasso_coordinate_descent(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    warm_start: np.ndarray | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-) -> np.ndarray:
-    """Lasso solution with objective (1/2n)||y - x b||^2 + lam ||b||_1."""
-    if lam < 0:
-        raise ValueError("penalty must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta, _, ok = _cd_lasso(x, y, lam, warm_start, _column_stats(x), max_sweeps=max_sweeps)
-    if not ok:
-        raise ConvergenceError(f"coordinate descent did not converge in {max_sweeps} sweeps")
-    return beta
 
 
 def _scaled_lasso_objective(x, y, lam0, gamma, sig) -> float:

@@ -243,7 +243,6 @@ def run_replication(
             lambda rows: nuisance_truth(cfg, rows),
             fresh,
             exclude=0,
-            include_intercept=False,
         )
         law = (cfg.gamma_true, cfg.sigma2_true)
         try:

@@ -62,15 +62,12 @@ class BasisSpec:
 
     degree: int = 3
     num_interior_knots: int | None = None
-    placement: str = "quantile"  # or "uniform"
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.num_interior_knots is not None and self.num_interior_knots < 0:
             raise ValueError("num_interior_knots must be >= 0")
-        if self.placement not in ("quantile", "uniform"):
-            raise ValueError(f"unknown placement {self.placement!r}")
 
 
 @dataclass(frozen=True)
@@ -136,20 +133,6 @@ def default_interior_knots(n: int) -> int:
     return math.ceil(n ** (1 / 5)) + 2
 
 
-def make_coordinate_basis(
-    spec: BasisSpec, column: np.ndarray | None = None, n: int | None = None
-) -> CoordinateBasis:
-    """Build a concrete basis; quantile placement requires a data column."""
-    if column is not None:
-        column = np.asarray(column, dtype=float)
-        if not np.all((column >= 0) & (column <= 1)):
-            raise ValueError("basis inputs must lie in [0, 1]")
-        return _coordinate_bases(spec, column.size, column[:, None])[0]
-    if n is None:
-        raise ValueError("need a data column or a sample size")
-    return _coordinate_bases(spec, n)[0]
-
-
 def _column_quantiles(columns: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """``np.quantile(columns, probs, axis=0).T`` from one sort, bit for bit.
 
@@ -170,22 +153,15 @@ def _column_quantiles(columns: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.where(frac >= 0.5, b - gap * (1 - frac), a + gap * frac)
 
 
-def _coordinate_bases(
-    spec: BasisSpec, n: int, columns: np.ndarray | None = None
-) -> list[CoordinateBasis]:
-    """One basis per column of ``columns`` (n x c), or one without data."""
+def _coordinate_bases(spec: BasisSpec, columns: np.ndarray) -> list[CoordinateBasis]:
+    """One basis per column of ``columns`` (n x c); its interior knots are
+    the column's distinct in-range quantiles, in order."""
     k = spec.num_interior_knots
     if k is None:
-        k = default_interior_knots(n)
-    count = 1 if columns is None else columns.shape[1]
-    if spec.placement == "quantile" and columns is not None and k > 0:
-        # Interior knots are the distinct in-range quantiles, in order.
-        cuts = np.sort(_column_quantiles(columns, np.arange(1, k + 1) / (k + 1)), axis=1)
-        keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
-        keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
-    else:
-        cuts = np.broadcast_to(np.linspace(0.0, 1.0, k + 2)[1:-1], (count, k))
-        keep = np.ones((count, k), dtype=bool)
+        k = default_interior_knots(columns.shape[0])
+    cuts = np.sort(_column_quantiles(columns, np.arange(1, k + 1) / (k + 1)), axis=1)
+    keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
     # Every row's full knot vector, cut out of one flat array.
     d = spec.degree
     ends = ((0, 0), (d + 1, d + 1))
@@ -363,21 +339,20 @@ def two_penalty_prox(
 
 
 def _prox_zero_blocks(
-    z: np.ndarray, d: np.ndarray, starts: np.ndarray, rho: np.ndarray, lam: np.ndarray
+    z: np.ndarray, d: np.ndarray, starts: np.ndarray, rho: float, lam: float
 ) -> np.ndarray:
     """Which blocks ``two_penalty_prox`` maps to exactly zero, all at once.
 
-    Block b has scores ``z_b = z[starts[b]:starts[b + 1]]``, eigenvalues
-    ``d_b`` over the same range and penalties ``rho[b]`` and ``lam[b]``;
-    entry b of the result is
-    ``not two_penalty_prox(z_b, d_b, rho[b], lam[b]).any()``. The prox's
+    Block b has scores ``z_b = z[starts[b]:starts[b + 1]]`` and eigenvalues
+    ``d_b`` over the same range; entry b of the result is
+    ``not two_penalty_prox(z_b, d_b, rho, lam).any()``. The prox's
     zero tests run in closed form, and its weighted-shrinkage root is
     bracketed by Newton steps from below and chords from above on
     ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
     whose answer lies within SCREEN_MARGIN of a threshold (beyond the
     bisection tolerance of the prox) is passed to the prox itself.
     """
-    nb = len(rho)
+    nb = len(starts) - 1
     owner = np.repeat(np.arange(nb), np.diff(starts))
     half = lam / 2
     zz = z * z
@@ -408,7 +383,7 @@ def _prox_zero_blocks(
         own = remap[owner[el]]
         zz_el = zz[el]
         c_el = zz_el * d[el]
-        e_el = (rho[owner] * d)[el] / 2
+        e_el = rho * d[el] / 2
         top = np.sqrt(np.bincount(own, c_el, ids.size))
         lo, hi = np.zeros(ids.size), top
         slack = PROX_TOL * np.maximum(1.0, top)
@@ -426,8 +401,8 @@ def _prox_zero_blocks(
         # Step only the blocks still undecided whose bracket is wider than
         # the prox's own tolerance; the rest are decided or go to the prox.
         for step in range(SCREEN_ROOT_CAP + 1):
-            zero[ids] |= vnorm(hi + slack) <= half[ids] - tol[ids]
-            nonzero[ids] |= vnorm(np.maximum(lo - slack, 0.0)) > half[ids] + tol[ids]
+            zero[ids] |= vnorm(hi + slack) <= half - tol[ids]
+            nonzero[ids] |= vnorm(np.maximum(lo - slack, 0.0)) > half + tol[ids]
             keep = ~zero[ids] & ~nonzero[ids] & (hi - lo > slack)
             if step == SCREEN_ROOT_CAP or not keep.any():
                 break
@@ -443,7 +418,7 @@ def _prox_zero_blocks(
             lo = np.maximum(lo, lo - psi_lo / slope)
     for b in np.flatnonzero(~zero & ~nonzero):
         block = slice(starts[b], starts[b + 1])
-        zero[b] = not two_penalty_prox(z[block], d[block], float(rho[b]), float(lam[b])).any()
+        zero[b] = not two_penalty_prox(z[block], d[block], rho, lam).any()
     return zero
 
 
@@ -510,24 +485,20 @@ def nuisance_fit_error(
     truth: Callable[[np.ndarray], np.ndarray],
     fresh_x2: np.ndarray,
     exclude: int = 0,
-    include_intercept: bool = True,
 ) -> float:
     """Worst-fold RMSE of the nuisance fit against the truth on fresh draws.
 
-    With ``include_intercept=False`` only the component sums are compared
-    (both sides taken net of their level), which separates shape error
-    from the arbitrary constant split between components and intercept.
+    Only the component sums are compared, both sides net of their level,
+    which separates shape error from the arbitrary constant split between
+    components and intercept.
     """
     fresh_x2 = np.atleast_2d(np.asarray(fresh_x2, dtype=float))
     target = np.asarray(truth(fresh_x2), dtype=float)
-    if not include_intercept:
-        target = target - float(np.mean(target))
+    target = target - float(np.mean(target))
     errs = []
     for fit in (fit_a, fit_b):
-        pred = fit.predict_sum(fresh_x2, exclude=exclude)
-        if not include_intercept:
-            pred = pred - fit.intercept
-            pred = pred - float(np.mean(pred))
+        pred = fit.predict_sum(fresh_x2, exclude=exclude) - fit.intercept
+        pred = pred - float(np.mean(pred))
         errs.append(float(np.sqrt(np.mean((pred - target) ** 2))))
     return max(errs)
 
@@ -673,10 +644,8 @@ def fit_doubly_penalized(
             "zero penalties with several coordinates leave the stacked basis singular"
         )
 
-    bases = _coordinate_bases(basis, n, z_matrix)
+    bases = _coordinate_bases(basis, z_matrix)
     design = _WhitenedDesign(bases, z_matrix, m)
-    rho_all = np.full(p, rho)
-    lam_all = np.full(p, lam)
     starts = design.starts
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)
@@ -725,8 +694,8 @@ def fit_doubly_penalized(
                 z_run,
                 design.eig_flat[starts[j] : starts[k]],
                 starts[j : k + 1] - starts[j],
-                rho_all[j:k],
-                lam_all[j:k],
+                rho,
+                lam,
             )
             hits = np.flatnonzero(~zero)
             if not hits.size:

@@ -1,7 +1,9 @@
 """Monotone maps from covariates to [0,1] for the spline additive fit.
 
-Two variants: the rank-based empirical CDF (values strictly inside
-(0,1)) and a user-supplied exact CDF (such as a ``GaussianCDF``).
+Two variants: the rank-based empirical CDF, whose training values are
+rank/(n+1) with ties at the top rank of their group (strictly inside
+(0,1), where spline bases do not degenerate), and a user-supplied exact
+CDF (such as a ``GaussianCDF``).
 """
 
 from __future__ import annotations
@@ -11,25 +13,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
-
-
-def empirical_cdf_transform(column) -> np.ndarray:
-    """Rank-based transform rank/(n+1), average ranks for ties.
-
-    Keeps values off the endpoints of [0,1], where spline bases
-    degenerate.
-    """
-    column = np.asarray(column, dtype=float)
-    if column.size < 1:
-        raise ValueError("need at least one observation")
-    order = np.argsort(column)
-    s = column[order]
-    # Ties share the mean of their 1-based positions, a half-integer, so the
-    # ranks are exact; sorted queries keep the two searches cache-friendly.
-    ranks = np.empty(column.size)
-    below = np.searchsorted(s, s, "left")
-    ranks[order] = (below + np.searchsorted(s, s, "right") + 1) / 2
-    return ranks / (column.size + 1)
 
 
 @dataclass(frozen=True)

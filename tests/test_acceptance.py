@@ -15,10 +15,10 @@ from scipy.stats import kstest
 from dll.cli import REFERENCE_CONFIGS
 from dll.decorrelate import build_weights, shift_linear, window_shifts
 from dll.estimator import Dataset, PipelineOptions, dll_pipeline
-from dll.kernel import KernelSpec, base_kernel, kernel_weight, local_linear_slope
+from dll.kernel import KernelSpec, kernel_weight, local_linear_slope
 from dll.linear import scaled_lasso
 from dll.simulate import SimConfig, compare_naive, monte_carlo_records
-from dll.transforms import KnownCDF, empirical_cdf_transform
+from dll.transforms import EmpiricalCDF, KnownCDF
 from scipy.special import ndtr
 
 Z_975 = 1.959963984540054
@@ -46,9 +46,10 @@ def highdim_estimated():
 
 def test_criterion_01_kernel_moments():
     t0 = time.time()
-    total, _ = quad(base_kernel, -2, 2, points=[-1, 1])
-    first, _ = quad(lambda u: u * base_kernel(u), -2, 2, points=[-1, 1])
-    second, _ = quad(lambda u: u * u * base_kernel(u), -1, 1)
+    unit = KernelSpec(0.0, 1.0)  # the base kernel: the indicator of [-1, 1]
+    total, _ = quad(kernel_weight, -2, 2, args=(unit,), points=[-1, 1])
+    first, _ = quad(lambda u: u * kernel_weight(u, unit), -2, 2, points=[-1, 1])
+    second, _ = quad(lambda u: u * u * kernel_weight(u, unit), -1, 1)
     ok = (
         abs(total - 2.0) < 1e-10
         and abs(first) < 1e-10
@@ -259,7 +260,7 @@ def test_criterion_12_transform_uniformity():
     n = 10_000
     draws = rng.normal(size=n)
     known_stat = kstest(KnownCDF(ndtr)(draws), "uniform").statistic
-    empirical_stat = kstest(empirical_cdf_transform(draws), "uniform").statistic
+    empirical_stat = kstest(EmpiricalCDF.fit(draws).train_values, "uniform").statistic
     ok = known_stat < 1.36 / np.sqrt(n) and empirical_stat < 0.02
     report(12, "transform uniformity", ok,
            f"known KS={known_stat:.4f} empirical KS={empirical_stat:.4f}", t0)

@@ -52,6 +52,7 @@ def test_parse_rejects_bad_alpha_and_h():
         ("--bandwidth-const", "-1"),
         ("--bandwidth-const", "0"),
         ("--lasso-const", "0.5"),
+        ("--h", "inf"),
     ],
 )
 def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, value):

@@ -27,7 +27,6 @@ from dll.estimator import (
     evaluate,
     kde_density,
     noise_sd_estimate,
-    oracle_pipeline,
     slope_normalizer,
     variance_estimate,
 )
@@ -213,7 +212,7 @@ def test_pipeline_non_finite_result_raises():
     x1 = rng.uniform(-1, 1, 200)
     ds = Dataset(y=2 * x1 + rng.normal(0, 0.5, 200), x1=x1, x2=np.empty((200, 0)))
     with pytest.raises(NumericalError, match="non-finite"):
-        dll_pipeline(ds, 0.0, PipelineOptions(h=0.5, sigma1_override=np.inf))
+        dll_pipeline(ds, 0.0, PipelineOptions(h=0.5, sigma1_override=1e200))
 
 
 def test_pipeline_rejects_small_samples():
@@ -277,7 +276,7 @@ def test_oracle_pipeline_differs_only_through_shifts():
     ds = Dataset(y=y, x1=x1, x2=x2)
     opts = PipelineOptions(seed=5, h=0.4)
     est = dll_pipeline(ds, 0.0, opts)
-    orc = oracle_pipeline(ds, 0.0, gamma, 1.0, opts)
+    orc = evaluate(cross_fit(ds, opts), 0.0, opts, projection=(gamma, 1.0))
     assert orc.mode == "oracle"
     assert est.mode == "estimated"
     # same folds, same nuisance fits: sigma1 agrees exactly
@@ -294,7 +293,7 @@ def test_oracle_pipeline_zero_gamma_matches_unconditional():
     y = np.sin(x1) + rng.normal(0, 0.3, n)
     ds = Dataset(y=y, x1=x1, x2=x2)
     opts = PipelineOptions(seed=2, h=0.4)
-    orc = oracle_pipeline(ds, 0.0, np.zeros(1), 1.0, opts)
+    orc = evaluate(cross_fit(ds, opts), 0.0, opts, projection=(np.zeros(1), 1.0))
     # with gamma = 0 the window center is x0/sigma for every observation:
     # all shifts equal, so centering makes them irrelevant
     est_zero_shift = dll_pipeline(ds, 0.0, opts)
@@ -345,34 +344,28 @@ def test_pipeline_mode_recorded_and_shift_underflow_counted():
     assert fit.diagnostics["flags"]["shift_underflow"] == 0
 
 
-def test_pipeline_sigma2_per_fold_option():
-    rng = np.random.default_rng(15)
-    n = 240
-    x2 = rng.standard_normal((n, 2))
-    x1 = x2 @ np.array([0.6, -0.4]) + rng.normal(0, 1, n)
-    y = np.sin(x1) + 0.5 * x2[:, 0] + rng.normal(0, 0.3, n)
-    ds = Dataset(y=y, x1=x1, x2=x2)
-    pooled = dll_pipeline(ds, 0.0, PipelineOptions(seed=2, h=0.5))
-    per_fold = dll_pipeline(
-        ds, 0.0, PipelineOptions(seed=2, h=0.5, sigma2_per_fold=True)
-    )
-    # same folds and fits; only the shift scale changes
-    assert per_fold.sigma1 == pytest.approx(pooled.sigma1, rel=1e-12)
-    assert abs(per_fold.estimate - pooled.estimate) < 0.2
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
         ("alpha", 1.5),
         ("h", 0.0),
+        ("h", math.inf),
+        ("h", math.nan),
         ("bandwidth_const", 0.0),
         ("bandwidth_const", -1.0),
+        ("bandwidth_const", math.inf),
         ("lasso_const", 1.0),
+        ("lasso_const", math.inf),
         ("rho_const", -1.0),
+        ("rho_const", math.inf),
         ("lambda_const", -2.0),
         ("lambda_const", float("nan")),
+        ("lambda_const", math.inf),
         ("num_interior_knots", -1),
+        ("sigma1_override", 0.0),
+        ("sigma1_override", -0.5),
+        ("sigma1_override", math.inf),
+        ("sigma1_override", math.nan),
     ],
 )
 def test_pipeline_options_reject_out_of_range(field, value):
@@ -389,7 +382,6 @@ def test_pipeline_options_accept_boundary_values():
     [
         ("mode", "bogus"),
         ("mode", "oracle_known"),
-        ("projection", "ridge"),
         ("transform", "rank"),
         ("nuisance", "lasso"),
     ],
@@ -426,10 +418,6 @@ PARITY_GOLDEN = {
         1.3435353659342157, 0.03695996904178001,
         0.9667327663039482, 1.7203379655644833,
     ),
-    "sigma2_per_fold": (
-        1.3335597627701983, 0.03740981870697876,
-        0.9544710158355371, 1.7126485097048594,
-    ),
     "oracle": (
         1.3215381803976147, 0.03702560510645283,
         0.9444011531413128, 1.6986752076539167,
@@ -465,9 +453,7 @@ def parity_fit(path):
         )
     opts = PipelineOptions(seed=3, h=0.5)
     if path == "oracle":
-        return oracle_pipeline(ds, 0.0, PARITY_GAMMA, 1.0, opts)
-    if path == "sigma2_per_fold":
-        return dll_pipeline(ds, 0.0, replace(opts, sigma2_per_fold=True))
+        return evaluate(cross_fit(ds, opts), 0.0, opts, projection=(PARITY_GAMMA, 1.0))
     return dll_pipeline(
         ds, 0.0, replace(opts, mode=path, error_density=std_normal_pdf)
     )
@@ -492,7 +478,7 @@ def test_one_cross_fit_serves_every_evaluation():
         mode_opts = replace(opts, mode=mode)
         assert evaluate(cf, 0.0, mode_opts) == dll_pipeline(ds, 0.0, mode_opts)
     oracle = evaluate(cf, 0.0, opts, projection=(PARITY_GAMMA, 1.0))
-    assert oracle == oracle_pipeline(ds, 0.0, PARITY_GAMMA, 1.0, opts)
+    assert oracle == evaluate(cross_fit(ds, opts), 0.0, opts, projection=(PARITY_GAMMA, 1.0))
     assert oracle.mode == "oracle" and oracle.sigma1 == cf.sigma1
 
 
@@ -507,18 +493,6 @@ def test_pipeline_checks_the_window_before_fitting(monkeypatch):
         dll_pipeline(parity_dataset(2), 40.0, PipelineOptions(h=0.1))
     with pytest.raises(BandwidthSelectionError):
         dll_pipeline(parity_dataset(2), 80.0)
-
-
-def test_oracle_pipeline_checks_the_window_before_fitting(monkeypatch):
-    import dll.estimator as estimator
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("cross_fit ran before the window check")
-
-    monkeypatch.setattr(estimator, "cross_fit", no_fit)
-    gamma = np.zeros(parity_dataset(2).p)
-    with pytest.raises(InsufficientLocalDataError):
-        oracle_pipeline(parity_dataset(2), 40.0, gamma, 1.0, PipelineOptions(h=0.1))
 
 
 def test_group_lasso_nuisance_satisfies_group_lasso_kkt():

@@ -11,27 +11,30 @@ from dll.errors import (
 )
 from dll.kernel import (
     KernelSpec,
-    base_kernel,
     effective_sample_size,
     kernel_weight,
     local_linear_slope,
 )
 
 
+# The base kernel K(u), the indicator of [-1, 1], is the weight at x0 = 0, h = 1.
+UNIT = KernelSpec(0.0, 1.0)
+
+
 def test_base_kernel_pointwise():
-    assert base_kernel(0.0) == 1.0
-    assert base_kernel(1.5) == 0.0
-    assert base_kernel(1.0) == 1.0  # closed support
-    assert base_kernel(-1.0) == 1.0
+    assert kernel_weight(0.0, UNIT) == 1.0
+    assert kernel_weight(1.5, UNIT) == 0.0
+    assert kernel_weight(1.0, UNIT) == 1.0  # closed support
+    assert kernel_weight(-1.0, UNIT) == 1.0
 
 
 def test_kernel_moment_identities():
     # Independent quadrature oracle; split at the discontinuities. The
     # second moment is 2/3 raw; the 1/3 constant that drives the
     # linearized shift is the kernel-normalized moment.
-    total, _ = quad(base_kernel, -2, 2, points=[-1, 1])
-    first, _ = quad(lambda u: u * base_kernel(u), -2, 2, points=[-1, 1])
-    second, _ = quad(lambda u: u * u * base_kernel(u), -1, 1)
+    total, _ = quad(kernel_weight, -2, 2, args=(UNIT,), points=[-1, 1])
+    first, _ = quad(lambda u: u * kernel_weight(u, UNIT), -2, 2, points=[-1, 1])
+    second, _ = quad(lambda u: u * u * kernel_weight(u, UNIT), -1, 1)
     assert abs(total - 2.0) < 1e-10
     assert abs(first) < 1e-10
     assert abs(second - 2 / 3) < 1e-10

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +84,23 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     originals = {id(raw) for _, _, raw, _ in tracing.Tracer()._patches}
     for _, owner, attr in tracing.TARGETS:
         assert id(owner.__dict__[attr]) in originals, attr
+
+
+def test_every_public_name_has_a_caller():
+    # A public top-level function or class of the package that no module,
+    # script or benchmark names outside its own definition is surface that
+    # only tests reach. A whole-word search stands in for a lint tool.
+    root = SCRIPT.parents[1]
+    sources = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "scripts", "benchmarks")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    unused = []
+    for path in sorted((root / "src" / "dll").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                word = re.compile(rf"\b{node.name}\b")
+                if sum(len(word.findall(text)) for text in sources) == 1:
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

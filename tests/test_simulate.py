@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from dll.estimator import PipelineOptions, _fit_transforms, dll_pipeline, oracle_pipeline
+from dll.estimator import PipelineOptions, _fit_transforms, cross_fit, dll_pipeline, evaluate
 from dll.simulate import (
     SimConfig,
     compare_naive,
@@ -123,7 +123,7 @@ def test_run_replication_oracle_fields_match_oracle_pipeline():
     opts = PipelineOptions(transform="known", seed=77)
     known = seeded.known_cdfs()
     law = (np.asarray(cfg.gamma_true), cfg.sigma2_true)
-    orc = oracle_pipeline(dataset, cfg.x0, *law, opts, known)
+    orc = evaluate(cross_fit(dataset, opts, known), cfg.x0, opts, projection=law)
     assert (rec.oracle_estimate, rec.oracle_ci_low, rec.oracle_ci_high) == (
         orc.estimate, orc.ci_low, orc.ci_high
     )

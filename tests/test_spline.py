@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,12 +14,10 @@ from dll import spline
 
 from dll.errors import RankDeficientError
 from dll.spline import (
-    AdditiveFit,
     BasisSpec,
     CoordinateBasis,
     default_penalties,
     fit_doubly_penalized,
-    make_coordinate_basis,
     nuisance_fit_error,
     sobolev_penalty_matrix,
     two_penalty_prox,
@@ -52,9 +51,9 @@ def cox_de_boor_oracle(z, knots, degree):
 
 @pytest.fixture
 def uniform_basis():
-    return make_coordinate_basis(
-        BasisSpec(degree=3, num_interior_knots=5, placement="uniform"), n=100
-    )
+    # Cubic, five evenly spaced interior knots.
+    knots = np.concatenate([np.zeros(4), np.linspace(0, 1, 7)[1:-1], np.ones(4)])
+    return CoordinateBasis(knots, 3)
 
 
 def test_partition_of_unity(uniform_basis):
@@ -96,8 +95,6 @@ def test_basis_rejects_out_of_range(uniform_basis):
             uniform_basis.design(np.array([0.5, bad]))
         with pytest.raises(ValueError):
             fit_doubly_penalized(np.full((20, 2), bad), np.zeros(20), (0.1, 0.1))
-        with pytest.raises(ValueError):
-            make_coordinate_basis(BasisSpec(), np.array([0.5, bad]))
 
 
 def representation_coefficients(basis, func):
@@ -164,11 +161,16 @@ def test_two_penalty_prox_optimality(seed):
         assert fd >= -1e-8
 
 
-def prox_zero_case(rng, rho_mode, lam_mode):
+def prox_zero_block(rng):
     q = int(rng.integers(1, 10))
     z = rng.normal(size=q) * 10 ** rng.uniform(-3, 1)
     d = 10 ** rng.uniform(-2, 6, q)
     d[rng.random(q) < 0.3] = 0.0
+    return z, d
+
+
+def prox_zero_penalties(rng, z, d, rho_mode, lam_mode):
+    """A (rho, lam) pair, placed at a threshold of block (z, d) by the modes."""
     pos = d > 0
     s1 = 2 * math.sqrt(float(np.sum(z[pos] ** 2 / d[pos]))) if pos.any() else 1.0
     rho = {"zero": 0.0, "free": rng.uniform(0, 2) * s1, "edge": s1}[rho_mode]
@@ -178,7 +180,7 @@ def prox_zero_case(rng, rho_mode, lam_mode):
         lam = 2 * float(np.linalg.norm(z))
     else:  # the weighted-shrinkage output right at lam / 2
         lam = 2 * float(np.linalg.norm(two_penalty_prox(z, d, rho, 0.0)))
-    return z, d, rho, lam
+    return rho, lam
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,19 +189,22 @@ def prox_zero_case(rng, rho_mode, lam_mode):
     st.sampled_from(["free", "zero", "edge"]),
     st.sampled_from(["free", "znorm", "vnorm"]),
 )
-# Eigenvalues spread over eight decades: the root bracket needs many steps.
-@example(seed=11714, rho_mode="free", lam_mode="free")
+# Eigenvalues spread over eight decades: one block needs four bracket steps,
+# the most among 3,000 random seeds.
+@example(seed=3077348182, rho_mode="free", lam_mode="free")
 def test_prox_zero_blocks_agrees_with_prox(seed, rho_mode, lam_mode):
     rng = np.random.default_rng(seed)
-    cases = [prox_zero_case(rng, rho_mode, lam_mode) for _ in range(int(rng.integers(1, 12)))]
-    z = np.concatenate([c[0] for c in cases])
-    d = np.concatenate([c[1] for c in cases])
-    starts = np.cumsum([0] + [len(c[0]) for c in cases])
-    rho = np.array([c[2] for c in cases])
-    lam = np.array([c[3] for c in cases])
+    blocks = [prox_zero_block(rng) for _ in range(int(rng.integers(1, 12)))]
+    # One penalty pair per call, as in a fit; the modes place it relative
+    # to one block drawn at random.
+    anchor = blocks[int(rng.integers(len(blocks)))]
+    rho, lam = prox_zero_penalties(rng, *anchor, rho_mode, lam_mode)
+    z = np.concatenate([b[0] for b in blocks])
+    d = np.concatenate([b[1] for b in blocks])
+    starts = np.cumsum([0] + [len(b[0]) for b in blocks])
     with mock.patch.object(spline, "two_penalty_prox", wraps=two_penalty_prox) as spy:
         zero = spline._prox_zero_blocks(z, d, starts, rho, lam)
-    expected = [not two_penalty_prox(*c).any() for c in cases]
+    expected = [not two_penalty_prox(z_b, d_b, rho, lam).any() for z_b, d_b in blocks]
     assert zero.tolist() == expected
     if rho_mode != "edge" and lam_mode == "free":
         assert spy.call_count == 0  # decided in closed form, away from thresholds
@@ -270,7 +275,7 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     n = 200
     z = rng.uniform(0, 1, (n, 3))
     z[:, 1] = rng.choice([0.2, 0.5, 0.9], n)
-    design = spline._WhitenedDesign(spline._coordinate_bases(BasisSpec(), n, z), z, 2)
+    design = spline._WhitenedDesign(spline._coordinate_bases(BasisSpec(), z), z, 2)
     assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
     for j in range(3):
         ones = design.const_coefs[j] @ design.block(j)
@@ -453,19 +458,13 @@ def test_nuisance_fit_error_examples():
     fresh = rng.uniform(0, 1, (500, 1))
     # fit against itself: zero error
     assert nuisance_fit_error(fit, fit, truth, fresh) == pytest.approx(0.0, abs=1e-12)
-    # constant offset: RMSE equals the offset
-    shifted = AdditiveFit(
-        intercept=fit.intercept + 0.1,
-        coef_blocks=fit.coef_blocks,
-        bases=fit.bases,
-        penalties=fit.penalties,
-        active_set=fit.active_set,
-        objective_trace=fit.objective_trace,
-        converged=fit.converged,
-        sweeps=fit.sweeps,
-        transforms=fit.transforms,
-    )
-    assert nuisance_fit_error(fit, shifted, truth, fresh) == pytest.approx(0.1)
+    # the error is net of level: a constant offset is no error, while
+    # doubled components miss the truth by its own spread
+    shifted = replace(fit, intercept=fit.intercept + 0.1)
+    assert nuisance_fit_error(fit, shifted, truth, fresh) == pytest.approx(0.0, abs=1e-12)
+    doubled = replace(fit, coef_blocks=tuple(2 * beta for beta in fit.coef_blocks))
+    spread = float(np.std(truth(fresh)))
+    assert nuisance_fit_error(fit, doubled, truth, fresh) == pytest.approx(spread, rel=1e-12)
 
 
 def unique_knot_reference(spec, n, columns):
@@ -495,7 +494,7 @@ def test_coordinate_bases_match_unique_reference(seed, knots):
         elif kind == 3:  # a constant column
             columns[:, j] = rng.choice(EDGE_VALUES)
     spec = BasisSpec(num_interior_knots=knots)
-    bases = spline._coordinate_bases(spec, n, columns)
+    bases = spline._coordinate_bases(spec, columns)
     for basis, inner in zip(bases, unique_knot_reference(spec, n, columns)):
         np.testing.assert_array_equal(basis.knots[4:-4], inner)
         assert basis.knots.size == inner.size + 8
@@ -511,7 +510,7 @@ def test_coordinate_bases_rows_keep_different_knot_counts():
         np.full(200, 1.0),  # a constant at the end: no knot
     ])
     spec = BasisSpec(num_interior_knots=6)
-    bases = spline._coordinate_bases(spec, 200, columns)
+    bases = spline._coordinate_bases(spec, columns)
     reference = unique_knot_reference(spec, 200, columns)
     counts = [b.knots.size - 8 for b in bases]
     assert counts == [r.size for r in reference]
