@@ -12,6 +12,22 @@ digits, so a round trip is exact. Reports are JSON (full precision) or
 CSV; Monte Carlo CSV output writes one row per replication plus an
 aggregate footer file.
 
+Flags of each subcommand (exact names; prefixes are not accepted):
+
+- ``fit``: --input, --x0 (required), --output, --format, --seed, --h,
+  --alpha, --mode, --bandwidth-const, --lasso-const, --rho-const,
+  --lambda-const, --knots;
+- ``simulate``: --output (required), --n, --p, --sigma1, --sigma2, --seed;
+- ``coverage``: --name (required), --b, --output, --format;
+- ``bandwidth``: --input, --x0 (required), --output, --bandwidth-const.
+
+Each also takes ``--config FILE``, a JSON object whose keys are that
+subcommand's flag names (``bandwidth_const`` or ``bandwidth-const``); a
+``null`` value leaves the flag unset. Its entries are parsed as flags
+placed before the command line's own, so explicit flags win and a bad
+key or value is the same usage error as the flag. Every check runs
+before any input is read.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
@@ -22,7 +38,6 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -43,6 +58,7 @@ from .simulate import (
     MCReport,
     RepRecord,
     SimConfig,
+    default_jobs,
     make_dataset,
     monte_carlo_records,
 )
@@ -103,50 +119,6 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
 }
 
 
-# The fit options' defaults are the library's, so that `dll fit` and
-# `dll_pipeline` compute the same thing for the same input.
-_PIPELINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineOptions)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated CLI invocation."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    format: str = "json"
-    x0: float | None = None
-    h: float | None = _PIPELINE_DEFAULTS["h"]
-    alpha: float = _PIPELINE_DEFAULTS["alpha"]
-    mode: str = _PIPELINE_DEFAULTS["mode"]
-    seed: int = _PIPELINE_DEFAULTS["seed"]
-    b: int | None = None
-    name: str | None = None
-    n: int = 200
-    p: int = 2
-    sigma1: float = 0.5
-    sigma2: float = 1.0
-    bandwidth_const: float = _PIPELINE_DEFAULTS["bandwidth_const"]
-    lasso_const: float = _PIPELINE_DEFAULTS["lasso_const"]
-    rho_const: float = _PIPELINE_DEFAULTS["rho_const"]
-    lambda_const: float = _PIPELINE_DEFAULTS["lambda_const"]
-    knots: int | None = _PIPELINE_DEFAULTS["num_interior_knots"]
-
-    def pipeline_options(self) -> PipelineOptions:
-        return PipelineOptions(
-            h=self.h,
-            alpha=self.alpha,
-            mode=self.mode,
-            seed=self.seed,
-            bandwidth_const=self.bandwidth_const,
-            lasso_const=self.lasso_const,
-            rho_const=self.rho_const,
-            lambda_const=self.lambda_const,
-            num_interior_knots=self.knots,
-        )
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # keep argparse's exit code 2
         self.print_usage(sys.stderr)
@@ -158,95 +130,105 @@ class SystemExit2(Exception):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="dll", description=__doc__)
+    parser = _Parser(prog="dll", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--output", help="report path (default: stdout)")
-        p.add_argument("--format", choices=REPORT_FORMATS, default=None)
-        p.add_argument("--seed", type=int, default=None)
+    def command(name: str, help: str, output_help="report path (default: stdout)"):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="JSON object of this subcommand's flags")
+        p.add_argument("--output", required=name == "simulate", help=output_help)
+        return p
 
-    fit = sub.add_parser("fit", help="fit one derivative estimate from a CSV file")
-    fit.add_argument("--input", default=None)
-    fit.add_argument("--x0", type=float, default=None)
-    fit.add_argument("--h", type=float, default=None)
-    fit.add_argument("--alpha", type=float, default=None)
-    fit.add_argument("--mode", choices=["linear", "exact_gaussian"], default=None)
-    fit.add_argument("--bandwidth-const", type=float, default=None)
-    fit.add_argument("--lasso-const", type=float, default=None)
-    fit.add_argument("--rho-const", type=float, default=None)
-    fit.add_argument("--lambda-const", type=float, default=None)
-    fit.add_argument("--knots", type=int, default=None)
-    common(fit)
+    # The fit flags are stored under their PipelineOptions field names and
+    # default to unset, so the library's defaults are the only ones.
+    fit = command("fit", "fit one derivative estimate from a CSV file")
+    fit.add_argument("--input", required=True)
+    fit.add_argument("--x0", type=float, required=True)
+    fit.add_argument("--format", choices=REPORT_FORMATS, default="json")
+    fit.add_argument("--seed", type=int)
+    fit.add_argument("--h", type=float)
+    fit.add_argument("--alpha", type=float)
+    fit.add_argument("--mode", choices=["linear", "exact_gaussian"])
+    fit.add_argument("--bandwidth-const", type=float)
+    fit.add_argument("--lasso-const", type=float)
+    fit.add_argument("--rho-const", type=float)
+    fit.add_argument("--lambda-const", type=float)
+    fit.add_argument("--knots", dest="num_interior_knots", type=int)
 
-    sim = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--sigma1", type=float, default=None)
-    sim.add_argument("--sigma2", type=float, default=None)
-    common(sim)
+    sim = command("simulate", "generate a synthetic dataset CSV", "dataset CSV path")
+    sim.add_argument("--n", type=int, default=200)
+    sim.add_argument("--p", type=int, default=2)
+    sim.add_argument("--sigma1", type=float, default=0.5)
+    sim.add_argument("--sigma2", type=float, default=1.0)
+    sim.add_argument("--seed", type=int, default=0)
 
-    cov = sub.add_parser("coverage", help="run a named reference coverage study")
-    cov.add_argument("--name", choices=sorted(REFERENCE_CONFIGS), default=None)
-    cov.add_argument("--b", type=int, default=None)
-    common(cov)
+    cov = command("coverage", "run a named reference coverage study")
+    cov.add_argument("--name", choices=sorted(REFERENCE_CONFIGS), required=True)
+    cov.add_argument("--b", type=int, help="replications (default: the study's)")
+    cov.add_argument("--format", choices=REPORT_FORMATS, default="json")
 
-    bw = sub.add_parser("bandwidth", help="pre-flight bandwidth diagnostics")
-    bw.add_argument("--input", default=None)
-    bw.add_argument("--x0", type=float, default=None)
-    bw.add_argument("--bandwidth-const", type=float, default=None)
-    common(bw)
+    bw = command("bandwidth", "pre-flight bandwidth diagnostics")
+    bw.add_argument("--input", required=True)
+    bw.add_argument("--x0", type=float, required=True)
+    bw.add_argument("--bandwidth-const", type=float)
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Parse and validate; flags beat config-file values beat defaults."""
-    ns = _build_parser().parse_args(argv)
-    values: dict[str, Any] = {}
-    if getattr(ns, "config", None):
-        try:
-            with open(ns.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit2(f"cannot read config file: {exc}")
-        if not isinstance(file_values, dict):
-            raise SystemExit2("config file must hold a JSON object")
-        values.update(file_values)
-    for key, val in vars(ns).items():
-        if key == "config":
-            continue
-        if val is not None:
-            values[key] = val
-    values.setdefault("subcommand", ns.subcommand)
-
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - fields
-    if unknown:
-        raise SystemExit2(f"unknown configuration keys: {sorted(unknown)}")
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    merged = {**{k: v for k, v in defaults.items() if v is not dataclasses.MISSING},
-              **values}
-    cfg = RunConfig(**merged)
-
-    # The fit options have one schema, PipelineOptions; check it before
-    # any data is read.
+def _config_flags(argv: list[str]) -> list[str]:
+    """The ``--config`` file's entries as ``--key=value`` flags."""
+    pre = _Parser(prog="dll", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
     try:
-        cfg.pipeline_options()
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit2(f"cannot read config file: {exc}")
+    if not isinstance(values, dict):
+        raise SystemExit2("config file must hold a JSON object")
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in values.items()
+        if value is not None
+    ]
+
+
+_OPTION_FIELDS = {f.name for f in dataclasses.fields(PipelineOptions)}
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse and check a CLI run before any input is read.
+
+    Config-file flags go before the command line's, so explicit flags win.
+    Adds ``options`` (fit, bandwidth), ``sim`` (simulate) or ``jobs``
+    (coverage) to the namespace.
+    """
+    ns = _build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
+    try:
+        if ns.subcommand in ("fit", "bandwidth"):
+            ns.options = PipelineOptions(**{
+                k: v for k, v in vars(ns).items() if k in _OPTION_FIELDS and v is not None
+            })
+        elif ns.subcommand == "simulate":
+            gamma = tuple(0.5 if j < min(3, ns.p) else 0.0 for j in range(ns.p))
+            ns.sim = SimConfig(
+                n=ns.n,
+                p=ns.p,
+                gamma_true=gamma,
+                sigma2_true=ns.sigma2,
+                nuisance_components=((0, "sine", (1.0, 1.0)),) if ns.p > 0 else (),
+                sigma1_true=ns.sigma1,
+                seed=ns.seed,
+            )
+        elif ns.subcommand == "coverage":
+            if ns.b is not None and ns.b < 1:
+                raise ValueError(f"b must be at least 1, got {ns.b}")
+            ns.jobs = default_jobs()
     except (TypeError, ValueError) as exc:
         raise SystemExit2(str(exc))
-    if cfg.format not in REPORT_FORMATS:
-        raise SystemExit2(
-            f"format must be one of {REPORT_FORMATS}, got {cfg.format!r}"
-        )
-    if cfg.subcommand in ("fit", "bandwidth"):
-        if cfg.input is None:
-            raise SystemExit2(f"{cfg.subcommand} requires --input")
-        if cfg.x0 is None:
-            raise SystemExit2(f"{cfg.subcommand} requires --x0")
-    if cfg.subcommand == "coverage" and cfg.name is None:
-        raise SystemExit2("coverage requires --name")
-    return cfg
+    return ns
 
 
 def _parse_rows(lines: list[str]) -> np.ndarray:
@@ -389,81 +371,61 @@ def _write_csv_rows(path: str | None, fields: list[str], rows: list[dict]) -> No
             out.close()
 
 
-def _cmd_fit(cfg: RunConfig) -> None:
-    dataset = load_csv(cfg.input)
-    fit = dll_pipeline(dataset, cfg.x0, cfg.pipeline_options())
-    emit_report(fit, cfg.output, cfg.format)
+def _cmd_fit(ns: argparse.Namespace) -> None:
+    dataset = load_csv(ns.input)
+    fit = dll_pipeline(dataset, ns.x0, ns.options)
+    emit_report(fit, ns.output, ns.format)
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    gamma = tuple(0.5 if j < min(3, cfg.p) else 0.0 for j in range(cfg.p))
-    nuisance = ((0, "sine", (1.0, 1.0)),) if cfg.p > 0 else ()
-    config = SimConfig(
-        n=cfg.n,
-        p=cfg.p,
-        gamma_true=gamma,
-        sigma2_true=cfg.sigma2,
-        nuisance_components=nuisance,
-        sigma1_true=cfg.sigma1,
-        seed=cfg.seed,
-    )
-    dataset = make_dataset(config)
-    if cfg.output is None:
-        raise SystemExit2("simulate requires --output for the dataset CSV")
-    write_csv_dataset(dataset, cfg.output)
+def _cmd_simulate(ns: argparse.Namespace) -> None:
+    write_csv_dataset(make_dataset(ns.sim), ns.output)
 
 
-def _cmd_coverage(cfg: RunConfig) -> None:
-    entry = REFERENCE_CONFIGS[cfg.name]
-    b = cfg.b or entry["b"]
-    report, records = monte_carlo_records(entry["config"], b, entry["options"])
-    emit_report(report, cfg.output, cfg.format, records=records)
+def _cmd_coverage(ns: argparse.Namespace) -> None:
+    entry = REFERENCE_CONFIGS[ns.name]
+    b = entry["b"] if ns.b is None else ns.b
+    report, records = monte_carlo_records(entry["config"], b, entry["options"], ns.jobs)
+    emit_report(report, ns.output, ns.format, records=records)
 
 
-def _cmd_bandwidth(cfg: RunConfig) -> None:
-    dataset = load_csv(cfg.input)
-    h = cfg.h if cfg.h is not None else default_bandwidth(
-        dataset.x1, cfg.x0, cfg.bandwidth_const
-    )
-    density = kde_density(dataset.x1, cfg.x0)
-    spec = KernelSpec(cfg.x0, h)
+def _cmd_bandwidth(ns: argparse.Namespace) -> None:
+    dataset = load_csv(ns.input)
+    h = default_bandwidth(dataset.x1, ns.x0, ns.options.bandwidth_const)
     ratio = None
     if dataset.p > 0:
-        proj = _fit_projection(dataset.x2, dataset.x1, cfg.pipeline_options())
-        ratio = window_tail_ratio(cfg.x0, h, proj.gamma, proj.sigma2, dataset.n)
+        proj = _fit_projection(dataset.x2, dataset.x1, ns.options)
+        ratio = window_tail_ratio(ns.x0, h, proj.gamma, proj.sigma2, dataset.n)
     payload = {
         "h_default": h,
-        "density_at_x0": density,
-        "effective_sample_size": effective_sample_size(dataset.x1, spec),
+        "density_at_x0": kde_density(dataset.x1, ns.x0),
+        "effective_sample_size": effective_sample_size(dataset.x1, KernelSpec(ns.x0, h)),
         "window_tail_ratio": ratio,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if cfg.output is None:
+    if ns.output is None:
         print(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+        with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+_COMMANDS = {
+    "fit": _cmd_fit,
+    "simulate": _cmd_simulate,
+    "coverage": _cmd_coverage,
+    "bandwidth": _cmd_bandwidth,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_args(argv)
+        ns = parse_args(argv)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        if cfg.subcommand == "fit":
-            _cmd_fit(cfg)
-        elif cfg.subcommand == "simulate":
-            _cmd_simulate(cfg)
-        elif cfg.subcommand == "coverage":
-            _cmd_coverage(cfg)
-        elif cfg.subcommand == "bandwidth":
-            _cmd_bandwidth(cfg)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        _COMMANDS[ns.subcommand](ns)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -452,21 +452,6 @@ def _weights(
     return build_weights(x1, shifts, spec, mode=options.mode), underflow
 
 
-def oracle_weight_error(
-    cf: CrossFit,
-    fit: DLLFit,
-    x0: float,
-    options: PipelineOptions,
-    projection: tuple[np.ndarray, float],
-) -> float:
-    """Kernel-weighted RMS distance of the weights of ``fit`` (evaluated on
-    ``cf`` at x0) from the oracle weights of the known projection
-    ``(gamma, sigma2)`` on the same window."""
-    spec = KernelSpec(x0, fit.diagnostics["flags"]["h"])
-    oracle, _ = _weights(cf, spec, options, projection)
-    return weight_estimation_error(fit.weights, oracle, cf.dataset.x1, spec)
-
-
 def evaluate(
     cf: CrossFit,
     x0: float,
@@ -532,6 +517,8 @@ def dll_pipeline(
     fit = evaluate(cf, x0, options)
     if true_projection is None:
         return fit
-    error = oracle_weight_error(cf, fit, x0, options, true_projection)
+    spec = KernelSpec(x0, options.h)
+    oracle, _ = _weights(cf, spec, options, true_projection)
+    error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
     return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 

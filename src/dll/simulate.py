@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .decorrelate import weight_estimation_error
 from .errors import DLLError
 from .estimator import (
     Dataset,
@@ -25,7 +26,6 @@ from .estimator import (
     cross_fit,
     dll_point,
     evaluate,
-    oracle_weight_error,
 )
 from .kernel import KernelSpec, local_linear_slope
 from .spline import nuisance_fit_error
@@ -92,6 +92,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.p < 0:
+            raise ValueError(f"need n >= 1 and p >= 0, got n={self.n}, p={self.p}")
+        for name in ("sigma1_true", "sigma2_true"):
+            # A chained comparison with math.inf also rejects NaN.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if len(self.gamma_true) != self.p:
             raise ValueError("gamma_true must have one entry per nuisance column")
         for j, fid, _ in self.nuisance_components:
@@ -251,7 +257,9 @@ def run_replication(
             pass  # the oracle fields stay NaN
         else:
             extra.update(
-                weight_error=oracle_weight_error(cf, fit, cfg.x0, options, law),
+                weight_error=weight_estimation_error(
+                    fit.weights, oracle.weights, dataset.x1, KernelSpec(cfg.x0, options.h)
+                ),
                 oracle_estimate=oracle.estimate,
                 oracle_ci_low=oracle.ci_low,
                 oracle_ci_high=oracle.ci_high,
@@ -301,7 +309,12 @@ def _aggregate(config: SimConfig, records: list[RepRecord]) -> MCReport:
 
 
 def default_jobs() -> int:
-    return max(1, int(os.environ.get("DLL_JOBS", "1")))
+    """Worker processes for Monte Carlo runs: ``DLL_JOBS``, default 1."""
+    raw = os.environ.get("DLL_JOBS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"DLL_JOBS must be an integer, got {raw!r}") from None
 
 
 def monte_carlo_records(

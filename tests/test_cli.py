@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from dll.cli import (
     REFERENCE_CONFIGS,
     SystemExit2,
+    _build_parser,
     emit_report,
     load_csv,
     main,
@@ -23,15 +25,15 @@ def test_parse_fit_defaults():
     assert cfg.subcommand == "fit"
     assert cfg.input == "d.csv"
     assert cfg.x0 == 0.5
-    assert cfg.alpha == 0.05
-    assert cfg.mode == "linear"
+    assert cfg.options.alpha == 0.05
+    assert cfg.options.mode == "linear"
 
 
 def test_parse_fit_options_match_library_defaults():
     argv = ["fit", "--input", "d.csv", "--x0", "0.5"]
-    assert parse_args(argv).pipeline_options() == PipelineOptions()
+    assert parse_args(argv).options == PipelineOptions()
     flags = ["--rho-const", "0.2", "--lambda-const", "2", "--seed", "3", "--knots", "4"]
-    assert parse_args(argv + flags).pipeline_options() == PipelineOptions(
+    assert parse_args(argv + flags).options == PipelineOptions(
         rho_const=0.2, lambda_const=2.0, seed=3, num_interior_knots=4
     )
 
@@ -53,6 +55,7 @@ def test_parse_rejects_bad_alpha_and_h():
         ("--bandwidth-const", "0"),
         ("--lasso-const", "0.5"),
         ("--h", "inf"),
+        ("--lam", "2"),  # no prefix matching (was --lambda-const)
     ],
 )
 def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, value):
@@ -65,7 +68,14 @@ def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, va
 
 
 @pytest.mark.parametrize(
-    "key, value", [("mode", "bogus"), ("mode", "general_density"), ("format", "xml")]
+    "key, value",
+    [
+        ("mode", "bogus"),
+        ("mode", "general_density"),
+        ("format", "xml"),
+        ("knots", 2.5),
+        ("seed", 1.5),
+    ],
 )
 def test_bad_config_choice_is_usage_error_before_reading(tmp_path, capsys, key, value):
     cfg_file = tmp_path / "conf.json"
@@ -92,16 +102,150 @@ def test_config_file_precedence(tmp_path):
     cfg = parse_args(
         ["fit", "--input", "d.csv", "--x0", "0.5", "--config", str(cfg_file)]
     )
-    assert cfg.alpha == 0.10 and cfg.seed == 7
+    assert cfg.options.alpha == 0.10 and cfg.options.seed == 7
     cfg = parse_args(
         ["fit", "--input", "d.csv", "--x0", "0.5", "--config", str(cfg_file),
          "--alpha", "0.2"]
     )
-    assert cfg.alpha == 0.2  # flag beats file
+    assert cfg.options.alpha == 0.2  # flag beats file
     cfg_file.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(SystemExit2):
         parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--config",
                     str(cfg_file)])
+
+
+_FIT_PARSER = next(a for a in _build_parser()._actions if a.dest == "subcommand").choices["fit"]
+_FIT_FLAGS = [
+    a for a in _FIT_PARSER._actions
+    if a.dest not in ("help", "input", "x0", "output", "format", "config")
+]
+_FIT_VALUES = {
+    "seed": 3, "h": 0.4, "alpha": 0.1, "mode": "exact_gaussian", "bandwidth_const": 0.7,
+    "lasso_const": 1.5, "rho_const": 0.2, "lambda_const": 2.0, "num_interior_knots": 4,
+}
+
+
+def test_fit_flags_are_pipeline_options_fields():
+    fields = {f.name for f in dataclasses.fields(PipelineOptions)}
+    assert {a.dest for a in _FIT_FLAGS} <= fields
+    assert {a.dest for a in _FIT_FLAGS} == set(_FIT_VALUES)
+
+
+@pytest.mark.parametrize("flag", _FIT_FLAGS, ids=lambda a: a.option_strings[0])
+def test_config_key_equals_flag(tmp_path, flag):
+    value = _FIT_VALUES[flag.dest]
+    name = flag.option_strings[0]
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({name[2:].replace("-", "_"): value}))
+    argv = ["fit", "--input", "d.csv", "--x0", "0.5"]
+    from_file = parse_args(argv + ["--config", str(cfg_file)]).options
+    from_flag = parse_args(argv + [name, str(value)]).options
+    assert from_file == from_flag == PipelineOptions(**{flag.dest: value})
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("fit", {"b": 3}),  # another subcommand's flag
+        ("bandwidth", {"h": 0.3}),
+        ("bandwidth", {"seed": 1}),
+        ("bandwidth", {"format": "csv"}),
+        ("simulate", {"n": "abc"}),
+        ("simulate", {"format": "json"}),
+        ("coverage", {"seed": 1}),
+    ],
+)
+def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, command, config):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps(config))
+    missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
+    out = tmp_path / "out.csv"
+    argv = {
+        "fit": ["fit", "--input", missing, "--x0", "0"],
+        "bandwidth": ["bandwidth", "--input", missing, "--x0", "0"],
+        "simulate": ["simulate", "--output", str(out)],
+        "coverage": ["coverage", "--name", "lowdim", "--b", "1"],
+    }[command]
+    assert _usage_error(capsys, argv + ["--config", str(cfg_file)])
+    assert not out.exists()
+
+
+def test_config_null_leaves_flag_unset(tmp_path):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"h": None, "x0": 0.25, "input": "d.csv"}))
+    cfg = parse_args(["fit", "--config", str(cfg_file)])
+    assert cfg.x0 == 0.25 and cfg.input == "d.csv" and cfg.options == PipelineOptions()
+
+
+@pytest.fixture
+def no_study(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("dll.cli.monte_carlo_records", fail)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--h", "0.3"), ("--format", "csv"), ("--seed", "1")]
+)
+def test_bandwidth_rejects_removed_flags(tmp_path, capsys, flag, value):
+    # `--h` was taken as `--help` (exit 0); the others changed nothing.
+    missing = str(tmp_path / "missing.csv")
+    assert _usage_error(capsys, ["bandwidth", "--input", missing, "--x0", "0", flag, value])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json"],
+        ["--sigma1", "-0.5"],
+        ["--sigma1", "nan"],
+        ["--sigma2", "-1"],
+        ["--n", "-1"],
+        ["--n", "0"],
+        ["--p", "-1"],
+    ],
+)
+def test_bad_simulate_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "sim.csv"
+    assert _usage_error(capsys, ["simulate", "--output", str(out)] + argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, jobs",
+    [
+        (["--b", "0"], None),  # ran the full 500-replication study
+        (["--b", "-3"], None),
+        (["--seed", "1"], None),
+        (["--b", "1"], "two"),
+    ],
+)
+def test_bad_coverage_run_is_usage_error(monkeypatch, capsys, no_study, argv, jobs):
+    if jobs is not None:
+        monkeypatch.setenv("DLL_JOBS", jobs)
+    assert _usage_error(capsys, ["coverage", "--name", "univariate-oracle"] + argv)
+
+
+def test_coverage_b_overrides_the_study(monkeypatch, capsys):
+    calls = []
+
+    def record(config, b, options, n_jobs):
+        calls.append((b, n_jobs))
+        raise DataError("stop")
+
+    monkeypatch.setenv("DLL_JOBS", "2")
+    monkeypatch.setattr("dll.cli.monte_carlo_records", record)
+    main(["coverage", "--name", "lowdim", "--b", "3"])
+    main(["coverage", "--name", "lowdim"])
+    capsys.readouterr()
+    assert calls == [(3, 2), (REFERENCE_CONFIGS["lowdim"]["b"], 2)]
 
 
 def test_load_csv_small(tmp_path):

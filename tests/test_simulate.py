@@ -10,6 +10,7 @@ from dll.estimator import PipelineOptions, _fit_transforms, cross_fit, dll_pipel
 from dll.simulate import (
     SimConfig,
     compare_naive,
+    default_jobs,
     gen_design,
     gen_response,
     make_dataset,
@@ -42,6 +43,28 @@ def test_config_validation():
         small_config(nuisance_components=((7, "sine", (1.0, 1.0)),))
     with pytest.raises(ValueError):
         small_config(f1=("cubic", (1.0,)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 0), ("n", -1), ("p", -1), ("sigma1_true", -0.5), ("sigma1_true", math.inf),
+     ("sigma2_true", -1.0), ("sigma2_true", math.nan)],
+)
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
+def test_config_accepts_noiseless_draws():
+    assert small_config(sigma1_true=0.0, sigma2_true=0.0).sigma1_true == 0.0
+
+
+def test_default_jobs_reads_dll_jobs(monkeypatch):
+    monkeypatch.setenv("DLL_JOBS", "3")
+    assert default_jobs() == 3
+    monkeypatch.setenv("DLL_JOBS", "two")
+    with pytest.raises(ValueError, match="DLL_JOBS"):
+        default_jobs()
 
 
 def test_target_uses_analytic_derivative():
