@@ -9,8 +9,9 @@ or tabs around it, and lines end in LF or CRLF. Blank lines, comments
 and NaN or infinite values are data errors naming the line number and
 column. Datasets are written with CRLF line ends and 17 significant
 digits, so a round trip is exact. Reports are JSON (full precision) or
-CSV; Monte Carlo CSV output writes one row per replication plus an
-aggregate footer file.
+CSV; Monte Carlo CSV output writes one row per replication to the
+``--output`` file plus an aggregate footer file beside it, so
+``coverage --format csv`` requires ``--output``.
 
 Flags of each subcommand (exact names; prefixes are not accepted):
 
@@ -37,6 +38,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from typing import Any
 
@@ -212,6 +214,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                 k: v for k, v in vars(ns).items() if k in _OPTION_FIELDS and v is not None
             })
         elif ns.subcommand == "simulate":
+            # SimConfig checks these ranges too, but names its own fields.
+            for flag, least in (("n", 1), ("p", 0), ("sigma1", 0), ("sigma2", 0)):
+                value = getattr(ns, flag)
+                if not least <= value < math.inf:  # also rejects NaN
+                    raise ValueError(f"--{flag} must be finite and >= {least}, got {value}")
             gamma = tuple(0.5 if j < min(3, ns.p) else 0.0 for j in range(ns.p))
             ns.sim = SimConfig(
                 n=ns.n,
@@ -225,6 +232,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         elif ns.subcommand == "coverage":
             if ns.b is not None and ns.b < 1:
                 raise ValueError(f"b must be at least 1, got {ns.b}")
+            if ns.format == "csv" and ns.output is None:
+                raise ValueError("CSV coverage output needs --output (it writes two files)")
             ns.jobs = default_jobs()
     except (TypeError, ValueError) as exc:
         raise SystemExit2(str(exc))
@@ -327,8 +336,9 @@ def emit_report(
 ) -> None:
     """Serialize a fit or Monte Carlo report at full precision.
 
-    CSV output for a Monte Carlo report writes one row per replication;
-    the aggregate goes to a ``<path>.summary.csv`` footer file.
+    CSV output for a Monte Carlo report writes one row per replication to
+    ``path``, which it needs; the aggregate goes to a
+    ``<path>.summary.csv`` footer file.
     """
     if isinstance(result, DLLFit):
         payload = _fit_to_dict(result)
@@ -352,8 +362,7 @@ def emit_report(
     _write_csv_rows(
         path, rec_fields, [dataclasses.asdict(r) for r in records]
     )
-    summary_path = (path or "report") + ".summary.csv"
-    _write_csv_rows(summary_path, list(payload), [payload])
+    _write_csv_rows(path + ".summary.csv", list(payload), [payload])
 
 
 def _write_csv_rows(path: str | None, fields: list[str], rows: list[dict]) -> None:

@@ -302,11 +302,7 @@ def _fit_transforms(
         z = [tr(x_cols[:, j]) for j, tr in enumerate(transforms)]
     else:
         transforms = tuple(EmpiricalCDF.fit(x_cols[:, j]) for j in range(n_coords))
-        # Copies, freed once stacked, leave room that the fit's temporaries
-        # reuse: stacking the stored arrays themselves let the heap grow by
-        # up to 14 MB over a 40 s `cli-fit` benchmark run (peak RSS 117-136
-        # MB in six runs, against 117-122 MB with the copies).
-        z = [tr.train_values.copy() for tr in transforms]
+        z = [tr.train_values for tr in transforms]
     return transforms, np.column_stack(z)
 
 

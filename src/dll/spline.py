@@ -22,6 +22,15 @@ quantile formula applied to the sorted values, and dense B-spline design
 matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
 quadrature) and the generalized eigendecompositions run for many
 coordinates per call.
+
+Columns that are exactly a permutation of the grid k / (n + 1), k = 1..n
+(the empirical-CDF transform of a column without ties, which is what
+``dll fit`` passes), share all of that set-up: the same sorted values give
+the same knots, smoothness form and, up to summation order, Gram matrix,
+so one whitened basis on the sorted grid serves them all, and each such
+column keeps only its ranks and their inverse permutation. The grid test
+is exact (``rint(z * (n + 1))`` must reproduce z and take each rank
+once); any other column keeps a design of its own.
 """
 
 from __future__ import annotations
@@ -503,42 +512,102 @@ def nuisance_fit_error(
     return max(errs)
 
 
+def _grid_ranks(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``z_matrix`` that are exactly a permutation of the
+    grid ``k / (n + 1)``, k = 1..n, and their ranks minus one, one row per
+    such column."""
+    n = z_matrix.shape[0]
+    rank = np.rint(z_matrix * (n + 1))
+    cols = np.flatnonzero((rank / (n + 1) == z_matrix).all(axis=0))
+    rank = rank[:, cols].T.astype(np.intp)
+    # Ranks run from 0 to n + 1 here; each of 1..n must appear once.
+    counts = np.bincount((rank + (n + 2) * np.arange(cols.size)[:, None]).ravel(),
+                         minlength=cols.size * (n + 2))
+    once = (counts.reshape(cols.size, n + 2)[:, 1:-1] == 1).all(axis=1)
+    return cols[once], rank[once] - 1
+
+
+def _whiten(columns: np.ndarray, knots: np.ndarray, degree: int, m: int, first: int) -> tuple:
+    """Penalty eigenvalues, eigenvector maps, transposed whitened designs,
+    their column means and the coefficients of the constant 1, for a batch
+    of coordinates with values ``columns`` (c, n) and knots (c, L)."""
+    n = columns.shape[1]
+    raw = _design_batch(columns, knots, degree).transpose(0, 2, 1)
+    gram = raw @ raw.transpose(0, 2, 1) / n
+    d, vecs = _penalty_eigh(_sobolev_batch(knots, degree, m), gram, first)
+    chunk = vecs.transpose(0, 2, 1) @ raw
+    ones = np.ones((len(columns), vecs.shape[1], 1))
+    return d, vecs, chunk, chunk.mean(axis=2), np.linalg.solve(vecs, ones)[:, :, 0]
+
+
 class _WhitenedDesign:
     """Every coordinate's design in whitened, penalty-diagonal coordinates.
 
     Coordinate j uses ``B_j V_j``, where ``V_j`` solves the generalized
     eigenproblem of its smoothness form against its empirical Gram
     matrix: the new design has identity Gram matrix and penalty
-    ``diag(d_j)``. The transposed designs of consecutive coordinates share
-    chunks of at most STORE_CHUNK_BYTES, so the scores of a run of blocks
-    take one matrix-vector product per chunk, and no single large array
-    is allocated and freed per fit: freeing one raises glibc's mmap
-    threshold, and later medium-sized arrays then stay on the heap.
+    ``diag(d_j)``.
+
+    Rank columns share one design. A rank column is one whose values are
+    exactly a permutation of the grid ``k / (n + 1)``, k = 1..n, as the
+    empirical-CDF transform makes of a column without ties; the test is
+    exact (``rint(z * (n + 1))`` reproduces z and takes each value 1..n
+    once). All rank columns have the same sorted values, hence the same
+    quantile knots and smoothness form, and the same Gram matrix up to
+    summation order. Their whitened design is therefore built once, on
+    the sorted grid, as ``W`` (q x n); rank column j keeps its ranks
+    (``B_j V = W[:, rank_j]``) and their inverse permutation ``order_j``,
+    so the scores of a run of rank columns are one gather and one product,
+    ``resid[order[j:k]] @ W.T / n``.
+
+    The transposed designs of the other coordinates are stored; those of
+    consecutive coordinates share chunks of at most STORE_CHUNK_BYTES, so
+    the scores of a run of blocks take one matrix-vector product per
+    chunk, and no single large array is allocated and freed per fit:
+    freeing one raises glibc's mmap threshold, and later medium-sized
+    arrays then stay on the heap.
     """
 
     def __init__(self, bases: list[CoordinateBasis], z_matrix: np.ndarray, m: int):
         n, p = z_matrix.shape
         self.n = n
-        self.slots: list[tuple[np.ndarray, int]] = []  # (chunk, index in it)
+        cols, ranks = _grid_ranks(z_matrix)
+        self.ranks = dict(zip(cols.tolist(), ranks))
+        orders = np.empty_like(ranks)
+        np.put_along_axis(orders, ranks, np.arange(n)[None, :], axis=1)
+        if cols.size:
+            grid = np.arange(1, n + 1)[None, :] / (n + 1)
+            b = bases[cols[0]]
+            shared = [part[0] for part in _whiten(grid, b.knots[None, :], b.degree, m, cols[0])]
+            self.grid_basis = shared[2]
+        # (store, index in it): a chunk of transposed designs, or the orders
+        # of a run of rank columns.
+        self.slots: list[tuple[np.ndarray, int]] = []
         eig, maps, means, consts = [], [], [], []
         j = 0
         while j < p:
-            key = (bases[j].degree, len(bases[j].knots))
             stop = j + 1
-            limit = j + max(1, STORE_CHUNK_BYTES // (8 * n * bases[j].size))
-            while stop < min(p, limit) and (bases[stop].degree, len(bases[stop].knots)) == key:
-                stop += 1
-            knots = np.stack([bases[i].knots for i in range(j, stop)])
-            raw = _design_batch(z_matrix[:, j:stop].T, knots, key[0]).transpose(0, 2, 1)
-            gram = raw @ raw.transpose(0, 2, 1) / n
-            d, vecs = _penalty_eigh(_sobolev_batch(knots, key[0], m), gram, j)
-            chunk = vecs.transpose(0, 2, 1) @ raw
-            self.slots.extend((chunk, i) for i in range(stop - j))
+            if j in self.ranks:
+                while stop in self.ranks:
+                    stop += 1
+                at = int(np.searchsorted(cols, j))
+                store = orders[at : at + stop - j]
+                d, vecs, _, mean, const = ([part] * (stop - j) for part in shared)
+            else:
+                key = (bases[j].degree, len(bases[j].knots))
+                limit = j + max(1, STORE_CHUNK_BYTES // (8 * n * bases[j].size))
+                while (stop < min(p, limit) and stop not in self.ranks
+                       and (bases[stop].degree, len(bases[stop].knots)) == key):
+                    stop += 1
+                knots = np.stack([bases[i].knots for i in range(j, stop)])
+                d, vecs, store, mean, const = _whiten(
+                    z_matrix[:, j:stop].T, knots, key[0], m, j
+                )
+            self.slots.extend((store, i) for i in range(stop - j))
             eig.extend(d)
             maps.extend(vecs)
-            means.extend(chunk.mean(axis=2))
-            ones = np.ones((stop - j, vecs.shape[1], 1))
-            consts.extend(np.linalg.solve(vecs, ones)[:, :, 0])
+            means.extend(mean)
+            consts.extend(const)
             j = stop
         self.eig, self.maps, self.col_means, self.const_coefs = eig, maps, means, consts
         self.starts = np.cumsum([0] + [len(d) for d in eig])
@@ -546,16 +615,28 @@ class _WhitenedDesign:
 
     def block(self, j: int) -> np.ndarray:
         """Transposed whitened design of coordinate j, shape (q_j, n)."""
+        if j in self.ranks:
+            return self.grid_basis[:, self.ranks[j]]
         chunk, i = self.slots[j]
         return chunk[i]
+
+    def fitted(self, j: int, theta: np.ndarray) -> np.ndarray:
+        """``theta @ block(j)``, without building a rank column's block."""
+        if j in self.ranks:
+            return (theta @ self.grid_basis)[self.ranks[j]]
+        chunk, i = self.slots[j]
+        return theta @ chunk[i]
 
     def scores(self, j: int, k: int, resid: np.ndarray) -> np.ndarray:
         """``B_i' resid / n`` of coordinates j..k-1, concatenated."""
         parts = []
         while j < k:
-            chunk, i = self.slots[j]
-            stop = min(len(chunk), i + k - j)
-            parts.append(chunk[i:stop].reshape(-1, self.n) @ resid)
+            store, i = self.slots[j]
+            stop = min(len(store), i + k - j)
+            if j in self.ranks:
+                parts.append((resid[store[i:stop]] @ self.grid_basis.T).ravel())
+            else:
+                parts.append(store[i:stop].reshape(-1, self.n) @ resid)
             j += stop - i
         return np.concatenate(parts) / self.n
 
@@ -623,7 +704,8 @@ def fit_doubly_penalized(
     Each sweep visits the blocks in order (Gauss-Seidel). A nonzero block
     is updated on its own. At a zero block, the scores of it and of every
     zero block before the next nonzero one come from one matrix-vector
-    product per design chunk, and ``_prox_zero_blocks`` finds the first
+    product per design chunk (one gather and one matrix product for a run
+    of rank columns), and ``_prox_zero_blocks`` finds the first
     of them whose prox is nonzero; the sweep jumps there. The skipped
     blocks are exactly those the per-block update would have left at
     zero, and a block that stays zero leaves the residual untouched, so
@@ -662,18 +744,17 @@ def fit_doubly_penalized(
 
     def update(j: int, z: np.ndarray | None = None) -> None:
         nonlocal intercept, resid
-        block = design.block(j)
         if active[j]:
-            resid += thetas[j] @ block
+            resid += design.fitted(j, thetas[j])
         if z is None:
-            z = block @ resid / n
+            z = design.scores(j, j + 1, resid)
         th_new = two_penalty_prox(z, design.eig[j], rho, lam)
         if th_new.any():
             shift = float(design.col_means[j] @ th_new)
             if shift != 0.0:
                 th_new = th_new - shift * design.const_coefs[j]
                 intercept += shift
-            resid -= th_new @ block
+            resid -= design.fitted(j, th_new)
         thetas[j] = th_new
         active[j] = th_new.any()
 

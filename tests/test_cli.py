@@ -213,8 +213,12 @@ def test_bandwidth_rejects_removed_flags(tmp_path, capsys, flag, value):
     ],
 )
 def test_bad_simulate_flag_is_usage_error(tmp_path, capsys, argv):
+    # The message names the flag, not the SimConfig field behind it.
     out = tmp_path / "sim.csv"
-    assert _usage_error(capsys, ["simulate", "--output", str(out)] + argv)
+    assert main(["simulate", "--output", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and argv[0] in err
+    assert "_true" not in err and "need n" not in err
     assert not out.exists()
 
 
@@ -231,6 +235,14 @@ def test_bad_coverage_run_is_usage_error(monkeypatch, capsys, no_study, argv, jo
     if jobs is not None:
         monkeypatch.setenv("DLL_JOBS", jobs)
     assert _usage_error(capsys, ["coverage", "--name", "univariate-oracle"] + argv)
+
+
+def test_coverage_csv_needs_an_output_path(tmp_path, monkeypatch, capsys, no_study):
+    # It wrote report.summary.csv into the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["coverage", "--name", "univariate-oracle", "--format", "csv"]) == 2
+    assert "--output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_coverage_b_overrides_the_study(monkeypatch, capsys):

@@ -104,3 +104,29 @@ def test_every_public_name_has_a_caller():
                 if sum(len(word.findall(text)) for text in sources) == 1:
                     unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def test_bench_snapshot_summarizes_runs_per_metric(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    import bench_snapshot
+
+    def result(fits, rss, failures=()):
+        return {
+            "metrics": {"fits_per_s": {"value": fits}, "peak_rss_mb": {"value": rss}},
+            "ops": [[0, 10, 1.0, 0.5], [1, 10, 1.0, 0.5]],
+            "failures": list(failures),
+            "info": {"host_probe_s": [0.01, 0.02]},
+        }
+
+    specs = [{"name": "fits_per_s", "unit": "1/s"}, {"name": "peak_rss_mb", "unit": "MB"}]
+    runs = [result(2.0, 110.0), result(1.0, 100.0), result(4.0, 120.0, [(1, "DataError")]),
+            result(3.0, 130.0)]
+    out = bench_snapshot.summarize(runs, specs)
+    fits = out["metrics"]["fits_per_s"]
+    assert (fits["q1"], fits["median"], fits["q3"], fits["iqr"]) == (1.75, 2.5, 3.25, 1.5)
+    assert fits["unit"] == "1/s" and fits["values"] == [2.0, 1.0, 4.0, 3.0]
+    assert out["metrics"]["peak_rss_mb"]["median"] == 115.0
+    assert (out["attempted_ops"], out["failed_ops"]) == (8, 1)
+    assert out["host_probe_s"] == [[0.01, 0.02]] * 4
+    single = bench_snapshot.summarize(runs[:1], specs)["metrics"]["fits_per_s"]
+    assert (single["q1"], single["median"], single["q3"], single["iqr"]) == (2.0, 2.0, 2.0, 0.0)

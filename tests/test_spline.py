@@ -13,6 +13,7 @@ from scipy.special import ndtr
 from dll import spline
 
 from dll.errors import RankDeficientError
+from dll.transforms import EmpiricalCDF
 from dll.spline import (
     BasisSpec,
     CoordinateBasis,
@@ -222,6 +223,10 @@ def golden_problem(n, p, seed):
     return z, y
 
 
+def rank_columns(x):
+    return np.column_stack([EmpiricalCDF.fit(col).train_values for col in x.T])
+
+
 # Produced by the plain per-block sweep (with null-space eigenvalues
 # snapped to zero); the screened sweep must follow the same path.
 GOLDEN_FITS = {
@@ -237,14 +242,27 @@ GOLDEN_FITS = {
         0.3745945253472256, 0.374590414490472, 0.3745895598436234,
         0.3745893231109244, 0.3745892685250988, 0.3745892593541867,
     )),
+    # The n-heavy problem on empirical-CDF ranks, as `dll fit` transforms
+    # its columns: each column is a permutation of the grid k / (n + 1).
+    # Recorded from per-column whitened designs.
+    (3000, 8, 42, "ranks"): ((0, 1, 2, 3), 11, (
+        0.9287103017056864, 0.39337748674171796, 0.37885873404413634,
+        0.37621320341922493, 0.37550409701068826, 0.3753284902618147,
+        0.37529977682034515, 0.3752956597439596, 0.3752948061646533,
+        0.3752945687338143, 0.37529451364444893, 0.3752945043417018,
+    )),
 }
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_FITS), ids=["p-heavy", "n-heavy"])
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_FITS), ids=["p-heavy", "n-heavy", "n-heavy-ranks"]
+)
 def test_fit_follows_golden_path(key):
-    n, p, seed = key
+    n, p, seed, *ranks = key
     active, sweeps, trace = GOLDEN_FITS[key]
     z, y = golden_problem(n, p, seed)
+    if ranks:
+        z = rank_columns(z)
     fit = fit_doubly_penalized(z, y, default_penalties(n, p, 2))
     assert fit.active_set == active
     assert fit.sweeps == sweeps and fit.converged
@@ -280,6 +298,49 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     for j in range(3):
         ones = design.const_coefs[j] @ design.block(j)
         np.testing.assert_allclose(ones, np.ones(n), rtol=0, atol=1e-12)
+
+
+def test_rank_columns_share_one_whitened_basis():
+    # Tie-free empirical-CDF columns are permutations of one grid, so they
+    # share one design; each column's block is still its own whitened
+    # design at the data: B_j V_j, identity Gram matrix, diagonal penalty.
+    rng = np.random.default_rng(8)
+    n, p = 500, 5
+    z = rank_columns(rng.normal(size=(n, p)))
+    bases = spline._coordinate_bases(BasisSpec(), z)
+    design = spline._WhitenedDesign(bases, z, 2)
+    assert sorted(design.ranks) == list(range(p))
+    resid = rng.normal(size=n)
+    for j in range(p):
+        block, vecs, eig = design.block(j), design.maps[j], design.eig[j]
+        np.testing.assert_allclose(block, vecs.T @ bases[j].design(z[:, j]).T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(block @ block.T / n, np.eye(len(eig)), rtol=0, atol=1e-10)
+        omega = sobolev_penalty_matrix(bases[j], 2)
+        np.testing.assert_allclose(vecs.T @ omega @ vecs, np.diag(eig), rtol=0, atol=1e-10 * eig.max())
+        theta = rng.normal(size=len(eig))
+        np.testing.assert_allclose(design.fitted(j, theta), theta @ block, rtol=0, atol=1e-12)
+    for j, k in [(0, p), (1, 3), (4, 5)]:
+        expected = np.concatenate([design.block(i) @ resid / n for i in range(j, k)])
+        np.testing.assert_allclose(design.scores(j, k, resid), expected, rtol=0, atol=1e-12)
+
+
+def test_rank_column_with_a_tie_keeps_its_own_design():
+    # One tie takes a column off the grid: it is whitened on its own values,
+    # exactly as a design of that column alone, and scored with its chunk.
+    rng = np.random.default_rng(9)
+    n = 400
+    x = rng.normal(size=(n, 4))
+    x[10, 1] = x[20, 1]
+    z = rank_columns(x)
+    bases = spline._coordinate_bases(BasisSpec(), z)
+    design = spline._WhitenedDesign(bases, z, 2)
+    assert sorted(design.ranks) == [0, 2, 3]
+    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2], 2)
+    assert alone.ranks == {}
+    assert np.array_equal(design.block(1), alone.block(0))
+    resid = rng.normal(size=n)
+    expected = np.concatenate([design.block(i) @ resid / n for i in range(4)])
+    np.testing.assert_allclose(design.scores(0, 4, resid), expected, rtol=0, atol=1e-12)
 
 
 def test_fit_zero_response():
