@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Write the benchmark snapshot of the checked-out commit, BENCH_<short-sha>.json.
 
-Usage: python scripts/bench_snapshot.py [--runs K] [--seed N]
+Usage: python scripts/bench_snapshot.py
 
-Runs ``benchmarks/run.py --trace 0`` K times (default 5) on each workload
-that ``BENCHMARK.json`` gates, alternating the workloads, for that file's
-``run_seconds`` each, then times the Tier-1 test suite once. The snapshot
+Runs ``benchmarks/run.py --trace 0 --seed 1`` RUNS = 5 times on each
+workload that ``BENCHMARK.json`` gates, alternating the workloads, for
+that file's ``run_seconds`` each, then times the Tier-1 test suite once.
+The run count and seed are fixed so that snapshots of different commits
+compare like with like. The snapshot
 at the repository root holds, per workload and end-to-end metric, the
 median, quartiles and every run's value; the ops attempted and failed; the
 host-speed probe of each run; the machine facts of the result records;
@@ -26,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = ROOT / "benchmarks" / "results"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+RUNS = 5
+SEED = 1
 
 
 def summarize(records: list[dict], specs: list[dict]) -> dict:
@@ -75,20 +79,15 @@ def run_tier1() -> dict:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5, help="runs per workload (default 5)")
-    parser.add_argument("--seed", type=int, default=1, help="benchmark input seed (default 1)")
-    args = parser.parse_args(argv)
-    if args.runs < 1 or args.seed < 0:
-        parser.error("--runs must be >= 1 and --seed >= 0")
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]]
     records = {name: [] for name in names}
     try:
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for name in names:
-                records[name].append(run_benchmark(name, args.seed, spec["run_seconds"]))
+                records[name].append(run_benchmark(name, SEED, spec["run_seconds"]))
     except (subprocess.CalledProcessError, OSError, json.JSONDecodeError) as exc:
         print(f"error: benchmark run failed: {exc}", file=sys.stderr)
         return 1
@@ -97,10 +96,10 @@ def main(argv: list[str]) -> int:
     snapshot = {
         "git_sha": machine.pop("git_sha"),
         "worktree_clean": git("status", "--porcelain", "--untracked-files=no") == "",
-        "command": " ".join(["python", "scripts/bench_snapshot.py", *argv]),
-        "seed": args.seed,
+        "command": "python scripts/bench_snapshot.py",
+        "seed": SEED,
         "run_seconds": spec["run_seconds"],
-        "runs": args.runs,
+        "runs": RUNS,
         "machine": machine,
         "workloads": {name: summarize(records[name], spec["end_to_end"]) for name in names},
         "tier1": tier1,

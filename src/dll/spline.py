@@ -24,8 +24,9 @@ quadrature) and the generalized eigendecompositions run for many
 coordinates per call.
 
 Columns that are exactly a permutation of the grid k / (n + 1), k = 1..n
-(the empirical-CDF transform of a column without ties, which is what
-``dll fit`` passes), share all of that set-up: the same sorted values give
+(what the empirical-CDF transform makes of a column without ties; a
+column with ties, or one under a known CDF, is not one), share all of
+that set-up: the same sorted values give
 the same knots, smoothness form and, up to summation order, Gram matrix,
 so one whitened basis on the sorted grid serves them all, and each such
 column keeps only its ranks and their inverse permutation. The grid test
@@ -613,15 +614,9 @@ class _WhitenedDesign:
         self.starts = np.cumsum([0] + [len(d) for d in eig])
         self.eig_flat = np.concatenate(eig) if eig else np.zeros(0)
 
-    def block(self, j: int) -> np.ndarray:
-        """Transposed whitened design of coordinate j, shape (q_j, n)."""
-        if j in self.ranks:
-            return self.grid_basis[:, self.ranks[j]]
-        chunk, i = self.slots[j]
-        return chunk[i]
-
     def fitted(self, j: int, theta: np.ndarray) -> np.ndarray:
-        """``theta @ block(j)``, without building a rank column's block."""
+        """``B_j V_j theta``, the fitted values of coefficients ``theta`` of
+        coordinate j, without building a rank column's design."""
         if j in self.ranks:
             return (theta @ self.grid_basis)[self.ranks[j]]
         chunk, i = self.slots[j]

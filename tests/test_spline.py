@@ -296,14 +296,15 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     design = spline._WhitenedDesign(spline._coordinate_bases(BasisSpec(), z), z, 2)
     assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
     for j in range(3):
-        ones = design.const_coefs[j] @ design.block(j)
+        ones = design.fitted(j, design.const_coefs[j])
         np.testing.assert_allclose(ones, np.ones(n), rtol=0, atol=1e-12)
 
 
 def test_rank_columns_share_one_whitened_basis():
     # Tie-free empirical-CDF columns are permutations of one grid, so they
-    # share one design; each column's block is still its own whitened
-    # design at the data: B_j V_j, identity Gram matrix, diagonal penalty.
+    # share one design; each column's fitted values and scores are still
+    # those of its own whitened design at the data, B_j V_j, which has
+    # identity Gram matrix and diagonal penalty.
     rng = np.random.default_rng(8)
     n, p = 500, 5
     z = rank_columns(rng.normal(size=(n, p)))
@@ -311,16 +312,16 @@ def test_rank_columns_share_one_whitened_basis():
     design = spline._WhitenedDesign(bases, z, 2)
     assert sorted(design.ranks) == list(range(p))
     resid = rng.normal(size=n)
-    for j in range(p):
-        block, vecs, eig = design.block(j), design.maps[j], design.eig[j]
-        np.testing.assert_allclose(block, vecs.T @ bases[j].design(z[:, j]).T, rtol=0, atol=1e-10)
+    blocks = [design.maps[j].T @ bases[j].design(z[:, j]).T for j in range(p)]
+    for j, block in enumerate(blocks):
+        vecs, eig = design.maps[j], design.eig[j]
         np.testing.assert_allclose(block @ block.T / n, np.eye(len(eig)), rtol=0, atol=1e-10)
         omega = sobolev_penalty_matrix(bases[j], 2)
         np.testing.assert_allclose(vecs.T @ omega @ vecs, np.diag(eig), rtol=0, atol=1e-10 * eig.max())
         theta = rng.normal(size=len(eig))
         np.testing.assert_allclose(design.fitted(j, theta), theta @ block, rtol=0, atol=1e-12)
     for j, k in [(0, p), (1, 3), (4, 5)]:
-        expected = np.concatenate([design.block(i) @ resid / n for i in range(j, k)])
+        expected = np.concatenate([blocks[i] @ resid / n for i in range(j, k)])
         np.testing.assert_allclose(design.scores(j, k, resid), expected, rtol=0, atol=1e-12)
 
 
@@ -337,9 +338,13 @@ def test_rank_column_with_a_tie_keeps_its_own_design():
     assert sorted(design.ranks) == [0, 2, 3]
     alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2], 2)
     assert alone.ranks == {}
-    assert np.array_equal(design.block(1), alone.block(0))
     resid = rng.normal(size=n)
-    expected = np.concatenate([design.block(i) @ resid / n for i in range(4)])
+    theta = rng.normal(size=len(alone.eig[0]))
+    assert np.array_equal(design.maps[1], alone.maps[0])
+    assert np.array_equal(design.fitted(1, theta), alone.fitted(0, theta))
+    assert np.array_equal(design.scores(1, 2, resid), alone.scores(0, 1, resid))
+    blocks = [design.maps[j].T @ bases[j].design(z[:, j]).T for j in range(4)]
+    expected = np.concatenate([block @ resid / n for block in blocks])
     np.testing.assert_allclose(design.scores(0, 4, resid), expected, rtol=0, atol=1e-12)
 
 
