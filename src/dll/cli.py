@@ -345,12 +345,7 @@ def emit_report(
     else:
         payload = dataclasses.asdict(result)
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
-        if path is None:
-            print(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write_json(payload, path)
         return
     if isinstance(result, DLLFit):
         flat = {k: v for k, v in payload.items() if not isinstance(v, dict)}
@@ -363,6 +358,15 @@ def emit_report(
         path, rec_fields, [dataclasses.asdict(r) for r in records]
     )
     _write_csv_rows(path + ".summary.csv", list(payload), [payload])
+
+
+def _write_json(payload: dict[str, Any], path: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _write_csv_rows(path: str | None, fields: list[str], rows: list[dict]) -> None:
@@ -404,18 +408,12 @@ def _cmd_bandwidth(ns: argparse.Namespace) -> None:
     if dataset.p > 0:
         proj = _fit_projection(dataset.x2, dataset.x1, ns.options)
         ratio = window_tail_ratio(ns.x0, h, proj.gamma, proj.sigma2, dataset.n)
-    payload = {
+    _write_json({
         "h_default": h,
         "density_at_x0": kde_density(dataset.x1, ns.x0),
         "effective_sample_size": effective_sample_size(dataset.x1, KernelSpec(ns.x0, h)),
         "window_tail_ratio": ratio,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if ns.output is None:
-        print(text)
-    else:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    }, ns.output)
 
 
 _COMMANDS = {

@@ -25,7 +25,6 @@ SIMPSON_TOL = 1e-10
 SIMPSON_DEPTH = 20
 
 SHIFT_MODES = ("linear", "exact_gaussian", "general_density")
-WEIGHT_MODES = SHIFT_MODES + ("oracle_known",)
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,6 @@ def swap_split(n: int, seed: int) -> SwapPlan:
         fold_b=np.sort(perm[half:]),
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class GaussianWindow:
-    """Kernel window on the standardized projection-residual scale.
-
-    ``center`` is (x0 - projection) / sigma2 and ``half_width`` is
-    h / sigma2.
-    """
-
-    center: float
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if not (self.half_width > 0):
-            raise ValueError("half_width must be > 0")
 
 
 def _phi(t: np.ndarray) -> np.ndarray:
@@ -127,10 +110,14 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def shift_general(
-    density: Callable[[float], float], window: GaussianWindow, sigma2: float
+    density: Callable[[float], float], mu: float, half: float, sigma2: float
 ) -> float:
-    """Conditional window shift under a user-supplied standardized density."""
-    mu, half = window.center, window.half_width
+    """Conditional window shift under a user-supplied standardized density.
+
+    The window is ``[mu - half, mu + half]`` on the standardized
+    projection-residual scale: ``mu = (x0 - projection) / sigma2`` and
+    ``half = h / sigma2``.
+    """
     mass = adaptive_simpson(density, mu - half, mu + half)
     if mass <= UNDERFLOW_MASS:
         raise ZeroMassError("density places no mass on the window")
@@ -159,7 +146,7 @@ def window_shifts(
             raise ValueError("general_density mode requires an error density")
         scales = np.broadcast_to(sigma2, proj.shape)
         shifts = [
-            shift_general(error_density, GaussianWindow((spec.x0 - v) / s, spec.h / s), s)
+            shift_general(error_density, (spec.x0 - v) / s, spec.h / s, s)
             for v, s in zip(proj, scales)
         ]
         return np.array(shifts), 0
@@ -173,15 +160,16 @@ class DecorrelationWeights:
     raw: np.ndarray
     centered: np.ndarray
     centering_shift: float
-    mode: str
 
 
 def build_weights(
-    x1: np.ndarray, shifts: np.ndarray, spec: KernelSpec, mode: str = "linear"
+    x1: np.ndarray, shifts: np.ndarray, spec: KernelSpec
 ) -> DecorrelationWeights:
-    """Assemble decorrelated weights and center them on the kernel window."""
-    if mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {mode!r}")
+    """Assemble decorrelated weights and center them on the kernel window.
+
+    With zero shifts the weights are the centered window offsets, and
+    ``estimator.dll_point`` on them is the plug-in local linear slope.
+    """
     x1 = np.asarray(x1, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
     if x1.shape != shifts.shape:
@@ -192,9 +180,7 @@ def build_weights(
         raise InsufficientLocalDataError("no observations inside the kernel window")
     raw = (x1 - spec.x0) - shifts
     centering = float(np.sum(raw * kh) / total)
-    return DecorrelationWeights(
-        raw=raw, centered=raw - centering, centering_shift=centering, mode=mode
-    )
+    return DecorrelationWeights(raw=raw, centered=raw - centering, centering_shift=centering)
 
 
 def weight_estimation_error(

@@ -45,21 +45,34 @@ from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed sample: outcome, variable of interest, nuisance matrix."""
+    """Observed sample: outcome, variable of interest, nuisance matrix.
+
+    ``y`` and ``x1`` are 1-D and ``x2`` is (n, p), a 1-D ``x2`` being one
+    column; any other shape, unequal lengths or a non-finite value raise
+    DataError naming the field.
+    """
 
     y: np.ndarray
     x1: np.ndarray
     x2: np.ndarray  # shape (n, p); p may be 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
+        y = np.asarray(self.y, dtype=float)
+        x1 = np.asarray(self.x1, dtype=float)
         x2 = np.asarray(self.x2, dtype=float)
         if x2.ndim == 1:
-            x2 = x2.reshape(len(x2), -1) if x2.size else x2.reshape(self.y.size, 0)
+            x2 = x2.reshape(len(x2), -1) if x2.size else x2.reshape(y.size, 0)
+        for name, value, ndim in (("y", y, 1), ("x1", x1, 1), ("x2", x2, 2)):
+            if value.ndim != ndim:
+                raise DataError(f"{name} must be {ndim}-D, got shape {value.shape}")
+        if not (y.shape[0] == x1.shape[0] == x2.shape[0]):
+            raise DataError(
+                f"inconsistent sample sizes: y has {y.shape[0]} rows, x1 {x1.shape[0]}, "
+                f"x2 {x2.shape[0]}"
+            )
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
-        if not (self.y.shape[0] == self.x1.shape[0] == self.x2.shape[0]):
-            raise ValueError("inconsistent sample sizes")
         for name in ("y", "x1", "x2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"{name} holds NaN or infinite values")
@@ -75,7 +88,6 @@ class Dataset:
 
 _CHOICES = {
     "mode": SHIFT_MODES,
-    "nuisance": ("doubly_penalized", "group_lasso"),
     "transform": ("empirical", "known"),
 }
 
@@ -93,7 +105,6 @@ class PipelineOptions:
     num_interior_knots: int | None = None
     rho_const: float = spline.DEFAULT_RHO_CONST
     lambda_const: float = spline.DEFAULT_LAMBDA_CONST
-    nuisance: str = "doubly_penalized"  # | group_lasso (smoothness penalty off)
     transform: str = "empirical"  # | known (requires known_cdfs)
     sigma1_override: float | None = None
     error_density: Callable[[float], float] | None = None
@@ -313,13 +324,12 @@ def _fit_additive(
     cubic splines on quantile knots, second-derivative smoothness penalty."""
     n, n_coords = x_cols.shape
     transforms, z = _fit_transforms(x_cols, options, known_cdfs)
-    rho, lam = spline.default_penalties(
+    penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
-    if options.nuisance == "group_lasso":
-        rho = 0.0
-    spec = spline.BasisSpec(num_interior_knots=options.num_interior_knots)
-    return spline.fit_doubly_penalized(z, y, (rho, lam), spec, transforms=transforms)
+    return spline.fit_doubly_penalized(
+        z, y, penalties, options.num_interior_knots, transforms=transforms
+    )
 
 
 def _fit_projection(
@@ -439,13 +449,13 @@ def _weights(
         gamma, sigma2 = projection
         rows = cf.dataset.x2 @ np.asarray(gamma, dtype=float)
         shifts, underflow = window_shifts(rows, sigma2, spec, "exact_gaussian")
-        return build_weights(x1, shifts, spec, mode="oracle_known"), underflow
+        return build_weights(x1, shifts, spec), underflow
     if cf.projection_rows is None:
-        return build_weights(x1, np.zeros(cf.dataset.n), spec, mode=options.mode), 0
+        return build_weights(x1, np.zeros(cf.dataset.n), spec), 0
     shifts, underflow = window_shifts(
         cf.projection_rows, cf.sigma2, spec, options.mode, options.error_density
     )
-    return build_weights(x1, shifts, spec, mode=options.mode), underflow
+    return build_weights(x1, shifts, spec), underflow
 
 
 def evaluate(

@@ -17,17 +17,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decorrelate import weight_estimation_error
+from .decorrelate import build_weights, weight_estimation_error
 from .errors import DLLError
 from .estimator import (
+    CrossFit,
     Dataset,
+    DLLFit,
     PipelineOptions,
     check_window,
     cross_fit,
     dll_point,
     evaluate,
 )
-from .kernel import KernelSpec, local_linear_slope
+from .kernel import KernelSpec
 from .spline import nuisance_fit_error
 from .transforms import GaussianCDF
 
@@ -219,6 +221,20 @@ class MCReport:
     oracle_coverage: float = math.nan
 
 
+def _replicate(
+    config: SimConfig, options: PipelineOptions, seed: int
+) -> tuple[SimConfig, PipelineOptions, CrossFit, DLLFit]:
+    """The config and options of replication ``seed`` (bandwidth fixed), the
+    cross-fit on its fresh data and the estimate at x0. Raises DLLError."""
+    cfg = replace(config, seed=seed)
+    dataset = make_dataset(cfg, seed)
+    options = replace(options, seed=seed)
+    known = cfg.known_cdfs() if options.transform == "known" else None
+    options = check_window(dataset, cfg.x0, options)
+    cf = cross_fit(dataset, options, known)
+    return cfg, options, cf, evaluate(cf, cfg.x0, options)
+
+
 def run_replication(
     config: SimConfig,
     options: PipelineOptions = PipelineOptions(transform="known"),
@@ -228,18 +244,12 @@ def run_replication(
     and, when p > 0, with the exact-law weights; failures become records.
     """
     seed = config.seed if seed is None else seed
-    cfg = replace(config, seed=seed)
-    dataset = make_dataset(cfg, seed)
-    options = replace(options, seed=seed)
-    known = cfg.known_cdfs() if options.transform == "known" else None
-    truth = cfg.target
     try:
-        options = check_window(dataset, cfg.x0, options)
-        cf = cross_fit(dataset, options, known)
-        fit = evaluate(cf, cfg.x0, options)
+        cfg, options, cf, fit = _replicate(config, options, seed)
     except DLLError as exc:
         return RepRecord(failed=True, message=f"{type(exc).__name__}: {exc}")
 
+    truth = cfg.target
     extra = {}
     if cfg.p > 0:
         rng = np.random.default_rng([seed, _FRESH])
@@ -258,7 +268,7 @@ def run_replication(
         else:
             extra.update(
                 weight_error=weight_estimation_error(
-                    fit.weights, oracle.weights, dataset.x1, KernelSpec(cfg.x0, options.h)
+                    fit.weights, oracle.weights, cf.dataset.x1, KernelSpec(cfg.x0, options.h)
                 ),
                 oracle_estimate=oracle.estimate,
                 oracle_ci_low=oracle.ci_low,
@@ -365,9 +375,9 @@ def compare_naive(
     by ``contamination`` times the projection of the variable of interest
     (or, with ``orthogonal=True``, times an independent noise column that
     cannot correlate with it), then computes both the plain local linear
-    slope of the residuals and the decorrelated estimate from the same
-    residuals. Wins are replications where the decorrelated error is
-    strictly smaller.
+    slope of the residuals (the decorrelated ratio with zero window
+    shifts) and the decorrelated estimate from the same residuals. Wins
+    are replications where the decorrelated error is strictly smaller.
     """
     truth = config.target
     dll_errs: list[float] = []
@@ -375,25 +385,21 @@ def compare_naive(
     failures = 0
     for r in range(1, b + 1):
         seed = config.seed + r
-        cfg = replace(config, seed=seed)
-        dataset = make_dataset(cfg, seed)
-        opts = replace(options, seed=seed)
-        known = cfg.known_cdfs() if opts.transform == "known" else None
         try:
-            opts = check_window(dataset, cfg.x0, opts)
-            cf = cross_fit(dataset, opts, known)
-            fit = evaluate(cf, cfg.x0, opts)
+            cfg, opts, cf, fit = _replicate(config, options, seed)
+            x1 = cf.dataset.x1
             rng = np.random.default_rng([seed, 23])
             if orthogonal:
                 noise_col = rng.standard_normal(cfg.n)
                 bump = contamination * noise_col
             else:
                 gamma = np.asarray(cfg.gamma_true, dtype=float)
-                bump = contamination * (dataset.x2 @ gamma)
+                bump = contamination * (cf.dataset.x2 @ gamma)
             residuals = cf.residuals - bump
-            spec = KernelSpec(cfg.x0, fit.diagnostics["flags"]["h"])
-            naive = local_linear_slope(dataset.x1, residuals, spec)
-            dll_est = dll_point(fit.weights, residuals, dataset.x1, spec)
+            spec = KernelSpec(cfg.x0, opts.h)
+            plain = build_weights(x1, np.zeros(cfg.n), spec)
+            naive = dll_point(plain, residuals, x1, spec)
+            dll_est = dll_point(fit.weights, residuals, x1, spec)
         except DLLError:
             failures += 1
             continue

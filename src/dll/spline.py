@@ -1,9 +1,11 @@
 """Nuisance estimation: penalized B-spline additive regression.
 
-Each component is represented in a clamped B-spline basis on [0,1] and
-penalized by both a smoothness seminorm (integrated squared m-th
-derivative, a quadratic form in the coefficients) and its empirical L2
-norm (group penalty that produces exact zeros). The fit is block
+Each component is represented in a clamped B-spline basis of degree
+DEGREE (cubic) on [0,1] and penalized by both a smoothness seminorm
+(integrated squared derivative of order SMOOTHNESS_ORDER, a quadratic
+form in the coefficients) and its empirical L2 norm (group penalty that
+produces exact zeros). The number of interior knots is the one setting
+of the basis; by default it is ceil(n^(1/5)) + 2. The fit is block
 coordinate descent; after a change of coordinates that whitens the
 empirical Gram matrix and diagonalizes the smoothness form, each block
 update is an exact proximal step for the sum of the two penalties.
@@ -45,6 +47,8 @@ import numpy as np
 
 from .errors import RankDeficientError
 
+DEGREE = 3
+SMOOTHNESS_ORDER = 2
 FIT_TOL = 1e-7
 MAX_SWEEPS = 500
 PROX_ITERS = 100
@@ -61,23 +65,6 @@ SCREEN_FLOOR = 1e-150
 SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Configuration for per-coordinate spline bases.
-
-    ``num_interior_knots=None`` selects ceil(n^(1/5)) + 2 at fit time.
-    """
-
-    degree: int = 3
-    num_interior_knots: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.num_interior_knots is not None and self.num_interior_knots < 0:
-            raise ValueError("num_interior_knots must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,17 +150,17 @@ def _column_quantiles(columns: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.where(frac >= 0.5, b - gap * (1 - frac), a + gap * frac)
 
 
-def _coordinate_bases(spec: BasisSpec, columns: np.ndarray) -> list[CoordinateBasis]:
-    """One basis per column of ``columns`` (n x c); its interior knots are
-    the column's distinct in-range quantiles, in order."""
-    k = spec.num_interior_knots
+def _coordinate_bases(columns: np.ndarray, k: int | None) -> list[CoordinateBasis]:
+    """One basis of degree DEGREE per column of ``columns`` (n x c); its
+    interior knots are the column's distinct in-range quantiles of ``k``
+    (default ``default_interior_knots(n)``), in order."""
     if k is None:
         k = default_interior_knots(columns.shape[0])
     cuts = np.sort(_column_quantiles(columns, np.arange(1, k + 1) / (k + 1)), axis=1)
     keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
     keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
     # Every row's full knot vector, cut out of one flat array.
-    d = spec.degree
+    d = DEGREE
     ends = ((0, 0), (d + 1, d + 1))
     padded = np.pad(cuts, ends, constant_values=((0, 0), (0, 1)))
     keep = np.pad(keep, ends, constant_values=True)
@@ -225,7 +212,7 @@ def _sobolev_batch(knots: np.ndarray, degree: int, m: int) -> np.ndarray:
     return (dmat.transpose(0, 2, 1) * wts[:, None, :]) @ dmat
 
 
-def sobolev_penalty_matrix(basis: CoordinateBasis, m: int = 2) -> np.ndarray:
+def sobolev_penalty_matrix(basis: CoordinateBasis, m: int = SMOOTHNESS_ORDER) -> np.ndarray:
     """Gram matrix of the integrated squared m-th derivative.
 
     ``beta @ Omega @ beta`` equals the integral over [0,1] of the squared
@@ -243,19 +230,21 @@ DEFAULT_LAMBDA_CONST = 1.5
 def default_penalties(
     n: int,
     p: int,
-    m: int = 2,
+    *,
     rho_const: float = DEFAULT_RHO_CONST,
     lambda_const: float = DEFAULT_LAMBDA_CONST,
 ) -> tuple[float, float]:
     """Default smoothness and sparsity penalty levels.
 
-    Smoothness penalty scales as n^(-m/(2m+1)); sparsity penalty as
+    Smoothness penalty scales as n^(-m/(2m+1)) for m = SMOOTHNESS_ORDER;
+    sparsity penalty as
     sqrt(log(max(p, 2)) / n). The default constants are calibrated so
     moderately wiggly components keep their curvature while pure-noise
     coordinates are zeroed.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
+    m = SMOOTHNESS_ORDER
     rho = rho_const * n ** (-m / (2 * m + 1))
     lam = lambda_const * math.sqrt(math.log(max(p, 2)) / n)
     return rho, lam
@@ -528,14 +517,14 @@ def _grid_ranks(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols[once], rank[once] - 1
 
 
-def _whiten(columns: np.ndarray, knots: np.ndarray, degree: int, m: int, first: int) -> tuple:
+def _whiten(columns: np.ndarray, knots: np.ndarray, degree: int, first: int) -> tuple:
     """Penalty eigenvalues, eigenvector maps, transposed whitened designs,
     their column means and the coefficients of the constant 1, for a batch
     of coordinates with values ``columns`` (c, n) and knots (c, L)."""
     n = columns.shape[1]
     raw = _design_batch(columns, knots, degree).transpose(0, 2, 1)
     gram = raw @ raw.transpose(0, 2, 1) / n
-    d, vecs = _penalty_eigh(_sobolev_batch(knots, degree, m), gram, first)
+    d, vecs = _penalty_eigh(_sobolev_batch(knots, degree, SMOOTHNESS_ORDER), gram, first)
     chunk = vecs.transpose(0, 2, 1) @ raw
     ones = np.ones((len(columns), vecs.shape[1], 1))
     return d, vecs, chunk, chunk.mean(axis=2), np.linalg.solve(vecs, ones)[:, :, 0]
@@ -569,7 +558,7 @@ class _WhitenedDesign:
     arrays then stay on the heap.
     """
 
-    def __init__(self, bases: list[CoordinateBasis], z_matrix: np.ndarray, m: int):
+    def __init__(self, bases: list[CoordinateBasis], z_matrix: np.ndarray):
         n, p = z_matrix.shape
         self.n = n
         cols, ranks = _grid_ranks(z_matrix)
@@ -579,7 +568,7 @@ class _WhitenedDesign:
         if cols.size:
             grid = np.arange(1, n + 1)[None, :] / (n + 1)
             b = bases[cols[0]]
-            shared = [part[0] for part in _whiten(grid, b.knots[None, :], b.degree, m, cols[0])]
+            shared = [part[0] for part in _whiten(grid, b.knots[None, :], b.degree, cols[0])]
             self.grid_basis = shared[2]
         # (store, index in it): a chunk of transposed designs, or the orders
         # of a run of rank columns.
@@ -602,7 +591,7 @@ class _WhitenedDesign:
                     stop += 1
                 knots = np.stack([bases[i].knots for i in range(j, stop)])
                 d, vecs, store, mean, const = _whiten(
-                    z_matrix[:, j:stop].T, knots, key[0], m, j
+                    z_matrix[:, j:stop].T, knots, key[0], j
                 )
             self.slots.extend((store, i) for i in range(stop - j))
             eig.extend(d)
@@ -650,10 +639,10 @@ def _penalty_eigh(
     """Penalty eigenvalues and Gram-orthonormal eigenvectors of a batch.
 
     A Gram matrix that is not positive definite (a coordinate with too
-    few distinct values) is retried alone with a growing ridge. The m
-    null-space eigenvalues come back as rounding noise of either sign;
-    they are snapped to exactly zero so that float noise never decides
-    which directions are penalized.
+    few distinct values) is retried alone with a growing ridge. The
+    SMOOTHNESS_ORDER null-space eigenvalues come back as rounding noise
+    of either sign; they are snapped to exactly zero so that float noise
+    never decides which directions are penalized.
     """
     try:
         d, vecs = _reduced_eigh(omega, gram)
@@ -682,8 +671,7 @@ def fit_doubly_penalized(
     z_matrix: np.ndarray,
     y: np.ndarray,
     penalties: tuple[float, float],
-    basis: BasisSpec = BasisSpec(),
-    m: int = 2,
+    num_interior_knots: int | None = None,
     transforms: tuple[Callable, ...] | None = None,
 ) -> AdditiveFit:
     """Backfitting solver for the doubly penalized additive objective.
@@ -720,9 +708,11 @@ def fit_doubly_penalized(
         raise RankDeficientError(
             "zero penalties with several coordinates leave the stacked basis singular"
         )
+    if num_interior_knots is not None and num_interior_knots < 0:
+        raise ValueError("num_interior_knots must be >= 0")
 
-    bases = _coordinate_bases(basis, z_matrix)
-    design = _WhitenedDesign(bases, z_matrix, m)
+    bases = _coordinate_bases(z_matrix, num_interior_knots)
+    design = _WhitenedDesign(bases, z_matrix)
     starts = design.starts
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)

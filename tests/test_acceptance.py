@@ -14,8 +14,8 @@ from scipy.stats import kstest
 
 from dll.cli import REFERENCE_CONFIGS
 from dll.decorrelate import build_weights, shift_linear, window_shifts
-from dll.estimator import Dataset, PipelineOptions, dll_pipeline
-from dll.kernel import KernelSpec, kernel_weight, local_linear_slope
+from dll.estimator import Dataset, PipelineOptions, dll_pipeline, dll_point
+from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import scaled_lasso
 from dll.simulate import SimConfig, compare_naive, monte_carlo_records
 from dll.transforms import EmpiricalCDF, KnownCDF
@@ -66,7 +66,8 @@ def test_criterion_02_exact_linear_recovery():
     x1 = rng.uniform(-1, 1, 200)
     y = 1.0 + 3.0 * x1
     spec = KernelSpec(0.0, 0.5)
-    slope = local_linear_slope(x1, y, spec)
+    # The plug-in local linear slope: the DLL ratio with zero window shifts.
+    slope = dll_point(build_weights(x1, np.zeros(200), spec), y, x1, spec)
     fit = dll_pipeline(
         Dataset(y=y, x1=x1, x2=np.empty((200, 0))), 0.0, PipelineOptions(h=0.5)
     )

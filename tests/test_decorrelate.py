@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dll.decorrelate import (
-    GaussianWindow,
     build_weights,
     shift_general,
     shift_linear,
@@ -127,18 +126,17 @@ def test_exact_minus_linear_scales_as_fourth_power():
 
 
 def test_general_shift_consistency_with_gaussian():
-    w = GaussianWindow(0.5, 0.3)
-    assert shift_general(normal_density, w, 1.0) == pytest.approx(
+    assert shift_general(normal_density, 0.5, 0.3, 1.0) == pytest.approx(
         exact_shift(0.5, 0.3, 1.0), abs=1e-8
     )
-    assert shift_general(normal_density, GaussianWindow(0.0, 0.4), 1.0) == pytest.approx(
+    assert shift_general(normal_density, 0.0, 0.4, 1.0) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_general_shift_laplace_riemann_oracle():
     lap = lambda t: 0.5 * np.exp(-abs(t))
-    got = shift_general(lap, GaussianWindow(0.5, 0.3), 1.0)
+    got = shift_general(lap, 0.5, 0.3, 1.0)
     ts = np.linspace(0.2, 0.8, 2_000_001)
     vals = 0.5 * np.exp(-np.abs(ts))
     oracle = np.trapezoid((ts - 0.5) * vals, ts) / np.trapezoid(vals, ts)
@@ -147,7 +145,7 @@ def test_general_shift_laplace_riemann_oracle():
 
 def test_general_shift_zero_mass():
     with pytest.raises(ZeroMassError):
-        shift_general(lambda t: 0.0, GaussianWindow(0.0, 0.5), 1.0)
+        shift_general(lambda t: 0.0, 0.0, 0.5, 1.0)
 
 
 def test_build_weights_symmetric_design():
@@ -181,11 +179,6 @@ def test_build_weights_empty_window():
         build_weights(np.array([5.0, 6.0]), np.zeros(2), KernelSpec(0.0, 0.5))
 
 
-def test_build_weights_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        build_weights(np.zeros(3), np.zeros(3), KernelSpec(0.0, 1.0), mode="bogus")
-
-
 def test_window_shifts_match_the_scalar_shifts():
     rng = np.random.default_rng(21)
     proj = rng.normal(size=40)
@@ -196,7 +189,7 @@ def test_window_shifts_match_the_scalar_shifts():
         ("exact_gaussian", lambda v, s: window_shifts(
             np.array([v]), s, spec, "exact_gaussian")[0][0]),
         ("general_density", lambda v, s: shift_general(
-            normal_density, GaussianWindow((spec.x0 - v) / s, spec.h / s), s)),
+            normal_density, (spec.x0 - v) / s, spec.h / s, s)),
     ):
         shifts, underflow = window_shifts(proj, sigma2, spec, mode, normal_density)
         expected = [scalar(v, s) for v, s in zip(proj, sigma2)]
@@ -222,7 +215,7 @@ def test_decorrelation_property_monte_carlo():
     x1 = x2 @ gamma + rng.normal(0, 1.0, n)
     spec = KernelSpec(0.3, 0.1)
     shifts, _ = window_shifts(x2 @ gamma, 1.0, spec, "exact_gaussian")
-    w = build_weights(x1, shifts, spec, mode="exact_gaussian")
+    w = build_weights(x1, shifts, spec)
     kh = kernel_weight(x1, spec)
     tests = [
         np.sin(x2 @ gamma),
@@ -252,7 +245,6 @@ def test_weight_error_constant_offset():
         raw=shifted.raw,
         centered=shifted.centered + 0.07,
         centering_shift=shifted.centering_shift - 0.07,
-        mode=shifted.mode,
     )
     kh = kernel_weight(x, spec)
     expected = 0.07 * np.sqrt(np.mean(kh))
@@ -276,7 +268,7 @@ def test_weight_error_lemma_shape_bound():
         shifts = h**2 * (x2 @ fit.gamma - spec.x0) / (3 * fit.sigma2**2)
         w = build_weights(x1, shifts, spec)
         oracle_shifts, _ = window_shifts(x2 @ gamma, 1.0, spec, "exact_gaussian")
-        oracle = build_weights(x1, oracle_shifts, spec, mode="oracle_known")
+        oracle = build_weights(x1, oracle_shifts, spec)
         ratios.append(weight_estimation_error(w, oracle, x1, spec) / h**2 / shape)
     assert max(ratios) <= 1.0
     assert np.median(ratios) <= 0.5

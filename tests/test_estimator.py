@@ -31,9 +31,10 @@ from dll.estimator import (
     variance_estimate,
 )
 from dll.estimator import test_zero as zero_slope_test
-from dll.kernel import KernelSpec, kernel_weight, local_linear_slope
+from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import sigma_floor
 from dll.simulate import SimConfig, make_dataset
+from dll.transforms import EmpiricalCDF
 
 Z_975 = 1.959963984540054  # inverse-normal oracle, alpha = 0.05
 Z_84 = 0.9944578832097532  # inverse-normal oracle, alpha = 0.32
@@ -79,9 +80,12 @@ def test_dll_point_equals_local_linear_when_shifts_zero():
         r = rng.normal(size=300)
         spec = KernelSpec(float(rng.normal() * 0.2), float(rng.uniform(0.4, 1.0)))
         w = zero_shift_weights(x, spec)
-        assert dll_point(w, r, x, spec) == pytest.approx(
-            local_linear_slope(x, r, spec), rel=1e-10
-        )
+        # With the boxcar kernel the local linear slope is the OLS slope of
+        # the in-window points.
+        mask = np.abs(x - spec.x0) <= spec.h
+        design = np.column_stack([np.ones(mask.sum()), x[mask]])
+        ols_slope = np.linalg.lstsq(design, r[mask], rcond=None)[0][1]
+        assert dll_point(w, r, x, spec) == pytest.approx(ols_slope, rel=1e-10)
 
 
 def test_dll_point_affine_residual_equivariance():
@@ -204,6 +208,26 @@ def test_dataset_rejects_non_finite(field, bad):
     arrays = {"y": rng.normal(size=50), "x1": rng.normal(size=50), "x2": rng.normal(size=(50, 2))}
     arrays[field].flat[7] = bad
     with pytest.raises(DataError, match=field):
+        Dataset(**arrays)
+
+
+@pytest.mark.parametrize(
+    "field, shape, match",
+    [
+        ("y", (), "y must be 1-D"),
+        ("y", (50, 1), "y must be 1-D"),
+        ("x1", (50, 1), "x1 must be 1-D"),
+        ("x2", (50, 2, 1), "x2 must be 2-D"),
+        ("y", (49,), "inconsistent sample sizes"),
+        ("x1", (51,), "inconsistent sample sizes"),
+        ("x2", (49, 2), "inconsistent sample sizes"),
+        ("x2", (49,), "inconsistent sample sizes"),
+    ],
+)
+def test_dataset_rejects_misshapen_input(field, shape, match):
+    arrays = {"y": np.zeros(50), "x1": np.zeros(50), "x2": np.zeros((50, 2))}
+    arrays[field] = np.zeros(shape)
+    with pytest.raises(DataError, match=match):
         Dataset(**arrays)
 
 
@@ -383,7 +407,6 @@ def test_pipeline_options_accept_boundary_values():
         ("mode", "bogus"),
         ("mode", "oracle_known"),
         ("transform", "rank"),
-        ("nuisance", "lasso"),
     ],
 )
 def test_pipeline_options_reject_unknown_choice(field, value):
@@ -496,8 +519,8 @@ def test_pipeline_checks_the_window_before_fitting(monkeypatch):
 
 
 def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
-    # nuisance="group_lasso" drops the smoothness penalty (rho = 0). In the
-    # whitened coordinates of each block (identity Gram matrix) the fit then
+    # Without the smoothness penalty (rho = 0) the additive fit is a group
+    # Lasso. In the whitened coordinates of each block (identity Gram matrix) the fit then
     # solves mean(r^2) + lam * sum_b ||theta_b||, whose optimality
     # conditions on the scores z_b = B_b' r / n of the final residual are
     # ||z_b|| <= lam / 2 for a zero block and z_b = (lam / 2) theta_b /
@@ -511,11 +534,12 @@ def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
     n, p = 300, 12
     x = rng.normal(size=(n, p))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 1] ** 2 + 0.3 * x[:, 2] + rng.normal(0, 0.5, n)
-    fit = estimator._fit_additive(x, y, PipelineOptions(nuisance="group_lasso"), None)
+    z = np.column_stack([EmpiricalCDF.fit(x[:, j]).train_values for j in range(p)])
+    _, lam = spline.default_penalties(n, p)
+    fit = spline.fit_doubly_penalized(z, y, (0.0, lam))
     assert fit.converged and fit.penalties[0] == 0.0
     assert 0 < len(fit.active_set) < p
-    z = np.column_stack([tr.train_values for tr in fit.transforms])
-    design = spline._WhitenedDesign(list(fit.bases), z, 2)
+    design = spline._WhitenedDesign(list(fit.bases), z)
     resid = y - fit.intercept - sum(fit.component(j, z[:, j]) for j in fit.active_set)
     half = fit.penalties[1] / 2
     tol = math.sqrt(p * spline.FIT_TOL * fit.objective_trace[-2])

@@ -4,21 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dll.decorrelate import build_weights
 from dll.errors import (
     InsufficientLocalDataError,
     InvalidBandwidthError,
     SingularDesignError,
 )
-from dll.kernel import (
-    KernelSpec,
-    effective_sample_size,
-    kernel_weight,
-    local_linear_slope,
-)
+from dll.estimator import dll_point
+from dll.kernel import KernelSpec, effective_sample_size, kernel_weight
 
 
 # The base kernel K(u), the indicator of [-1, 1], is the weight at x0 = 0, h = 1.
 UNIT = KernelSpec(0.0, 1.0)
+
+
+def plug_in_slope(x, y, spec):
+    """The plug-in local linear slope: the DLL ratio with zero window shifts."""
+    return dll_point(build_weights(x, np.zeros_like(x), spec), y, x, spec)
 
 
 def test_base_kernel_pointwise():
@@ -61,14 +63,14 @@ def test_local_linear_exact_line():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, 60)
     spec = KernelSpec(0.0, 0.8)
-    assert local_linear_slope(xs, 3 * xs + 1, spec) == pytest.approx(3.0, abs=1e-12)
-    assert local_linear_slope(xs, np.full(60, 2.5), spec) == pytest.approx(0.0, abs=1e-12)
+    assert plug_in_slope(xs, 3 * xs + 1, spec) == pytest.approx(3.0, abs=1e-12)
+    assert plug_in_slope(xs, np.full(60, 2.5), spec) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_local_linear_symmetric_quadratic():
     xs = np.concatenate([np.linspace(0.05, 0.9, 30), -np.linspace(0.05, 0.9, 30)])
     spec = KernelSpec(0.0, 1.0)
-    assert local_linear_slope(xs, xs**2, spec) == pytest.approx(0.0, abs=1e-12)
+    assert plug_in_slope(xs, xs**2, spec) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_local_linear_equals_wls_oracle():
@@ -85,7 +87,7 @@ def test_local_linear_equals_wls_oracle():
         xw, yw = xs[mask], ys[mask]
         design = np.column_stack([np.ones(mask.sum()), xw])
         slope_oracle = np.linalg.lstsq(design, yw, rcond=None)[0][1]
-        est = local_linear_slope(xs, ys, spec)
+        est = plug_in_slope(xs, ys, spec)
         assert est == pytest.approx(slope_oracle, rel=1e-10)
 
 
@@ -100,9 +102,9 @@ def test_local_linear_affine_invariance(seed, shift, scale):
     xs = rng.uniform(-1, 1, 80)
     ys = rng.normal(size=80)
     spec = KernelSpec(0.0, 0.9)
-    base = local_linear_slope(xs, ys, spec)
-    assert local_linear_slope(xs, ys + shift, spec) == pytest.approx(base, abs=1e-8)
-    assert local_linear_slope(xs, scale * ys, spec) == pytest.approx(
+    base = plug_in_slope(xs, ys, spec)
+    assert plug_in_slope(xs, ys + shift, spec) == pytest.approx(base, abs=1e-8)
+    assert plug_in_slope(xs, scale * ys, spec) == pytest.approx(
         scale * base, rel=1e-9, abs=1e-9
     )
 
@@ -111,20 +113,17 @@ def test_local_linear_insufficient_data():
     spec = KernelSpec(0.0, 0.1)
     xs = np.linspace(5, 6, 50)  # entirely outside the window
     with pytest.raises(InsufficientLocalDataError):
-        local_linear_slope(xs, xs, spec)
-    # fewer than min_points inside
+        plug_in_slope(xs, xs, spec)
+    # The ratio needs no minimum count; the pipeline's window check does.
     xs = np.array([0.0, 0.01, -0.01, 5, 5, 5, 5, 5, 5, 5, 5.0])
-    with pytest.raises(InsufficientLocalDataError):
-        local_linear_slope(xs, xs, spec)
-    # configurable minimum admits them
-    assert local_linear_slope(xs, 2 * xs, spec, min_points=2) == pytest.approx(2.0)
+    assert plug_in_slope(xs, 2 * xs, spec) == pytest.approx(2.0)
 
 
 def test_local_linear_identical_x_singular():
     spec = KernelSpec(0.0, 1.0)
     xs = np.zeros(20)
-    with pytest.raises(InsufficientLocalDataError):
-        local_linear_slope(xs, np.arange(20.0), spec)
+    with pytest.raises(SingularDesignError):
+        plug_in_slope(xs, np.arange(20.0), spec)
 
 
 def test_local_linear_singular_denominator():
@@ -133,7 +132,7 @@ def test_local_linear_singular_denominator():
     xs = np.concatenate([np.zeros(15), np.full(15, 1e-15)])
     spec = KernelSpec(0.0, 1.0)
     with pytest.raises(SingularDesignError):
-        local_linear_slope(xs, np.arange(30.0), spec, min_points=2)
+        plug_in_slope(xs, np.arange(30.0), spec)
 
 
 def test_effective_sample_size_counts():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,8 @@ import sys
 from pathlib import Path
 
 import dll
-from dll.cli import write_csv_dataset
+from dll.cli import _build_parser, write_csv_dataset
+from dll.estimator import PipelineOptions
 from dll.simulate import SimConfig, make_dataset
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "estimate_parity.py"
@@ -86,16 +88,22 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         assert id(owner.__dict__[attr]) in originals, attr
 
 
+def non_test_sources():
+    """Text of every Python file of the package, the scripts and the benchmarks."""
+    root = SCRIPT.parents[1]
+    return [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "scripts", "benchmarks")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+
+
 def test_every_public_name_has_a_caller():
     # A public top-level function or class of the package that no module,
     # script or benchmark names outside its own definition is surface that
     # only tests reach. A whole-word search stands in for a lint tool.
     root = SCRIPT.parents[1]
-    sources = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "scripts", "benchmarks")
-        for path in sorted((root / folder).rglob("*.py"))
-    ]
+    sources = non_test_sources()
     unused = []
     for path in sorted((root / "src" / "dll").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -104,6 +112,23 @@ def test_every_public_name_has_a_caller():
                 if sum(len(word.findall(text)) for text in sources) == 1:
                     unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def test_every_pipeline_option_has_a_setter():
+    # A PipelineOptions field that is neither a `dll fit` flag nor passed as
+    # `field=` by the package, a script or a benchmark is a knob that only
+    # tests turn. The field's own definition is `field: type = default`,
+    # which the keyword search does not match.
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    flags = {action.dest for action in sub.choices["fit"]._actions}
+    sources = non_test_sources()
+    unset = [
+        f.name
+        for f in dataclasses.fields(PipelineOptions)
+        if f.name not in flags
+        and not any(re.search(rf"\b{f.name}=(?!=)", text) for text in sources)
+    ]
+    assert unset == []
 
 
 def test_bench_snapshot_summarizes_runs_per_metric(monkeypatch):

@@ -15,7 +15,6 @@ from dll import spline
 from dll.errors import RankDeficientError
 from dll.transforms import EmpiricalCDF
 from dll.spline import (
-    BasisSpec,
     CoordinateBasis,
     default_penalties,
     fit_doubly_penalized,
@@ -263,7 +262,7 @@ def test_fit_follows_golden_path(key):
     z, y = golden_problem(n, p, seed)
     if ranks:
         z = rank_columns(z)
-    fit = fit_doubly_penalized(z, y, default_penalties(n, p, 2))
+    fit = fit_doubly_penalized(z, y, default_penalties(n, p))
     assert fit.active_set == active
     assert fit.sweeps == sweeps and fit.converged
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
@@ -276,7 +275,7 @@ def test_fit_coordinate_with_few_distinct_values():
     z = rng.uniform(0, 1, (150, 4))
     z[:, 2] = rng.choice([0.2, 0.5, 0.9], 150)
     y = np.sin(2 * np.pi * z[:, 0]) + z[:, 2] + rng.normal(0, 0.2, 150)
-    fit = fit_doubly_penalized(z, y, default_penalties(150, 4, 2))
+    fit = fit_doubly_penalized(z, y, default_penalties(150, 4))
     assert {0, 2} <= set(fit.active_set)
     assert np.all(np.isfinite(fit.predict_sum(z)))
     trace = fit.objective_trace
@@ -293,7 +292,7 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     n = 200
     z = rng.uniform(0, 1, (n, 3))
     z[:, 1] = rng.choice([0.2, 0.5, 0.9], n)
-    design = spline._WhitenedDesign(spline._coordinate_bases(BasisSpec(), z), z, 2)
+    design = spline._WhitenedDesign(spline._coordinate_bases(z, None), z)
     assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
     for j in range(3):
         ones = design.fitted(j, design.const_coefs[j])
@@ -308,8 +307,8 @@ def test_rank_columns_share_one_whitened_basis():
     rng = np.random.default_rng(8)
     n, p = 500, 5
     z = rank_columns(rng.normal(size=(n, p)))
-    bases = spline._coordinate_bases(BasisSpec(), z)
-    design = spline._WhitenedDesign(bases, z, 2)
+    bases = spline._coordinate_bases(z, None)
+    design = spline._WhitenedDesign(bases, z)
     assert sorted(design.ranks) == list(range(p))
     resid = rng.normal(size=n)
     blocks = [design.maps[j].T @ bases[j].design(z[:, j]).T for j in range(p)]
@@ -333,10 +332,10 @@ def test_rank_column_with_a_tie_keeps_its_own_design():
     x = rng.normal(size=(n, 4))
     x[10, 1] = x[20, 1]
     z = rank_columns(x)
-    bases = spline._coordinate_bases(BasisSpec(), z)
-    design = spline._WhitenedDesign(bases, z, 2)
+    bases = spline._coordinate_bases(z, None)
+    design = spline._WhitenedDesign(bases, z)
     assert sorted(design.ranks) == [0, 2, 3]
-    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2], 2)
+    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2])
     assert alone.ranks == {}
     resid = rng.normal(size=n)
     theta = rng.normal(size=len(alone.eig[0]))
@@ -381,7 +380,7 @@ def test_fit_sine_recovery_over_seeds():
         z = rng.uniform(0, 1, (n, p))
         g2 = np.sin(2 * np.pi * z[:, 1])
         y = g2 + rng.normal(0, 0.5, n)
-        fit = fit_doubly_penalized(z, y, default_penalties(n, p, 2))
+        fit = fit_doubly_penalized(z, y, default_penalties(n, p))
         if 1 in fit.active_set:
             ghat = fit.component(1, z[:, 1])
         else:
@@ -399,7 +398,7 @@ def test_fit_objective_monotone_and_centered():
     rng = np.random.default_rng(4)
     z = rng.uniform(0, 1, (200, 6))
     y = np.sin(2 * np.pi * z[:, 0]) + z[:, 2] ** 2 + rng.normal(0, 0.3, 200)
-    fit = fit_doubly_penalized(z, y, default_penalties(200, 6, 2))
+    fit = fit_doubly_penalized(z, y, default_penalties(200, 6))
     trace = fit.objective_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     for j in fit.active_set:
@@ -422,7 +421,7 @@ def test_predict_consistency_in_sample():
     rng = np.random.default_rng(6)
     z = rng.uniform(0, 1, (150, 2))
     y = np.sin(2 * np.pi * z[:, 0]) + rng.normal(0, 0.1, 150)
-    fit = fit_doubly_penalized(z, y, default_penalties(150, 2, 2))
+    fit = fit_doubly_penalized(z, y, default_penalties(150, 2))
     row = z[17]
     direct = fit.predict_sum(row[None, :])[0]
     via_components = fit.intercept + sum(
@@ -435,7 +434,7 @@ def test_predict_nuisance_excludes_component():
     rng = np.random.default_rng(7)
     z = rng.uniform(0, 1, (200, 3))
     y = 2 * z[:, 0] + np.sin(2 * np.pi * z[:, 1]) + rng.normal(0, 0.1, 200)
-    fit = fit_doubly_penalized(z, y, default_penalties(200, 3, 2))
+    fit = fit_doubly_penalized(z, y, default_penalties(200, 3))
     row_full = z[5]
     nuis = fit.predict_sum(row_full[None, 1:], exclude=0)[0]
     full = fit.predict_sum(row_full[None, :])[0]
@@ -465,12 +464,19 @@ def test_noiseless_quadratic_component_approximation():
 
 
 def test_default_penalty_formula():
-    rho, lam = default_penalties(256, 1, 2, rho_const=1.0, lambda_const=1.0)
+    rho, lam = default_penalties(256, 1, rho_const=1.0, lambda_const=1.0)
     assert rho == pytest.approx(256 ** (-2 / 5))
     assert rho == pytest.approx(0.1088, abs=2e-4)
     assert lam == pytest.approx(np.sqrt(np.log(2) / 256))
-    rho2, _ = default_penalties(256 * 2**5, 1, 2, rho_const=1.0, lambda_const=1.0)
+    rho2, _ = default_penalties(256 * 2**5, 1, rho_const=1.0, lambda_const=1.0)
     assert rho2 / rho == pytest.approx(2.0 ** (-2), rel=1e-12)
+
+
+def test_default_penalty_constants_are_keyword_only():
+    # A third positional argument used to be the derivative order; it must
+    # not silently become rho_const.
+    with pytest.raises(TypeError):
+        default_penalties(100, 5, 2)
 
 
 def test_default_penalty_constants_near_cv_choice():
@@ -484,7 +490,7 @@ def test_default_penalty_constants_near_cv_choice():
 
     def fresh_mse(rho_c, lam_c):
         fit = fit_doubly_penalized(
-            z, y, default_penalties(n, p, 2, rho_c, lam_c)
+            z, y, default_penalties(n, p, rho_const=rho_c, lambda_const=lam_c)
         )
         z_new = rng.uniform(0, 1, (2000, p))
         pred = fit.predict_sum(z_new)
@@ -499,7 +505,7 @@ def test_default_penalty_constants_near_cv_choice():
         for k in range(3):
             tr, te = folds != k, folds == k
             fit = fit_doubly_penalized(
-                z[tr], y[tr], default_penalties(tr.sum(), p, 2, r, l)
+                z[tr], y[tr], default_penalties(tr.sum(), p, rho_const=r, lambda_const=l)
             )
             errs.append(np.mean((fit.predict_sum(z[te]) - y[te]) ** 2))
         cv_scores.append(np.mean(errs))
@@ -533,9 +539,8 @@ def test_nuisance_fit_error_examples():
     assert nuisance_fit_error(fit, doubled, truth, fresh) == pytest.approx(spread, rel=1e-12)
 
 
-def unique_knot_reference(spec, n, columns):
+def unique_knot_reference(k, n, columns):
     """Interior knots as distinct in-range quantiles, one ``np.unique`` per column."""
-    k = spec.num_interior_knots
     if k is None:
         k = spline.default_interior_knots(n)
     cuts = np.quantile(columns, np.arange(1, k + 1) / (k + 1), axis=0).T
@@ -559,9 +564,8 @@ def test_coordinate_bases_match_unique_reference(seed, knots):
             columns[:, j] = rng.choice(EDGE_VALUES + list(rng.random(3)), size=n)
         elif kind == 3:  # a constant column
             columns[:, j] = rng.choice(EDGE_VALUES)
-    spec = BasisSpec(num_interior_knots=knots)
-    bases = spline._coordinate_bases(spec, columns)
-    for basis, inner in zip(bases, unique_knot_reference(spec, n, columns)):
+    bases = spline._coordinate_bases(columns, knots)
+    for basis, inner in zip(bases, unique_knot_reference(knots, n, columns)):
         np.testing.assert_array_equal(basis.knots[4:-4], inner)
         assert basis.knots.size == inner.size + 8
 
@@ -575,9 +579,8 @@ def test_coordinate_bases_rows_keep_different_knot_counts():
         np.r_[np.zeros(100), rng.random(100)],  # half the quantiles at 0: dropped
         np.full(200, 1.0),  # a constant at the end: no knot
     ])
-    spec = BasisSpec(num_interior_knots=6)
-    bases = spline._coordinate_bases(spec, columns)
-    reference = unique_knot_reference(spec, 200, columns)
+    bases = spline._coordinate_bases(columns, 6)
+    reference = unique_knot_reference(6, 200, columns)
     counts = [b.knots.size - 8 for b in bases]
     assert counts == [r.size for r in reference]
     assert counts == [6, 3, 1, 3, 0]
