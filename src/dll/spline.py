@@ -237,10 +237,9 @@ def default_penalties(
     """Default smoothness and sparsity penalty levels.
 
     Smoothness penalty scales as n^(-m/(2m+1)) for m = SMOOTHNESS_ORDER;
-    sparsity penalty as
-    sqrt(log(max(p, 2)) / n). The default constants are calibrated so
-    moderately wiggly components keep their curvature while pure-noise
-    coordinates are zeroed.
+    sparsity penalty as sqrt(log(max(p, 2)) / n). The default constants
+    are calibrated so moderately wiggly components keep their curvature
+    while pure-noise coordinates are zeroed.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
@@ -678,7 +677,8 @@ def fit_doubly_penalized(
 
     Minimizes ``mean((y - intercept - sum_j g_j(z_j))^2)
     + sum_j (rho * smoothness_norm(g_j) + lam * empirical_norm(g_j))``
-    for ``penalties = (rho, lam)``
+    for ``penalties = (rho, lam)``, each component in a cubic basis with
+    ``num_interior_knots`` quantile knots (default ceil(n^(1/5)) + 2),
     by block coordinate descent with exact block proximal updates;
     components are re-centered every sweep so their training means stay
     at zero. Negative penalties are rejected; a fully unpenalized fit is

@@ -520,8 +520,8 @@ def test_pipeline_checks_the_window_before_fitting(monkeypatch):
 
 def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
     # Without the smoothness penalty (rho = 0) the additive fit is a group
-    # Lasso. In the whitened coordinates of each block (identity Gram matrix) the fit then
-    # solves mean(r^2) + lam * sum_b ||theta_b||, whose optimality
+    # Lasso. In the whitened coordinates of each block (identity Gram
+    # matrix) it solves mean(r^2) + lam * sum_b ||theta_b||, whose optimality
     # conditions on the scores z_b = B_b' r / n of the final residual are
     # ||z_b|| <= lam / 2 for a zero block and z_b = (lam / 2) theta_b /
     # ||theta_b|| for an active one. Tolerance: the last sweep lowered the
