@@ -3,32 +3,23 @@
 
 Usage: python scripts/bandwidth_sweep.py [n] [seed]
 
-Simulates one low-dimensional dataset, cross-fits it once, sweeps a
-bandwidth grid around the plug-in default, and prints estimate / CI /
-effective sample size per bandwidth.
+Simulates one dataset of the ``lowdim`` reference study's design with n
+rows, cross-fits it once, sweeps a bandwidth grid around the plug-in
+default, and prints estimate / CI / effective sample size per bandwidth.
 """
 
 import sys
 from dataclasses import replace
 
+from dll.cli import REFERENCE_CONFIGS
 from dll.estimator import PipelineOptions, cross_fit, default_bandwidth, evaluate
-from dll.simulate import SimConfig, make_dataset
+from dll.simulate import make_dataset
 
 
 def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
-    cfg = SimConfig(
-        n=n,
-        p=5,
-        gamma_true=(0.5, -0.5, 0.0, 0.0, 0.0),
-        sigma2_true=1.0,
-        f1=("sine", (1.0, 1.0)),
-        nuisance_components=((0, "sine", (1.0, 1.0)), (1, "sine", (0.8, 0.7))),
-        sigma1_true=0.5,
-        x0=0.25,
-        seed=seed,
-    )
+    cfg = replace(REFERENCE_CONFIGS["lowdim"]["config"], n=n, seed=seed)
     ds = make_dataset(cfg)
     h0 = default_bandwidth(ds.x1, cfg.x0, 0.5)
     print(f"true derivative {cfg.target:.4f}; plug-in default h = {h0:.4f}")

@@ -1,8 +1,9 @@
 """Command-line front end: CSV ingestion, fitting, simulation, coverage
 studies and bandwidth diagnostics.
 
-CSV format: UTF-8, comma-separated, dot decimal, header required with
-columns ``y, x1, x2_1 .. x2_p`` (p may be 0). Every data row has p + 2
+CSV format: UTF-8 (a leading byte-order mark, as Excel writes, is
+accepted), comma-separated, dot decimal, header required with columns
+``y, x1, x2_1 .. x2_p`` (p may be 0). Every data row has p + 2
 cells; a cell is a number, optionally in double quotes and with spaces
 or tabs around it, and lines end in LF or CRLF. Blank lines, comments
 (``#`` is a non-numeric cell), digit separators (``1_0``), empty cells
@@ -268,7 +269,7 @@ def _bad_cell(path: str, body: list[str], header: list[str]) -> DataError:
 def load_csv(path: str) -> Dataset:
     """Read a dataset CSV with header ``y, x1, x2_1 .. x2_p``."""
     try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines
+        with open(path, encoding="utf-8-sig") as fh:  # universal newlines
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
@@ -312,22 +313,6 @@ def write_csv_dataset(dataset: Dataset, path: str) -> None:
                    header=",".join(header), comments="")
 
 
-def _fit_to_dict(fit: DLLFit) -> dict[str, Any]:
-    return {
-        "estimate": fit.estimate,
-        "s_n": fit.s_n,
-        "sigma1": fit.sigma1,
-        "variance": fit.variance,
-        "ci_low": fit.ci_low,
-        "ci_high": fit.ci_high,
-        "alpha": fit.alpha,
-        "reject_zero": fit.reject_zero,
-        "n_effective": fit.n_effective,
-        "mode": fit.mode,
-        "diagnostics": fit.diagnostics,
-    }
-
-
 def emit_report(
     result: DLLFit | MCReport,
     path: str | None,
@@ -336,14 +321,12 @@ def emit_report(
 ) -> None:
     """Serialize a fit or Monte Carlo report at full precision.
 
-    CSV output for a Monte Carlo report writes one row per replication to
+    The payload is the result's ``repr=True`` fields, in field order. CSV
+    output for a Monte Carlo report writes one row per replication to
     ``path``, which it needs; the aggregate goes to a
     ``<path>.summary.csv`` footer file.
     """
-    if isinstance(result, DLLFit):
-        payload = _fit_to_dict(result)
-    else:
-        payload = dataclasses.asdict(result)
+    payload = _report_fields(result)
     if fmt == "json":
         _write_json(payload, path)
         return
@@ -351,13 +334,14 @@ def emit_report(
         flat = {k: v for k, v in payload.items() if not isinstance(v, dict)}
         _write_csv_rows(path, list(flat), [flat])
         return
-    if records is None:
-        records = []
     rec_fields = [f.name for f in dataclasses.fields(RepRecord)]
-    _write_csv_rows(
-        path, rec_fields, [dataclasses.asdict(r) for r in records]
-    )
+    _write_csv_rows(path, rec_fields, [_report_fields(r) for r in records or ()])
     _write_csv_rows(path + ".summary.csv", list(payload), [payload])
+
+
+def _report_fields(result) -> dict[str, Any]:
+    """A report dataclass's ``repr=True`` fields by name, in field order."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.repr}
 
 
 def _write_json(payload: dict[str, Any], path: str | None) -> None:

@@ -39,8 +39,19 @@ from .errors import (
     SingularDesignError,
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
-from .linear import ProjectionFit, ols_projection, scaled_lasso, sigma_floor
+from .linear import ProjectionFit, noise_sd_estimate, ols_projection, scaled_lasso
 from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a DataError naming the field."""
+    try:
+        array = np.asarray(value)
+        if np.iscomplexobj(array):
+            raise TypeError("complex values")
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be an array of real numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,9 @@ class Dataset:
     """Observed sample: outcome, variable of interest, nuisance matrix.
 
     ``y`` and ``x1`` are 1-D and ``x2`` is (n, p), a 1-D ``x2`` being one
-    column; any other shape, unequal lengths or a non-finite value raise
-    DataError naming the field.
+    column, all of real numbers; anything else (a value that is not a
+    real number, a ragged or misshapen array, unequal lengths or a
+    non-finite value) raises DataError naming the field.
     """
 
     y: np.ndarray
@@ -57,9 +69,7 @@ class Dataset:
     x2: np.ndarray  # shape (n, p); p may be 0
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        x1 = np.asarray(self.x1, dtype=float)
-        x2 = np.asarray(self.x2, dtype=float)
+        y, x1, x2 = (_real_array(name, getattr(self, name)) for name in ("y", "x1", "x2"))
         if x2.ndim == 1:
             x2 = x2.reshape(len(x2), -1) if x2.size else x2.reshape(y.size, 0)
         for name, value, ndim in (("y", y, 1), ("x1", x1, 1), ("x2", x2, 2)):
@@ -212,17 +222,6 @@ def dll_point(
     s_n = slope_normalizer(weights, x1, spec)
     kh = kernel_weight(x1, spec)
     return float(np.mean(weights.centered * residuals * kh) / s_n)
-
-
-def noise_sd_estimate(y: np.ndarray, fitted: np.ndarray, df: int) -> float:
-    """Degrees-of-freedom corrected residual standard deviation."""
-    y = np.asarray(y, dtype=float)
-    fitted = np.asarray(fitted, dtype=float)
-    n = y.shape[0]
-    if df >= n:
-        raise SampleTooSmallError(f"df={df} must be smaller than n={n}")
-    rss = float(np.sum((y - fitted) ** 2))
-    return max(math.sqrt(rss / (n - df)), sigma_floor(y))
 
 
 def variance_estimate(
@@ -420,7 +419,7 @@ def cross_fit(
             if isinstance(tr, EmpiricalCDF)
         )
 
-    sigma2 = max(float(np.sqrt(np.mean((x1 - rows) ** 2))), sigma_floor(x1))
+    sigma2 = noise_sd_estimate(x1, rows, 0)
     if sigma1 is None:
         df = round((additive[0].active_dimension + additive[1].active_dimension) / 2) + 1
         sigma1 = noise_sd_estimate(y, full, df)

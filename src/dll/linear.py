@@ -9,6 +9,7 @@ estimate) in high dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,18 @@ def sigma_floor(x1) -> float:
     return 1e-8 * sd if sd > 0 else 1e-8
 
 
+def noise_sd_estimate(y: np.ndarray, fitted: np.ndarray, df: int) -> float:
+    """Degrees-of-freedom corrected residual standard deviation,
+    ``sqrt(RSS / (n - df))``, floored at ``sigma_floor(y)``."""
+    y = np.asarray(y, dtype=float)
+    fitted = np.asarray(fitted, dtype=float)
+    n = y.shape[0]
+    if df >= n:
+        raise SampleTooSmallError(f"df={df} must be smaller than n={n}")
+    rss = float(np.sum((y - fitted) ** 2))
+    return max(math.sqrt(rss / (n - df)), sigma_floor(y))
+
+
 @dataclass(frozen=True)
 class ProjectionFit:
     """Linear projection fit: coefficients and residual scale."""
@@ -59,7 +72,8 @@ def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
     """Least squares projection of ``x1`` on the columns of ``x2``.
 
     No intercept: the projection is defined through uncentered second
-    moments. The residual scale is sqrt(RSS / (n - p)), floored.
+    moments. The residual scale is ``noise_sd_estimate`` with p degrees
+    of freedom.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -73,8 +87,7 @@ def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
         raise RankDeficientError("design matrix is rank deficient")
     gamma = np.empty(p)
     gamma[piv] = scipy.linalg.solve_triangular(r, q.T @ x1)
-    rss = float(np.sum((x1 - x2 @ gamma) ** 2))
-    sigma2 = max(np.sqrt(rss / (n - p)), sigma_floor(x1))
+    sigma2 = noise_sd_estimate(x1, x2 @ gamma, p)
     return ProjectionFit(gamma, sigma2, "ols", iterations=0, converged=True)
 
 
@@ -115,14 +128,13 @@ def _cd_lasso(
     beta0: np.ndarray | None,
     stats: tuple[np.ndarray, np.ndarray, np.ndarray],
     max_sweeps: int = MAX_SWEEPS,
-    tol: float = COEF_TOL,
     kkt_tol: float = KKT_TOL,
 ) -> tuple[np.ndarray, int, bool]:
     """Coordinate descent for (1/2n)||y - x b||^2 + lam ||b||_1.
 
-    Active-set strategy: cycle over the current support until stable,
-    then run a full sweep to admit violators; finish when a full sweep
-    moves nothing and the stationarity residual is below ``kkt_tol``.
+    Active-set strategy: cycle over the current support until no
+    coordinate moves more than COEF_TOL, then run a full sweep to admit
+    violators; finish when the stationarity residual is below ``kkt_tol``.
 
     The full sweep screens: at a zero coordinate it scores every zero
     coordinate up to the next nonzero one with one matrix-vector product
@@ -185,7 +197,7 @@ def _cd_lasso(
         sweeps += 1
         delta = full_sweep()
         active = np.flatnonzero(beta)
-        while delta > tol and sweeps < max_sweeps:
+        while delta > COEF_TOL and sweeps < max_sweeps:
             sweeps += 1
             delta = sweep(active)
         if kkt_check(x, y, lam, beta) <= kkt_tol:

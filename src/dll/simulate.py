@@ -258,7 +258,6 @@ def run_replication(
             *cf.additive,
             lambda rows: nuisance_truth(cfg, rows),
             fresh,
-            exclude=0,
         )
         law = (cfg.gamma_true, cfg.sigma2_true)
         try:

@@ -25,15 +25,13 @@ matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
 quadrature) and the generalized eigendecompositions run for many
 coordinates per call.
 
-Columns that are exactly a permutation of the grid k / (n + 1), k = 1..n
-(what the empirical-CDF transform makes of a column without ties; a
+Rank columns, those that ``transforms.grid_ranks`` finds to be exactly a
+permutation of the empirical CDF's grid ``transforms.rank_grid(n)`` (a
 column with ties, or one under a known CDF, is not one), share all of
-that set-up: the same sorted values give
-the same knots, smoothness form and, up to summation order, Gram matrix,
-so one whitened basis on the sorted grid serves them all, and each such
-column keeps only its ranks and their inverse permutation. The grid test
-is exact (``rint(z * (n + 1))`` must reproduce z and take each rank
-once); any other column keeps a design of its own.
+that set-up: the same sorted values give the same knots, smoothness form
+and, up to summation order, Gram matrix, so one whitened basis on the
+sorted grid serves them all, and each such column keeps only its ranks
+and their inverse permutation; any other column keeps a design of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficientError
+from .transforms import grid_ranks, rank_grid
 
 DEGREE = 3
 SMOOTHNESS_ORDER = 2
@@ -71,18 +70,17 @@ STORE_CHUNK_BYTES = 1 << 20
 class CoordinateBasis:
     """Concrete clamped B-spline basis on [0,1]."""
 
-    knots: np.ndarray  # full knot vector with boundary multiplicity degree+1
-    degree: int
+    knots: np.ndarray  # full knot vector with boundary multiplicity DEGREE + 1
 
     @property
     def size(self) -> int:
-        return len(self.knots) - self.degree - 1
+        return len(self.knots) - DEGREE - 1
 
     def design(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if not np.all((z >= 0) & (z <= 1)):
             raise ValueError("basis inputs must lie in [0, 1]")
-        return _design_batch(z[None, :], self.knots[None, :], self.degree)[0]
+        return _design_batch(z[None, :], self.knots[None, :], DEGREE)[0]
 
 
 def _design_batch(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
@@ -160,12 +158,11 @@ def _coordinate_bases(columns: np.ndarray, k: int | None) -> list[CoordinateBasi
     keep = (cuts > 1e-9) & (cuts < 1 - 1e-9)
     keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
     # Every row's full knot vector, cut out of one flat array.
-    d = DEGREE
-    ends = ((0, 0), (d + 1, d + 1))
+    ends = ((0, 0), (DEGREE + 1, DEGREE + 1))
     padded = np.pad(cuts, ends, constant_values=((0, 0), (0, 1)))
     keep = np.pad(keep, ends, constant_values=True)
     rows = np.split(padded[keep], np.cumsum(keep.sum(axis=1))[:-1])
-    return [CoordinateBasis(knots=row, degree=d) for row in rows]
+    return [CoordinateBasis(row) for row in rows]
 
 
 @functools.cache
@@ -177,21 +174,21 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _sobolev_batch(knots: np.ndarray, degree: int, m: int) -> np.ndarray:
+def _sobolev_batch(knots: np.ndarray, m: int) -> np.ndarray:
     """Smoothness penalty matrices of a batch of clamped bases.
 
     ``knots`` has shape (c, L). The m-th derivative of a spline is a
-    spline of degree ``degree - m`` on the inner knots, whose coefficients
+    spline of degree ``DEGREE - m`` on the inner knots, whose coefficients
     are a banded map of the original ones; its square is integrated by
     Gauss-Legendre quadrature on every knot interval at once (an interval
     of zero length gets zero weight).
     """
-    if m > degree:
-        raise ValueError(f"derivative order {m} exceeds degree {degree}")
-    c, q = knots.shape[0], knots.shape[1] - degree - 1
+    if m > DEGREE:
+        raise ValueError(f"derivative order {m} exceeds degree {DEGREE}")
+    c, q = knots.shape[0], knots.shape[1] - DEGREE - 1
     op = np.broadcast_to(np.eye(q), (c, q, q))
     size = q
-    t, deg = knots, degree
+    t, deg = knots, DEGREE
     for _ in range(m):
         denom = t[:, deg + 1 : size + deg] - t[:, 1:size]
         scale = np.divide(deg, denom, out=np.zeros_like(denom), where=denom > 0)
@@ -201,10 +198,10 @@ def _sobolev_batch(knots: np.ndarray, degree: int, m: int) -> np.ndarray:
         step[:, band, band + 1] = scale
         op = step @ op
         t, deg, size = t[:, 1:-1], deg - 1, size - 1
-    # The integrand has degree 2 * (degree - m); degree + 1 nodes per
+    # The integrand has degree 2 * (DEGREE - m); DEGREE + 1 nodes per
     # interval are more than exact.
-    nodes, weights = _gauss_legendre(degree + 1)
-    lo, hi = knots[:, degree:q], knots[:, degree + 1 : q + 1]
+    nodes, weights = _gauss_legendre(DEGREE + 1)
+    lo, hi = knots[:, DEGREE:q], knots[:, DEGREE + 1 : q + 1]
     half = ((hi - lo) / 2)[:, :, None]
     pts = ((hi + lo) / 2)[:, :, None] + half * nodes
     wts = (half * weights).reshape(c, -1)
@@ -220,7 +217,7 @@ def sobolev_penalty_matrix(basis: CoordinateBasis, m: int = SMOOTHNESS_ORDER) ->
     Gauss-Legendre quadrature per knot interval, which is exact for the
     piecewise-polynomial integrand.
     """
-    return _sobolev_batch(basis.knots[None, :], basis.degree, m)[0]
+    return _sobolev_batch(basis.knots[None, :], m)[0]
 
 
 DEFAULT_RHO_CONST = 0.05
@@ -482,12 +479,12 @@ def nuisance_fit_error(
     fit_b: AdditiveFit,
     truth: Callable[[np.ndarray], np.ndarray],
     fresh_x2: np.ndarray,
-    exclude: int = 0,
 ) -> float:
     """Worst-fold RMSE of the nuisance fit against the truth on fresh draws.
 
-    Only the component sums are compared, both sides net of their level,
-    which separates shape error from the arbitrary constant split between
+    ``fresh_x2`` holds nuisance rows, without the fits' coordinate 0. Only
+    the component sums are compared, both sides net of their level, which
+    separates shape error from the arbitrary constant split between
     components and intercept.
     """
     fresh_x2 = np.atleast_2d(np.asarray(fresh_x2, dtype=float))
@@ -495,35 +492,20 @@ def nuisance_fit_error(
     target = target - float(np.mean(target))
     errs = []
     for fit in (fit_a, fit_b):
-        pred = fit.predict_sum(fresh_x2, exclude=exclude) - fit.intercept
+        pred = fit.predict_sum(fresh_x2, exclude=0) - fit.intercept
         pred = pred - float(np.mean(pred))
         errs.append(float(np.sqrt(np.mean((pred - target) ** 2))))
     return max(errs)
 
 
-def _grid_ranks(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``z_matrix`` that are exactly a permutation of the
-    grid ``k / (n + 1)``, k = 1..n, and their ranks minus one, one row per
-    such column."""
-    n = z_matrix.shape[0]
-    rank = np.rint(z_matrix * (n + 1))
-    cols = np.flatnonzero((rank / (n + 1) == z_matrix).all(axis=0))
-    rank = rank[:, cols].T.astype(np.intp)
-    # Ranks run from 0 to n + 1 here; each of 1..n must appear once.
-    counts = np.bincount((rank + (n + 2) * np.arange(cols.size)[:, None]).ravel(),
-                         minlength=cols.size * (n + 2))
-    once = (counts.reshape(cols.size, n + 2)[:, 1:-1] == 1).all(axis=1)
-    return cols[once], rank[once] - 1
-
-
-def _whiten(columns: np.ndarray, knots: np.ndarray, degree: int, first: int) -> tuple:
+def _whiten(columns: np.ndarray, knots: np.ndarray, first: int) -> tuple:
     """Penalty eigenvalues, eigenvector maps, transposed whitened designs,
     their column means and the coefficients of the constant 1, for a batch
     of coordinates with values ``columns`` (c, n) and knots (c, L)."""
     n = columns.shape[1]
-    raw = _design_batch(columns, knots, degree).transpose(0, 2, 1)
+    raw = _design_batch(columns, knots, DEGREE).transpose(0, 2, 1)
     gram = raw @ raw.transpose(0, 2, 1) / n
-    d, vecs = _penalty_eigh(_sobolev_batch(knots, degree, SMOOTHNESS_ORDER), gram, first)
+    d, vecs = _penalty_eigh(_sobolev_batch(knots, SMOOTHNESS_ORDER), gram, first)
     chunk = vecs.transpose(0, 2, 1) @ raw
     ones = np.ones((len(columns), vecs.shape[1], 1))
     return d, vecs, chunk, chunk.mean(axis=2), np.linalg.solve(vecs, ones)[:, :, 0]
@@ -537,17 +519,15 @@ class _WhitenedDesign:
     matrix: the new design has identity Gram matrix and penalty
     ``diag(d_j)``.
 
-    Rank columns share one design. A rank column is one whose values are
-    exactly a permutation of the grid ``k / (n + 1)``, k = 1..n, as the
-    empirical-CDF transform makes of a column without ties; the test is
-    exact (``rint(z * (n + 1))`` reproduces z and takes each value 1..n
-    once). All rank columns have the same sorted values, hence the same
-    quantile knots and smoothness form, and the same Gram matrix up to
-    summation order. Their whitened design is therefore built once, on
-    the sorted grid, as ``W`` (q x n); rank column j keeps its ranks
-    (``B_j V = W[:, rank_j]``) and their inverse permutation ``order_j``,
-    so the scores of a run of rank columns are one gather and one product,
-    ``resid[order[j:k]] @ W.T / n``.
+    Rank columns share one design. A rank column is one that
+    ``transforms.grid_ranks`` finds to be a permutation of the grid
+    ``transforms.rank_grid(n)``. All rank columns have the same sorted
+    values, hence the same quantile knots and smoothness form, and the
+    same Gram matrix up to summation order. Their whitened design is
+    therefore built once, on the sorted grid, as ``W`` (q x n); rank
+    column j keeps its ranks (``B_j V = W[:, rank_j]``) and their inverse
+    permutation ``order_j``, so the scores of a run of rank columns are
+    one gather and one product, ``resid[order[j:k]] @ W.T / n``.
 
     The transposed designs of the other coordinates are stored; those of
     consecutive coordinates share chunks of at most STORE_CHUNK_BYTES, so
@@ -560,14 +540,13 @@ class _WhitenedDesign:
     def __init__(self, bases: list[CoordinateBasis], z_matrix: np.ndarray):
         n, p = z_matrix.shape
         self.n = n
-        cols, ranks = _grid_ranks(z_matrix)
+        cols, ranks = grid_ranks(z_matrix)
         self.ranks = dict(zip(cols.tolist(), ranks))
         orders = np.empty_like(ranks)
         np.put_along_axis(orders, ranks, np.arange(n)[None, :], axis=1)
         if cols.size:
-            grid = np.arange(1, n + 1)[None, :] / (n + 1)
-            b = bases[cols[0]]
-            shared = [part[0] for part in _whiten(grid, b.knots[None, :], b.degree, cols[0])]
+            knots = bases[cols[0]].knots[None, :]
+            shared = [part[0] for part in _whiten(rank_grid(n)[None, :], knots, cols[0])]
             self.grid_basis = shared[2]
         # (store, index in it): a chunk of transposed designs, or the orders
         # of a run of rank columns.
@@ -583,15 +562,13 @@ class _WhitenedDesign:
                 store = orders[at : at + stop - j]
                 d, vecs, _, mean, const = ([part] * (stop - j) for part in shared)
             else:
-                key = (bases[j].degree, len(bases[j].knots))
+                n_knots = len(bases[j].knots)
                 limit = j + max(1, STORE_CHUNK_BYTES // (8 * n * bases[j].size))
                 while (stop < min(p, limit) and stop not in self.ranks
-                       and (bases[stop].degree, len(bases[stop].knots)) == key):
+                       and len(bases[stop].knots) == n_knots):
                     stop += 1
                 knots = np.stack([bases[i].knots for i in range(j, stop)])
-                d, vecs, store, mean, const = _whiten(
-                    z_matrix[:, j:stop].T, knots, key[0], j
-                )
+                d, vecs, store, mean, const = _whiten(z_matrix[:, j:stop].T, knots, j)
             self.slots.extend((store, i) for i in range(stop - j))
             eig.extend(d)
             maps.extend(vecs)

@@ -1,9 +1,11 @@
 """Monotone maps from covariates to [0,1] for the spline additive fit.
 
-Two variants: the rank-based empirical CDF, whose training values are
-rank/(n+1) with ties at the top rank of their group (strictly inside
-(0,1), where spline bases do not degenerate), and a user-supplied exact
-CDF (such as a ``GaussianCDF``).
+Two variants: the rank-based empirical CDF, whose training values lie
+on the grid ``rank_grid(n)`` = k/(n+1), k = 1..n, with ties at the top
+rank of their group (strictly inside (0,1), where spline bases do not
+degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
+``grid_ranks`` recognises the columns that are a permutation of that
+grid, which is what the empirical CDF makes of a column without ties.
 """
 
 from __future__ import annotations
@@ -13,6 +15,29 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
+
+
+def rank_grid(n: int) -> np.ndarray:
+    """The empirical CDF's levels ``k / (n + 1)``, k = 1..n."""
+    return np.arange(1, n + 1) / (n + 1)
+
+
+def grid_ranks(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``z_matrix`` that are exactly a permutation of
+    ``rank_grid(n)``, and their ranks minus one, one row per such column.
+
+    The test is exact: ``rint(z * (n + 1))`` must reproduce z and take
+    each value 1..n once.
+    """
+    n = z_matrix.shape[0]
+    rank = np.rint(z_matrix * (n + 1))
+    cols = np.flatnonzero((rank / (n + 1) == z_matrix).all(axis=0))
+    rank = rank[:, cols].T.astype(np.intp)
+    # Ranks run from 0 to n + 1 here; each of 1..n must appear once.
+    counts = np.bincount((rank + (n + 2) * np.arange(cols.size)[:, None]).ravel(),
+                         minlength=cols.size * (n + 2))
+    once = (counts.reshape(cols.size, n + 2)[:, 1:-1] == 1).all(axis=1)
+    return cols[once], rank[once] - 1
 
 
 @dataclass(frozen=True)
@@ -37,14 +62,13 @@ class EmpiricalCDF:
         order = np.argsort(column)
         s = column[order]
         values = np.empty(column.size)
-        values[order] = np.searchsorted(s, s, "right") / (column.size + 1)
+        values[order] = rank_grid(column.size)[np.searchsorted(s, s, "right") - 1]
         return cls(s, values)
 
     def __call__(self, x):
-        n = self.order_stats.size
-        grid = np.arange(1, n + 1) / (n + 1)
+        grid = rank_grid(self.order_stats.size)
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.order_stats, grid, left=1 / (n + 1), right=n / (n + 1))
+        out = np.interp(x, self.order_stats, grid, left=grid[0], right=grid[-1])
         return float(out) if out.ndim == 0 else out
 
     def clamp_count(self, x) -> int:

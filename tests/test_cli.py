@@ -336,6 +336,27 @@ def test_load_csv_accepts_crlf_quotes_and_spaces(tmp_path):
     np.testing.assert_array_equal(ds.x2, [[3.0], [6.0]])
 
 
+def test_fit_accepts_a_byte_order_mark(tmp_path, capsys):
+    # Excel writes UTF-8 CSV files with a leading byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    cfg = SimConfig(
+        n=150, p=1, gamma_true=(0.4,), sigma2_true=1.0,
+        nuisance_components=((0, "sine", (0.5, 1.0)),), sigma1_true=0.3, seed=4,
+    )
+    write_csv_dataset(make_dataset(cfg), str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = load_csv(str(marked)), load_csv(str(plain))
+    for name in ("y", "x1", "x2"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    reports = []
+    for data in (plain, marked):
+        out = tmp_path / f"{data.stem}.json"
+        assert main(["fit", "--input", str(data), "--x0", "0.0", "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
 def test_write_csv_dataset_golden(tmp_path):
     ds = Dataset(
         y=np.array([0.1, -2.5e-7]),

@@ -26,13 +26,12 @@ from dll.estimator import (
     dll_point,
     evaluate,
     kde_density,
-    noise_sd_estimate,
     slope_normalizer,
     variance_estimate,
 )
 from dll.estimator import test_zero as zero_slope_test
 from dll.kernel import KernelSpec, kernel_weight
-from dll.linear import sigma_floor
+from dll.linear import noise_sd_estimate, sigma_floor
 from dll.simulate import SimConfig, make_dataset
 from dll.transforms import EmpiricalCDF
 
@@ -229,6 +228,42 @@ def test_dataset_rejects_misshapen_input(field, shape, match):
     arrays[field] = np.zeros(shape)
     with pytest.raises(DataError, match=match):
         Dataset(**arrays)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("y", ["a"] * 50),
+        ("y", [[1, 2], [3]]),
+        ("x1", {"a": 1}),
+        ("y", np.zeros(50) + 1j),
+    ],
+    ids=["string", "ragged", "dict", "complex"],
+)
+def test_dataset_rejects_non_real_input(field, value):
+    arrays = {"y": np.zeros(50), "x1": np.zeros(50), "x2": np.zeros((50, 2))}
+    arrays[field] = value
+    with pytest.raises(DataError, match=f"{field} must be an array of real numbers"):
+        Dataset(**arrays)
+
+
+def test_cross_fit_residuals():
+    # With p = 0 the residuals are the outcome, as a copy.
+    rng = np.random.default_rng(21)
+    x1 = rng.uniform(-1, 1, 200)
+    uni = Dataset(y=np.sin(x1) + rng.normal(0, 0.3, 200), x1=x1, x2=np.empty((200, 0)))
+    cf = cross_fit(uni)
+    np.testing.assert_array_equal(cf.residuals, uni.y)
+    assert not np.shares_memory(cf.residuals, uni.y)
+    # With p > 0 each residual is y minus the opposite fold's nuisance
+    # prediction, shifted to the mean of both folds' full-sample levels.
+    ds = make_dataset(PROPERTY_CONFIG, 3)
+    cf = cross_fit(ds, PipelineOptions(seed=3))
+    nuisance = [fit.predict_sum(ds.x2, exclude=0) for fit in cf.additive]
+    level = (nuisance[0].mean() + nuisance[1].mean()) / 2
+    for idx, other in ((cf.plan.fold_a, 1), (cf.plan.fold_b, 0)):
+        expected = ds.y[idx] - (nuisance[other][idx] - nuisance[other].mean() + level)
+        np.testing.assert_allclose(cf.residuals[idx], expected, rtol=0, atol=1e-12)
 
 
 def test_pipeline_non_finite_result_raises():

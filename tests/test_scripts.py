@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dll
 from dll.cli import _build_parser, write_csv_dataset
 from dll.estimator import PipelineOptions
@@ -86,6 +88,22 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     originals = {id(raw) for _, _, raw, _ in tracing.Tracer()._patches}
     for _, owner, attr in tracing.TARGETS:
         assert id(owner.__dict__[attr]) in originals, attr
+
+
+@pytest.mark.parametrize("name", ["highdim", "lowdim-density", "cli-fit", "univariate"])
+def test_benchmark_workload_op_passes_its_check(monkeypatch, tmp_path, name):
+    # One op of each benchmark workload, made and checked as the benchmark
+    # does, so a change to a call it makes into the package (positional
+    # known CDFs, true_projection=, the general_density options, the
+    # `dll fit` argv) fails here rather than only in a benchmark run.
+    monkeypatch.syspath_prepend(str(SCRIPT.parents[1] / "benchmarks"))
+    import check
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    inp = workload.make_input(0, str(tmp_path))
+    outcome = workload.call(inp)
+    check.check_fit(*workload.values(inp, outcome), inp.truth)
 
 
 def non_test_sources():

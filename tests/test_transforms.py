@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest, rankdata
 
-from dll.transforms import EmpiricalCDF, KnownCDF
+from dll.transforms import EmpiricalCDF, KnownCDF, grid_ranks
 
 
 def test_rank_transform_small_cases():
@@ -23,6 +23,21 @@ def test_rank_transform_equals_ranks_without_ties():
         column = rng.normal(size=n)
         expected = rankdata(column, method="average") / (n + 1)
         np.testing.assert_array_equal(EmpiricalCDF.fit(column).train_values, expected)
+
+
+def test_grid_ranks_finds_the_tie_free_rank_columns():
+    # A tie-free column's transform is a permutation of the grid and is
+    # found with its ranks; a tie, or a value off the grid, leaves it out.
+    rng = np.random.default_rng(18)
+    n = 300
+    x = rng.normal(size=(n, 4))
+    x[5, 1] = x[9, 1]
+    z = np.column_stack([EmpiricalCDF.fit(col).train_values for col in x.T])
+    z[0, 3] = np.nextafter(z[0, 3], 1.0)
+    cols, ranks = grid_ranks(z)
+    assert cols.tolist() == [0, 2]
+    for col, rank in zip(cols, ranks):
+        np.testing.assert_array_equal(rank, rankdata(x[:, col]) - 1)
 
 
 def test_import_does_not_load_scipy_stats():
