@@ -8,10 +8,12 @@ cells; a cell is a number, optionally in double quotes and with spaces
 or tabs around it, and lines end in LF or CRLF. Blank lines, comments
 (``#`` is a non-numeric cell), digit separators (``1_0``), empty cells
 and NaN or infinite values are data errors naming the line number and
-column. Datasets are written with CRLF line ends and 17 significant
-digits, so a round trip is exact. Reports are JSON (full precision) or
-CSV; Monte Carlo CSV output writes one row per replication to the
-``--output`` file plus an aggregate footer file beside it, so
+column. The file is parsed as it is read, so loading holds only the
+parsed array (8 bytes per cell); a file that fails is read again to name
+its first error. Datasets are written with CRLF line ends and 17
+significant digits, so a round trip is exact. Reports are JSON (full
+precision) or CSV; Monte Carlo CSV output writes one row per replication
+to the ``--output`` file plus an aggregate footer file beside it, so
 ``coverage --format csv`` requires ``--output``.
 
 Flags of each subcommand (exact names; prefixes are not accepted):
@@ -27,7 +29,8 @@ Each also takes ``--config FILE``, a JSON object whose keys are that
 subcommand's flag names (``bandwidth_const`` or ``bandwidth-const``); a
 ``null`` value leaves the flag unset. Its entries are parsed as flags
 placed before the command line's own, so explicit flags win and a bad
-key or value is the same usage error as the flag. Every check runs
+key or value is the same usage error as the flag. Every check, among
+them that ``--output`` is not a directory and its folder exists, runs
 before any input is read.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
@@ -38,10 +41,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import os
 import sys
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -210,6 +215,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """
     ns = _build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
     try:
+        if ns.output is not None:
+            if os.path.isdir(ns.output):
+                raise ValueError(f"--output {ns.output} is a directory")
+            if not os.path.isdir(os.path.dirname(ns.output) or "."):
+                raise ValueError(f"--output {ns.output}: no such directory")
         if ns.subcommand in ("fit", "bandwidth"):
             ns.options = PipelineOptions(**{
                 k: v for k, v in vars(ns).items() if k in _OPTION_FIELDS and v is not None
@@ -241,7 +251,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
-def _parse_rows(lines: list[str]) -> np.ndarray:
+def _parse_rows(lines: Iterable[str]) -> np.ndarray:
     return np.loadtxt(
         lines, delimiter=",", comments=None, quotechar='"', dtype=float, ndmin=2
     )
@@ -254,8 +264,40 @@ def _parses(line: str, width: int) -> bool:
         return False
 
 
-def _bad_cell(path: str, body: list[str], header: list[str]) -> DataError:
-    """Name the first cell the bulk parse rejected (failure path only)."""
+def _header(line: str) -> tuple[list[str], bool]:
+    """The header's cells, stripped, and whether they are ``y, x1, x2_1 .. x2_p``."""
+    cells = [c.strip() for c in next(csv.reader([line.removesuffix("\n")]), [])]
+    return cells, cells == ["y", "x1"] + [f"x2_{j}" for j in range(1, len(cells) - 1)]
+
+
+def _diagnose(path: str) -> DataError:
+    """Name why ``load_csv``'s streamed parse rejected a file (failure path only).
+
+    The checks run in a fixed order, and the first that fails is named:
+    the file decodes, has a header, a valid header, data rows, p + 1
+    commas on every row, and a number in every cell. The whole file is
+    decoded first, so an undecodable byte anywhere comes first and is
+    named by its offset in the file.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # universal newlines
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        return DataError(f"cannot read {path}: {exc}")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return DataError(f"{path}: empty file")
+    header, valid = _header(lines[0])
+    if not valid:
+        return DataError(f"{path}: header must be 'y,x1,x2_1..x2_p', got {','.join(header)}")
+    body = lines[1:]
+    if not body:
+        return DataError(f"{path}: empty dataset (header only)")
+    for i, line in enumerate(body, start=2):
+        if line.count(",") != len(header) - 1:
+            cells = line.count(",") + 1 if line else 0
+            return DataError(f"{path}: row {i} has {cells} cells, expected {len(header)}")
     for i, line in enumerate(body, start=2):
         if _parses(line, len(header)):
             continue
@@ -267,36 +309,32 @@ def _bad_cell(path: str, body: list[str], header: list[str]) -> DataError:
 
 
 def load_csv(path: str) -> Dataset:
-    """Read a dataset CSV with header ``y, x1, x2_1 .. x2_p``."""
+    """Read a dataset CSV with header ``y, x1, x2_1 .. x2_p``.
+
+    One pass over the open file: ``np.loadtxt`` parses the data lines as
+    they are read, and its array is accepted when it has one row of
+    p + 2 cells per line (it skips blank lines and joins the lines of a
+    quoted newline, which this check catches). Any other outcome is
+    named by ``_diagnose``, which reads the file again.
+    """
+    data, n_lines = None, 0
+
+    def counted(lines: Iterable[str]) -> Iterator[str]:
+        nonlocal n_lines
+        for n_lines, line in enumerate(lines, start=1):
+            yield line
+
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in next(csv.reader(lines[:1]), [])]
-    p = len(header) - 2
-    expected = ["y", "x1"] + [f"x2_{j}" for j in range(1, p + 1)]
-    if p < 0 or header != expected:
-        raise DataError(
-            f"{path}: header must be 'y,x1,x2_1..x2_p', got {','.join(header)}"
-        )
-    body = lines[1:]
-    if not body:
-        raise DataError(f"{path}: empty dataset (header only)")
-    for i, line in enumerate(body, start=2):
-        if line.count(",") != p + 1:
-            cells = line.count(",") + 1 if line else 0
-            raise DataError(f"{path}: row {i} has {cells} cells, expected {p + 2}")
-    try:
-        data = _parse_rows(body)
-    except ValueError:
+            header, valid = _header(fh.readline())
+            first = fh.readline()
+            # A blank first row would leave loadtxt no data, and it warns.
+            if valid and first.strip("\n"):
+                data = _parse_rows(counted(itertools.chain([first], fh)))
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         data = None
-    if data is None or data.shape != (len(body), p + 2):
-        raise _bad_cell(path, body, header)
+    if data is None or data.shape != (n_lines, len(header)):
+        raise _diagnose(path)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]

@@ -537,10 +537,15 @@ class _WhitenedDesign:
     arrays then stay on the heap.
     """
 
-    def __init__(self, bases: list[CoordinateBasis], z_matrix: np.ndarray):
+    def __init__(
+        self,
+        bases: list[CoordinateBasis],
+        z_matrix: np.ndarray,
+        grid: tuple[np.ndarray, np.ndarray],
+    ):
         n, p = z_matrix.shape
         self.n = n
-        cols, ranks = grid_ranks(z_matrix)
+        cols, ranks = grid  # transforms.grid_ranks(z_matrix)
         self.ranks = dict(zip(cols.tolist(), ranks))
         orders = np.empty_like(ranks)
         np.put_along_axis(orders, ranks, np.arange(n)[None, :], axis=1)
@@ -688,8 +693,18 @@ def fit_doubly_penalized(
     if num_interior_knots is not None and num_interior_knots < 0:
         raise ValueError("num_interior_knots must be >= 0")
 
-    bases = _coordinate_bases(z_matrix, num_interior_knots)
-    design = _WhitenedDesign(bases, z_matrix)
+    # Rank columns sort to rank_grid(n) exactly, so they share its basis;
+    # only the other columns are sorted for their knots.
+    grid = grid_ranks(z_matrix)
+    on_grid = np.zeros(p, dtype=bool)
+    on_grid[grid[0]] = True
+    shared, others = None, z_matrix
+    if grid[0].size:
+        shared = _coordinate_bases(rank_grid(n)[:, None], num_interior_knots)[0]
+        others = z_matrix[:, ~on_grid]
+    own = iter(_coordinate_bases(others, num_interior_knots))
+    bases = [shared if j else next(own) for j in on_grid]
+    design = _WhitenedDesign(bases, z_matrix, grid)
     starts = design.starts
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)

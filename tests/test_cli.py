@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ def test_coverage_csv_needs_an_output_path(tmp_path, monkeypatch, capsys, no_stu
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["fit", "simulate", "coverage", "bandwidth"])
+def test_bad_output_path_is_usage_error_before_any_work(tmp_path, capsys, no_study, command):
+    # A missing folder failed with a traceback after the whole run; an
+    # existing folder as the report path, with IsADirectoryError.
+    missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
+    argv = {
+        "fit": ["fit", "--input", missing, "--x0", "0"],
+        "simulate": ["simulate", "--n", "5"],
+        "coverage": ["coverage", "--name", "lowdim", "--b", "1"],
+        "bandwidth": ["bandwidth", "--input", missing, "--x0", "0"],
+    }[command]
+    for output in (tmp_path / "no" / "such" / "out.json", tmp_path):
+        assert main(argv + ["--output", str(output)]) == 2
+        assert "--output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coverage_b_overrides_the_study(monkeypatch, capsys):
     calls = []
 
@@ -305,12 +323,17 @@ def test_load_csv_errors(tmp_path):
         ("y,x1,x2_1\n1,2,3\n4,5,nan\n", "row 3 column x2_1: non-finite value"),
         ("y,x1,x2_1\n1,2,3\n4,5,6\n-inf,5,6\n", "row 4 column y: non-finite value"),
         ("y,x1\n1,1e400\n", "row 2 column x1: non-finite value"),
+        ("y,x1\n1,2\n  \n3,4\n", "row 3 has 1 cells, expected 2"),  # whitespace only
+        ("y,x1\n1,2\n3,abc", "row 3 column x1: non-numeric 'abc'"),  # no final newline
+        ('y,x1\n1,2\n"3\n",4\n', "row 3 has 1 cells, expected 2"),  # quoted newline
+        ("y,x1\n\n", "row 2 has 0 cells, expected 2"),
         ("y,x1\n", "empty dataset"),
         ("y,x1", "empty dataset"),
         ("", "empty file"),
         ("y,x2\n1,2\n", "header"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
 def test_load_csv_reports_row_and_column(tmp_path, text, message):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
@@ -325,6 +348,37 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
     path.write_bytes(b"y,x1\n1,\xff\n")
     with pytest.raises(DataError, match="cannot read"):
         load_csv(str(path))
+
+
+def test_load_csv_reports_undecodable_bytes_first(tmp_path):
+    # A bad byte in the last row beats an earlier wrong cell count, and is
+    # named by its offset in the whole file.
+    path = tmp_path / "d.csv"
+    data = b"y,x1\n" + b"1,2\n" * 5000 + b"3\n" + b"1,2\n" * 3000 + b"4,\xff\n"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        load_csv(str(path))
+    assert str(info.value) == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position"
+        f" {len(data) - 2}: invalid start byte"
+    )
+
+
+def test_load_csv_holds_only_the_parsed_array(tmp_path):
+    # The file's text and lines are never held at once (the text of this
+    # file alone is about 2.5x the array).
+    rng = np.random.default_rng(0)
+    n, p = 20_000, 10
+    path = tmp_path / "d.csv"
+    write_csv_dataset(Dataset(y=rng.normal(size=n), x1=rng.normal(size=n),
+                              x2=rng.normal(size=(n, p))), str(path))
+    tracemalloc.start()
+    try:
+        load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * (p + 2) * 8
 
 
 def test_load_csv_accepts_crlf_quotes_and_spaces(tmp_path):

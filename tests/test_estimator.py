@@ -33,7 +33,7 @@ from dll.estimator import test_zero as zero_slope_test
 from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import noise_sd_estimate, sigma_floor
 from dll.simulate import SimConfig, make_dataset
-from dll.transforms import EmpiricalCDF
+from dll.transforms import EmpiricalCDF, grid_ranks
 
 Z_975 = 1.959963984540054  # inverse-normal oracle, alpha = 0.05
 Z_84 = 0.9944578832097532  # inverse-normal oracle, alpha = 0.32
@@ -574,7 +574,7 @@ def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
     fit = spline.fit_doubly_penalized(z, y, (0.0, lam))
     assert fit.converged and fit.penalties[0] == 0.0
     assert 0 < len(fit.active_set) < p
-    design = spline._WhitenedDesign(list(fit.bases), z)
+    design = spline._WhitenedDesign(list(fit.bases), z, grid_ranks(z))
     resid = y - fit.intercept - sum(fit.component(j, z[:, j]) for j in fit.active_set)
     half = fit.penalties[1] / 2
     tol = math.sqrt(p * spline.FIT_TOL * fit.objective_trace[-2])

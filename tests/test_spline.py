@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from dll import spline
 
 from dll.errors import RankDeficientError
-from dll.transforms import EmpiricalCDF
+from dll.transforms import EmpiricalCDF, grid_ranks
 from dll.spline import (
     CoordinateBasis,
     default_penalties,
@@ -291,7 +291,8 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     n = 200
     z = rng.uniform(0, 1, (n, 3))
     z[:, 1] = rng.choice([0.2, 0.5, 0.9], n)
-    design = spline._WhitenedDesign(spline._coordinate_bases(z, None), z)
+    bases = spline._coordinate_bases(z, None)
+    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
     assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
     for j in range(3):
         ones = design.fitted(j, design.const_coefs[j])
@@ -307,7 +308,7 @@ def test_rank_columns_share_one_whitened_basis():
     n, p = 500, 5
     z = rank_columns(rng.normal(size=(n, p)))
     bases = spline._coordinate_bases(z, None)
-    design = spline._WhitenedDesign(bases, z)
+    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
     assert sorted(design.ranks) == list(range(p))
     resid = rng.normal(size=n)
     blocks = [design.maps[j].T @ bases[j].design(z[:, j]).T for j in range(p)]
@@ -323,6 +324,21 @@ def test_rank_columns_share_one_whitened_basis():
         np.testing.assert_allclose(design.scores(j, k, resid), expected, rtol=0, atol=1e-12)
 
 
+def test_rank_columns_take_the_grid_basis():
+    # A permutation of rank_grid(n) sorts back to that grid exactly, so the
+    # fit builds one basis from the grid for all rank columns; its knots are
+    # those each column's own quantiles give. A tied column keeps its own.
+    rng = np.random.default_rng(10)
+    n = 300
+    x = rng.normal(size=(n, 4))
+    x[10, 2] = x[20, 2]
+    z = rank_columns(x)
+    fit = spline.fit_doubly_penalized(z, x[:, 0] + rng.normal(size=n), default_penalties(n, 4))
+    for basis, own in zip(fit.bases, spline._coordinate_bases(z, None)):
+        np.testing.assert_array_equal(basis.knots, own.knots)
+    assert fit.bases[0] is fit.bases[1] is fit.bases[3] is not fit.bases[2]
+
+
 def test_rank_column_with_a_tie_keeps_its_own_design():
     # One tie takes a column off the grid: it is whitened on its own values,
     # exactly as a design of that column alone, and scored with its chunk.
@@ -332,9 +348,9 @@ def test_rank_column_with_a_tie_keeps_its_own_design():
     x[10, 1] = x[20, 1]
     z = rank_columns(x)
     bases = spline._coordinate_bases(z, None)
-    design = spline._WhitenedDesign(bases, z)
+    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
     assert sorted(design.ranks) == [0, 2, 3]
-    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2])
+    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2], grid_ranks(z[:, 1:2]))
     assert alone.ranks == {}
     resid = rng.normal(size=n)
     theta = rng.normal(size=len(alone.eig[0]))
