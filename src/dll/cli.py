@@ -6,9 +6,9 @@ accepted), comma-separated, dot decimal, header required with columns
 ``y, x1, x2_1 .. x2_p`` (p may be 0). Every data row has p + 2
 cells; a cell is a number, optionally in double quotes and with spaces
 or tabs around it, and lines end in LF or CRLF. Blank lines, comments
-(``#`` is a non-numeric cell), digit separators (``1_0``), empty cells
-and NaN or infinite values are data errors naming the line number and
-column. The file is parsed as it is read, so loading holds only the
+(``#`` is a non-numeric cell), digit separators (``1_0``), empty cells,
+text outside a cell's quotes (``"2"5``), an unterminated quote and NaN
+or infinite values are data errors naming the line number and column. The file is parsed as it is read, so loading holds only the
 parsed array (8 bytes per cell); a file that fails is read again to name
 its first error. Datasets are written with CRLF line ends and 17
 significant digits, so a round trip is exact. Reports are JSON (full
@@ -45,6 +45,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Iterable, Iterator
 
@@ -251,6 +252,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
+# A cell holds no double quote, or is one quoted span with only spaces or
+# tabs outside it; loadtxt alone would join ``"2"5`` into 25.
+_CELL = r'[^",]*|[ \t]*"[^"]*"[ \t]*'
+_QUOTED_CELL = re.compile(_CELL)
+_QUOTED_LINE = re.compile(rf"(?:{_CELL})(?:,(?:{_CELL}))*\n?")
+
+
 def _parse_rows(lines: Iterable[str]) -> np.ndarray:
     return np.loadtxt(
         lines, delimiter=",", comments=None, quotechar='"', dtype=float, ndmin=2
@@ -275,9 +283,9 @@ def _diagnose(path: str) -> DataError:
 
     The checks run in a fixed order, and the first that fails is named:
     the file decodes, has a header, a valid header, data rows, p + 1
-    commas on every row, and a number in every cell. The whole file is
-    decoded first, so an undecodable byte anywhere comes first and is
-    named by its offset in the file.
+    commas on every row, and a number, bare or in one pair of quotes, in
+    every cell. The whole file is decoded first, so an undecodable byte
+    anywhere comes first and is named by its offset in the file.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines
@@ -288,7 +296,10 @@ def _diagnose(path: str) -> DataError:
         lines.pop()
     if not lines:
         return DataError(f"{path}: empty file")
-    header, valid = _header(lines[0])
+    try:
+        header, valid = _header(lines[0])
+    except csv.Error as exc:
+        return DataError(f"{path}: cannot parse the header: {exc}")
     if not valid:
         return DataError(f"{path}: header must be 'y,x1,x2_1..x2_p', got {','.join(header)}")
     body = lines[1:]
@@ -299,9 +310,11 @@ def _diagnose(path: str) -> DataError:
             cells = line.count(",") + 1 if line else 0
             return DataError(f"{path}: row {i} has {cells} cells, expected {len(header)}")
     for i, line in enumerate(body, start=2):
-        if _parses(line, len(header)):
+        if _QUOTED_LINE.fullmatch(line) and _parses(line, len(header)):
             continue
         for name, cell in zip(header, line.split(",")):
+            if not _QUOTED_CELL.fullmatch(cell):
+                return DataError(f"{path}: row {i} column {name}: bad quoting in {cell!r}")
             if not cell or not _parses(cell, 1):
                 return DataError(f"{path}: row {i} column {name}: non-numeric {cell!r}")
         return DataError(f"{path}: row {i}: cannot parse {line!r}")
@@ -314,14 +327,17 @@ def load_csv(path: str) -> Dataset:
     One pass over the open file: ``np.loadtxt`` parses the data lines as
     they are read, and its array is accepted when it has one row of
     p + 2 cells per line (it skips blank lines and joins the lines of a
-    quoted newline, which this check catches). Any other outcome is
-    named by ``_diagnose``, which reads the file again.
+    quoted newline, which this check catches) and every line with a
+    double quote is quoted cell by cell. Any other outcome is named by
+    ``_diagnose``, which reads the file again.
     """
     data, n_lines = None, 0
 
     def counted(lines: Iterable[str]) -> Iterator[str]:
         nonlocal n_lines
         for n_lines, line in enumerate(lines, start=1):
+            if '"' in line and not _QUOTED_LINE.fullmatch(line):
+                raise ValueError("misquoted cell")  # loadtxt re-raises it
             yield line
 
     try:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InsufficientLocalDataError, ZeroMassError
 from .kernel import KernelSpec, kernel_weight
+from .transforms import ndtr
 
 UNDERFLOW_MASS = 1e-300
 SIMPSON_TOL = 1e-10

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import spline
 from .decorrelate import (
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
 from .linear import ProjectionFit, noise_sd_estimate, ols_projection, scaled_lasso
-from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF
+from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, ndtr
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -253,7 +253,7 @@ def _half_width(variance: float, alpha: float) -> float:
         raise ValueError("alpha must lie in (0, 1)")
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    return float(ndtri(1 - alpha / 2)) * math.sqrt(variance)
+    return NormalDist().inv_cdf(1 - alpha / 2) * math.sqrt(variance)
 
 
 def confidence_interval(

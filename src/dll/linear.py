@@ -4,7 +4,8 @@ Two fitting routes produce the projection coefficients and the residual
 standard deviation: plain least squares when the sample comfortably
 exceeds the dimension, and the scaled Lasso (joint minimization over
 coefficients and noise level with an L1 penalty proportional to the noise
-estimate) in high dimension.
+estimate) in high dimension. Both run on numpy alone, so neither loads
+scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankDeficientError, SampleTooSmallError
 
@@ -72,21 +72,19 @@ def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
     """Least squares projection of ``x1`` on the columns of ``x2``.
 
     No intercept: the projection is defined through uncentered second
-    moments. The residual scale is ``noise_sd_estimate`` with p degrees
-    of freedom.
+    moments. numpy's SVD least squares solves it; the design counts as
+    rank deficient when a singular value is at most
+    ``max(n, p) * eps`` times the largest (``rcond=None``). The residual
+    scale is ``noise_sd_estimate`` with p degrees of freedom.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     n, p = x2.shape
     if n <= p + 1:
         raise SampleTooSmallError(f"need n > p + 1, got n={n}, p={p}")
-    # Pivoted QR exposes rank deficiency, then solves the full-rank system.
-    q, r, piv = scipy.linalg.qr(x2, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
+    gamma, _, rank, _ = np.linalg.lstsq(x2, x1, rcond=None)
+    if rank < p:
         raise RankDeficientError("design matrix is rank deficient")
-    gamma = np.empty(p)
-    gamma[piv] = scipy.linalg.solve_triangular(r, q.T @ x1)
     sigma2 = noise_sd_estimate(x1, x2 @ gamma, p)
     return ProjectionFit(gamma, sigma2, "ols", iterations=0, converged=True)
 

@@ -6,6 +6,7 @@ rank of their group (strictly inside (0,1), where spline bases do not
 degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
 ``grid_ranks`` recognises the columns that are a permutation of that
 grid, which is what the empirical CDF makes of a column without ties.
+``ndtr``, the standard normal CDF, is the package's one route to scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+
+
+def ndtr(x):
+    """Standard normal CDF, elementwise: ``scipy.special.ndtr``.
+
+    scipy is imported on the first call, so only the paths that evaluate
+    a Gaussian CDF (known-CDF transforms, exact Gaussian window shifts)
+    load it; ``dll fit`` with the default options does not.
+    """
+    from scipy.special import ndtr as scipy_ndtr
+
+    return scipy_ndtr(x)
 
 
 def rank_grid(n: int) -> np.ndarray:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -326,6 +329,10 @@ def test_load_csv_errors(tmp_path):
         ("y,x1\n1,2\n  \n3,4\n", "row 3 has 1 cells, expected 2"),  # whitespace only
         ("y,x1\n1,2\n3,abc", "row 3 column x1: non-numeric 'abc'"),  # no final newline
         ('y,x1\n1,2\n"3\n",4\n', "row 3 has 1 cells, expected 2"),  # quoted newline
+        ('y,x1\n1,"2"5\n', "row 2 column x1: bad quoting in '\"2\"5'"),  # text after
+        ('y,x1\n1,2\n3,5"4"\n', "row 3 column x1: bad quoting in '5\"4\"'"),  # text before
+        ('y,x1\n1,"2\n3,4\n', "row 2 column x1: bad quoting in '\"2'"),  # unterminated
+        ('y,x1\n1,2\n3,"4', "row 3 column x1: bad quoting in '\"4'"),  # unterminated at end
         ("y,x1\n\n", "row 2 has 0 cells, expected 2"),
         ("y,x1\n", "empty dataset"),
         ("y,x1", "empty dataset"),
@@ -341,6 +348,15 @@ def test_load_csv_reports_row_and_column(tmp_path, text, message):
         load_csv(str(path))
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+def test_oversized_header_cell_is_a_data_error(tmp_path):
+    # The header cell is longer than csv.field_size_limit() (131,072).
+    path = tmp_path / "d.csv"
+    path.write_text('"' + "y" * 200_000 + '",x1\n1,2\n')
+    with pytest.raises(DataError, match="cannot parse the header"):
+        load_csv(str(path))
+    assert main(["fit", "--input", str(path), "--x0", "0"]) == 3
 
 
 def test_load_csv_rejects_undecodable_bytes(tmp_path):
@@ -566,3 +582,43 @@ def test_reference_registry_names():
     assert {"lowdim", "highdim", "univariate-oracle"} <= set(REFERENCE_CONFIGS)
     entry = REFERENCE_CONFIGS["highdim"]
     assert entry["config"].p == 300
+
+
+def test_default_commands_load_no_scipy(tmp_path):
+    # Only a Gaussian CDF needs scipy, and it is imported on first use:
+    # `import dll` and the default fit, bandwidth and simulate commands
+    # load no scipy module; an --mode exact_gaussian fit loads
+    # scipy.special, and never scipy.stats. Folds of 100 rows and p = 2
+    # take the OLS projection, folds of 60 rows and p = 40 the Lasso.
+    ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
+    steps = [
+        ("import", []),
+        ("simulate", [["simulate", "--output", ols, "--n", "200", "--p", "2"],
+                      ["simulate", "--output", lasso, "--n", "120", "--p", "40"]]),
+        ("fit-ols", [["fit", "--input", ols, "--x0", "0"]]),
+        ("fit-lasso", [["fit", "--input", lasso, "--x0", "0"]]),
+        ("bandwidth", [["bandwidth", "--input", ols, "--x0", "0"]]),
+        ("exact_gaussian", [["fit", "--input", ols, "--x0", "0", "--mode", "exact_gaussian"]]),
+    ]
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import dll, dll.cli
+
+        out = {{}}
+        for name, runs in {steps!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [dll.cli.main(argv) for argv in runs]
+            out[name] = codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps(out))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    out = json.loads(proc.stdout)
+    assert list(out) == [name for name, _ in steps]
+    for name, (codes, modules) in out.items():
+        assert not any(codes), name
+        assert "scipy.stats" not in modules, name
+        if name != "exact_gaussian":
+            assert modules == [], name
+    assert "scipy.special" in out["exact_gaussian"][1]

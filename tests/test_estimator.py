@@ -168,6 +168,16 @@ def test_confidence_interval_oracle_values():
         confidence_interval(0.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
+def test_half_width_quantile_matches_ndtri(alpha):
+    # The stdlib quantile (Wichura's AS241) and scipy's cephes ndtri both
+    # round: they differ by up to 3 ulps on this grid (at alpha = 0.1).
+    from scipy.special import ndtri
+
+    want = float(ndtri(1 - alpha / 2))
+    assert abs(estimator._half_width(1.0, alpha) - want) <= 4 * math.ulp(want)
+
+
 def test_test_zero_decisions():
     assert not zero_slope_test(0.0, 1.0, 0.05)
     assert zero_slope_test(10.0, 1.0, 0.05)

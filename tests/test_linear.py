@@ -80,8 +80,9 @@ def test_ols_matches_normal_equations():
 def test_ols_rank_and_size_errors():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 2))
-    with pytest.raises(RankDeficientError):
-        ols_projection(np.column_stack([x, x[:, 0]]), rng.normal(size=30))
+    for extra in (x[:, 0], np.zeros(30), x[:, 1] * (1 + 1e-15)):
+        with pytest.raises(RankDeficientError):
+            ols_projection(np.column_stack([x, extra]), rng.normal(size=30))
     with pytest.raises(SampleTooSmallError):
         ols_projection(rng.normal(size=(4, 3)), rng.normal(size=4))
 
