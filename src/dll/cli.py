@@ -272,6 +272,13 @@ def _parses(line: str, width: int) -> bool:
         return False
 
 
+def _cells(line: str) -> list[str]:
+    """A row's cells as written; ``csv.reader`` finds where each one ends."""
+    parts = iter(line.split(","))
+    return [",".join(itertools.islice(parts, cell.count(",") + 1))
+            for cell in next(csv.reader([line]), [])]
+
+
 def _header(line: str) -> tuple[list[str], bool]:
     """The header's cells, stripped, and whether they are ``y, x1, x2_1 .. x2_p``."""
     cells = [c.strip() for c in next(csv.reader([line.removesuffix("\n")]), [])]
@@ -282,10 +289,11 @@ def _diagnose(path: str) -> DataError:
     """Name why ``load_csv``'s streamed parse rejected a file (failure path only).
 
     The checks run in a fixed order, and the first that fails is named:
-    the file decodes, has a header, a valid header, data rows, p + 1
-    commas on every row, and a number, bare or in one pair of quotes, in
-    every cell. The whole file is decoded first, so an undecodable byte
-    anywhere comes first and is named by its offset in the file.
+    the file decodes, has a header, a valid header, data rows, p + 2
+    cells on every row (a quoted comma splits none), and a number, bare
+    or in one pair of quotes, in every cell. The whole file is decoded
+    first, so an undecodable byte anywhere comes first and is named by
+    its offset in the file.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines
@@ -306,13 +314,16 @@ def _diagnose(path: str) -> DataError:
     if not body:
         return DataError(f"{path}: empty dataset (header only)")
     for i, line in enumerate(body, start=2):
-        if line.count(",") != len(header) - 1:
-            cells = line.count(",") + 1 if line else 0
-            return DataError(f"{path}: row {i} has {cells} cells, expected {len(header)}")
+        try:
+            width = len(next(csv.reader([line]), []))
+        except csv.Error as exc:
+            return DataError(f"{path}: row {i}: {exc}")
+        if width != len(header):
+            return DataError(f"{path}: row {i} has {width} cells, expected {len(header)}")
     for i, line in enumerate(body, start=2):
         if _QUOTED_LINE.fullmatch(line) and _parses(line, len(header)):
             continue
-        for name, cell in zip(header, line.split(",")):
+        for name, cell in zip(header, _cells(line)):
             if not _QUOTED_CELL.fullmatch(cell):
                 return DataError(f"{path}: row {i} column {name}: bad quoting in {cell!r}")
             if not cell or not _parses(cell, 1):

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
 from .linear import ProjectionFit, noise_sd_estimate, ols_projection, scaled_lasso
-from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, ndtr
+from .transforms import GaussianCDF, KnownCDF, count_clamped, fit_empirical, ndtr
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -243,8 +243,11 @@ def variance_estimate(
     kh = kernel_weight(x1, spec)
     total = float(np.sum(weights.centered**2 * kh**2))
     # numpy's power overflows to inf where Python's raises OverflowError;
-    # both call the C pow, so finite results agree bit for bit.
-    return float(np.float64(sigma1) ** 2 * total / (n * s_n) ** 2)
+    # both call the C pow, so finite results agree bit for bit. The caller
+    # reports an infinite variance as a NumericalError, so numpy's overflow
+    # warning would only repeat it.
+    with np.errstate(over="ignore"):
+        return float(np.float64(sigma1) ** 2 * total / (n * s_n) ** 2)
 
 
 def _half_width(variance: float, alpha: float) -> float:
@@ -299,21 +302,19 @@ def default_bandwidth(x1: np.ndarray, x0: float, c: float = 0.5) -> float:
 
 def _fit_transforms(
     x_cols: np.ndarray, options: PipelineOptions, known_cdfs
-) -> tuple[tuple, np.ndarray]:
-    """One transform per coordinate, fitted on the given training columns,
-    and the transformed columns."""
-    n_coords = x_cols.shape[1]
-    if options.transform == "known":
-        if known_cdfs is None or len(known_cdfs) != n_coords:
-            raise ValueError("transform='known' requires one CDF per coordinate")
-        transforms = tuple(KnownCDF(cdf) for cdf in known_cdfs)
-        if all(isinstance(cdf, GaussianCDF) for cdf in known_cdfs):
-            return transforms, ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs]))
-        z = [tr(x_cols[:, j]) for j, tr in enumerate(transforms)]
+) -> tuple[tuple, np.ndarray, tuple | None]:
+    """One transform per coordinate, fitted on the given training columns, and
+    the transformed and rank columns (see ``fit_empirical``; none if known)."""
+    if options.transform == "empirical":
+        return fit_empirical(x_cols)
+    if known_cdfs is None or len(known_cdfs) != x_cols.shape[1]:
+        raise ValueError("transform='known' requires one CDF per coordinate")
+    transforms = tuple(KnownCDF(cdf) for cdf in known_cdfs)
+    if all(isinstance(cdf, GaussianCDF) for cdf in known_cdfs):
+        z = ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs]))
     else:
-        transforms = tuple(EmpiricalCDF.fit(x_cols[:, j]) for j in range(n_coords))
-        z = [tr.train_values for tr in transforms]
-    return transforms, np.column_stack(z)
+        z = np.column_stack([tr(x_cols[:, j]) for j, tr in enumerate(transforms)])
+    return transforms, z, None
 
 
 def _fit_additive(
@@ -322,12 +323,12 @@ def _fit_additive(
     """Transform the training columns and run the penalized additive fit:
     cubic splines on quantile knots, second-derivative smoothness penalty."""
     n, n_coords = x_cols.shape
-    transforms, z = _fit_transforms(x_cols, options, known_cdfs)
+    transforms, z, ranked = _fit_transforms(x_cols, options, known_cdfs)
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
     return spline.fit_doubly_penalized(
-        z, y, penalties, options.num_interior_knots, transforms=transforms
+        z, y, penalties, options.num_interior_knots, transforms=transforms, ranked=ranked
     )
 
 
@@ -413,11 +414,8 @@ def cross_fit(
         rows[idx] = x2[idx] @ proj[other].gamma
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
-        clamped += sum(
-            tr.clamp_count(x_all[idx, j])
-            for j, tr in enumerate(additive[other].transforms or ())
-            if isinstance(tr, EmpiricalCDF)
-        )
+        if options.transform == "empirical":
+            clamped += count_clamped(additive[other].transforms, x_all[idx])
 
     sigma2 = noise_sd_estimate(x1, rows, 0)
     if sigma1 is None:

@@ -25,13 +25,10 @@ matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
 quadrature) and the generalized eigendecompositions run for many
 coordinates per call.
 
-Rank columns, those that ``transforms.grid_ranks`` finds to be exactly a
-permutation of the empirical CDF's grid ``transforms.rank_grid(n)`` (a
-column with ties, or one under a known CDF, is not one), share all of
-that set-up: the same sorted values give the same knots, smoothness form
-and, up to summation order, Gram matrix, so one whitened basis on the
-sorted grid serves them all, and each such column keeps only its ranks
-and their inverse permutation; any other column keeps a design of its own.
+Rank columns, empirical-CDF columns without ties, are permutations of
+the grid ``transforms.rank_grid(n)``, passed as their sort orders. They
+share all of that set-up, on the sorted grid (see ``_WhitenedDesign``);
+any other column keeps a design of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficientError
-from .transforms import grid_ranks, rank_grid
+from .transforms import rank_grid
 
 DEGREE = 3
 SMOOTHNESS_ORDER = 2
@@ -519,15 +516,15 @@ class _WhitenedDesign:
     matrix: the new design has identity Gram matrix and penalty
     ``diag(d_j)``.
 
-    Rank columns share one design. A rank column is one that
-    ``transforms.grid_ranks`` finds to be a permutation of the grid
-    ``transforms.rank_grid(n)``. All rank columns have the same sorted
-    values, hence the same quantile knots and smoothness form, and the
-    same Gram matrix up to summation order. Their whitened design is
-    therefore built once, on the sorted grid, as ``W`` (q x n); rank
-    column j keeps its ranks (``B_j V = W[:, rank_j]``) and their inverse
-    permutation ``order_j``, so the scores of a run of rank columns are
-    one gather and one product, ``resid[order[j:k]] @ W.T / n``.
+    Rank columns share one design. A rank column is a permutation of the
+    grid ``transforms.rank_grid(n)``, given by its sort order ``order_j``.
+    All rank columns have the same sorted values, hence the same quantile
+    knots and smoothness form, and the same Gram matrix up to summation
+    order. Their whitened design is therefore built once, on the sorted
+    grid, as ``W`` (q x n); rank column j keeps only ``order_j``
+    (``(B_j V)[order_j] = W.T``), so its fitted values are one scatter and
+    the scores of a run of rank columns one gather and one product,
+    ``resid[order[j:k]] @ W.T / n``.
 
     The transposed designs of the other coordinates are stored; those of
     consecutive coordinates share chunks of at most STORE_CHUNK_BYTES, so
@@ -541,14 +538,12 @@ class _WhitenedDesign:
         self,
         bases: list[CoordinateBasis],
         z_matrix: np.ndarray,
-        grid: tuple[np.ndarray, np.ndarray],
+        ranked: tuple[np.ndarray, np.ndarray],
     ):
-        n, p = z_matrix.shape
+        n, p = z_matrix.shape[0], len(bases)
         self.n = n
-        cols, ranks = grid  # transforms.grid_ranks(z_matrix)
-        self.ranks = dict(zip(cols.tolist(), ranks))
-        orders = np.empty_like(ranks)
-        np.put_along_axis(orders, ranks, np.arange(n)[None, :], axis=1)
+        cols, orders = ranked  # as fit_doubly_penalized takes them
+        self.orders = dict(zip(cols.tolist(), orders))
         if cols.size:
             knots = bases[cols[0]].knots[None, :]
             shared = [part[0] for part in _whiten(rank_grid(n)[None, :], knots, cols[0])]
@@ -560,20 +555,20 @@ class _WhitenedDesign:
         j = 0
         while j < p:
             stop = j + 1
-            if j in self.ranks:
-                while stop in self.ranks:
+            at = int(np.searchsorted(cols, j))  # rank columns before j
+            if j in self.orders:
+                while stop in self.orders:
                     stop += 1
-                at = int(np.searchsorted(cols, j))
                 store = orders[at : at + stop - j]
                 d, vecs, _, mean, const = ([part] * (stop - j) for part in shared)
             else:
                 n_knots = len(bases[j].knots)
                 limit = j + max(1, STORE_CHUNK_BYTES // (8 * n * bases[j].size))
-                while (stop < min(p, limit) and stop not in self.ranks
+                while (stop < min(p, limit) and stop not in self.orders
                        and len(bases[stop].knots) == n_knots):
                     stop += 1
                 knots = np.stack([bases[i].knots for i in range(j, stop)])
-                d, vecs, store, mean, const = _whiten(z_matrix[:, j:stop].T, knots, j)
+                d, vecs, store, mean, const = _whiten(z_matrix[:, j - at : stop - at].T, knots, j)
             self.slots.extend((store, i) for i in range(stop - j))
             eig.extend(d)
             maps.extend(vecs)
@@ -587,8 +582,10 @@ class _WhitenedDesign:
     def fitted(self, j: int, theta: np.ndarray) -> np.ndarray:
         """``B_j V_j theta``, the fitted values of coefficients ``theta`` of
         coordinate j, without building a rank column's design."""
-        if j in self.ranks:
-            return (theta @ self.grid_basis)[self.ranks[j]]
+        if j in self.orders:
+            out = np.empty(self.n)
+            out[self.orders[j]] = theta @ self.grid_basis
+            return out
         chunk, i = self.slots[j]
         return theta @ chunk[i]
 
@@ -598,7 +595,7 @@ class _WhitenedDesign:
         while j < k:
             store, i = self.slots[j]
             stop = min(len(store), i + k - j)
-            if j in self.ranks:
+            if j in self.orders:
                 parts.append((resid[store[i:stop]] @ self.grid_basis.T).ravel())
             else:
                 parts.append(store[i:stop].reshape(-1, self.n) @ resid)
@@ -654,6 +651,7 @@ def fit_doubly_penalized(
     penalties: tuple[float, float],
     num_interior_knots: int | None = None,
     transforms: tuple[Callable, ...] | None = None,
+    ranked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AdditiveFit:
     """Backfitting solver for the doubly penalized additive objective.
 
@@ -665,6 +663,10 @@ def fit_doubly_penalized(
     components are re-centered every sweep so their training means stay
     at zero. Negative penalties are rejected; a fully unpenalized fit is
     only well posed for a single coordinate.
+
+    Coordinate ``cols[i]`` of ``ranked = (cols, orders)`` (as returned by
+    ``transforms.fit_empirical``) is ``rank_grid(n)[k]`` at row
+    ``orders[i][k]``; the others are the columns of ``z_matrix``, in order.
 
     Each sweep visits the blocks in order (Gauss-Seidel). A nonzero block
     is updated on its own. At a zero block, the scores of it and of every
@@ -680,7 +682,9 @@ def fit_doubly_penalized(
     """
     z_matrix = np.atleast_2d(np.asarray(z_matrix, dtype=float))
     y = np.asarray(y, dtype=float)
-    n, p = z_matrix.shape
+    n = z_matrix.shape[0]
+    cols, orders = ranked or (np.zeros(0, np.intp), np.zeros((0, n), np.intp))
+    p = z_matrix.shape[1] + cols.size
     if not np.all((z_matrix >= 0) & (z_matrix <= 1)):
         raise ValueError("all inputs must lie in [0, 1]")
     rho, lam = float(penalties[0]), float(penalties[1])
@@ -695,16 +699,10 @@ def fit_doubly_penalized(
 
     # Rank columns sort to rank_grid(n) exactly, so they share its basis;
     # only the other columns are sorted for their knots.
-    grid = grid_ranks(z_matrix)
-    on_grid = np.zeros(p, dtype=bool)
-    on_grid[grid[0]] = True
-    shared, others = None, z_matrix
-    if grid[0].size:
-        shared = _coordinate_bases(rank_grid(n)[:, None], num_interior_knots)[0]
-        others = z_matrix[:, ~on_grid]
-    own = iter(_coordinate_bases(others, num_interior_knots))
-    bases = [shared if j else next(own) for j in on_grid]
-    design = _WhitenedDesign(bases, z_matrix, grid)
+    shared = _coordinate_bases(rank_grid(n)[:, None], num_interior_knots)[0]
+    own = iter(_coordinate_bases(z_matrix, num_interior_knots))
+    bases = [shared if j else next(own) for j in np.isin(np.arange(p), cols)]
+    design = _WhitenedDesign(bases, z_matrix, (cols, orders))
     starts = design.starts
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)

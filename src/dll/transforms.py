@@ -4,8 +4,8 @@ Two variants: the rank-based empirical CDF, whose training values lie
 on the grid ``rank_grid(n)`` = k/(n+1), k = 1..n, with ties at the top
 rank of their group (strictly inside (0,1), where spline bases do not
 degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
-``grid_ranks`` recognises the columns that are a permutation of that
-grid, which is what the empirical CDF makes of a column without ties.
+``fit_empirical`` fits a matrix from one argsort, and returns a column
+without ties, a permutation of that grid, as its sort order.
 ``ndtr``, the standard normal CDF, is the package's one route to scipy.
 """
 
@@ -34,24 +34,6 @@ def rank_grid(n: int) -> np.ndarray:
     return np.arange(1, n + 1) / (n + 1)
 
 
-def grid_ranks(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``z_matrix`` that are exactly a permutation of
-    ``rank_grid(n)``, and their ranks minus one, one row per such column.
-
-    The test is exact: ``rint(z * (n + 1))`` must reproduce z and take
-    each value 1..n once.
-    """
-    n = z_matrix.shape[0]
-    rank = np.rint(z_matrix * (n + 1))
-    cols = np.flatnonzero((rank / (n + 1) == z_matrix).all(axis=0))
-    rank = rank[:, cols].T.astype(np.intp)
-    # Ranks run from 0 to n + 1 here; each of 1..n must appear once.
-    counts = np.bincount((rank + (n + 2) * np.arange(cols.size)[:, None]).ravel(),
-                         minlength=cols.size * (n + 2))
-    once = (counts.reshape(cols.size, n + 2)[:, 1:-1] == 1).all(axis=1)
-    return cols[once], rank[once] - 1
-
-
 @dataclass(frozen=True)
 class EmpiricalCDF:
     """Empirical CDF transform fitted on a training column.
@@ -59,23 +41,14 @@ class EmpiricalCDF:
     New values interpolate the empirical CDF piecewise-linearly between
     order statistics and are clamped to [1/(n+1), n/(n+1)]. A training
     value maps to the top rank of its tie group over n + 1 (its count of
-    values at or below it); ``train_values`` holds these, equal to the
-    transform of the training column.
+    values at or below it).
     """
 
     order_stats: np.ndarray
-    train_values: np.ndarray
 
     @classmethod
     def fit(cls, column) -> "EmpiricalCDF":
-        column = np.asarray(column, dtype=float)
-        if column.size < 1:
-            raise ValueError("need at least one observation")
-        order = np.argsort(column)
-        s = column[order]
-        values = np.empty(column.size)
-        values[order] = rank_grid(column.size)[np.searchsorted(s, s, "right") - 1]
-        return cls(s, values)
+        return fit_empirical(np.reshape(column, (-1, 1)))[0][0]
 
     def __call__(self, x):
         grid = rank_grid(self.order_stats.size)
@@ -83,10 +56,30 @@ class EmpiricalCDF:
         out = np.interp(x, self.order_stats, grid, left=grid[0], right=grid[-1])
         return float(out) if out.ndim == 0 else out
 
-    def clamp_count(self, x) -> int:
-        """Number of evaluation points outside the training range."""
-        x = np.asarray(x, dtype=float)
-        return int(np.sum((x < self.order_stats[0]) | (x > self.order_stats[-1])))
+
+def fit_empirical(x_cols: np.ndarray) -> tuple[tuple[EmpiricalCDF, ...], np.ndarray, tuple]:
+    """The EmpiricalCDF of every column of ``x_cols`` (n, c) from one
+    argsort, with the transformed columns: a tie-free (rank) column maps row
+    ``order[i]`` to ``rank_grid(n)[i]``, so it is returned in ``ranked =
+    (cols, orders)``, its index and sort order; ``z`` holds the others."""
+    x_cols = np.asarray(x_cols, dtype=float)
+    if x_cols.shape[0] < 1:
+        raise ValueError("need at least one observation")
+    order = np.argsort(x_cols.T, axis=1)
+    ordered = np.take_along_axis(x_cols.T, order, axis=1)
+    transforms = tuple(EmpiricalCDF(s) for s in ordered)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    z = [tr(x) for tr, x, t in zip(transforms, x_cols.T, tied) if t]
+    z = np.column_stack(z or [np.empty((len(x_cols), 0))])
+    cols = np.flatnonzero(~tied)
+    return transforms, z, (cols, order[cols] if tied.any() else order)
+
+
+def count_clamped(transforms: tuple[EmpiricalCDF, ...], x_matrix: np.ndarray) -> int:
+    """Entries of ``x_matrix`` outside the training range of their column's
+    transform (one per column), where it clamps."""
+    lo, hi = np.array([tr.order_stats[[0, -1]] for tr in transforms]).T
+    return int(np.count_nonzero((x_matrix < lo) | (x_matrix > hi)))
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,7 @@ def test_criterion_12_transform_uniformity():
     n = 10_000
     draws = rng.normal(size=n)
     known_stat = kstest(KnownCDF(ndtr)(draws), "uniform").statistic
-    empirical_stat = kstest(EmpiricalCDF.fit(draws).train_values, "uniform").statistic
+    empirical_stat = kstest(EmpiricalCDF.fit(draws)(draws), "uniform").statistic
     ok = known_stat < 1.36 / np.sqrt(n) and empirical_stat < 0.02
     report(12, "transform uniformity", ok,
            f"known KS={known_stat:.4f} empirical KS={empirical_stat:.4f}", t0)

@@ -333,6 +333,8 @@ def test_load_csv_errors(tmp_path):
         ('y,x1\n1,2\n3,5"4"\n', "row 3 column x1: bad quoting in '5\"4\"'"),  # text before
         ('y,x1\n1,"2\n3,4\n', "row 2 column x1: bad quoting in '\"2'"),  # unterminated
         ('y,x1\n1,2\n3,"4', "row 3 column x1: bad quoting in '\"4'"),  # unterminated at end
+        ('y,x1,x2_1\n"1,5",3\n', "row 2 has 2 cells, expected 3"),  # quoted comma
+        ('y,x1\n"1,5",3\n', "row 2 column y: non-numeric '\"1,5\"'"),
         ("y,x1\n\n", "row 2 has 0 cells, expected 2"),
         ("y,x1\n", "empty dataset"),
         ("y,x1", "empty dataset"),
@@ -357,6 +359,10 @@ def test_oversized_header_cell_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot parse the header"):
         load_csv(str(path))
     assert main(["fit", "--input", str(path), "--x0", "0"]) == 3
+    # A data cell as long is named by its row.
+    path.write_text('y,x1\n1,"' + "a" * 200_000 + '"\n')
+    with pytest.raises(DataError, match="row 2: field larger than field limit"):
+        load_csv(str(path))
 
 
 def test_load_csv_rejects_undecodable_bytes(tmp_path):

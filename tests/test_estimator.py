@@ -33,7 +33,7 @@ from dll.estimator import test_zero as zero_slope_test
 from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import noise_sd_estimate, sigma_floor
 from dll.simulate import SimConfig, make_dataset
-from dll.transforms import EmpiricalCDF, grid_ranks
+from dll.transforms import EmpiricalCDF, fit_empirical
 
 Z_975 = 1.959963984540054  # inverse-normal oracle, alpha = 0.05
 Z_84 = 0.9944578832097532  # inverse-normal oracle, alpha = 0.32
@@ -276,6 +276,7 @@ def test_cross_fit_residuals():
         np.testing.assert_allclose(cf.residuals[idx], expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # the NumericalError reports the overflow
 def test_pipeline_non_finite_result_raises():
     rng = np.random.default_rng(14)
     x1 = rng.uniform(-1, 1, 200)
@@ -579,12 +580,13 @@ def test_group_lasso_nuisance_satisfies_group_lasso_kkt():
     n, p = 300, 12
     x = rng.normal(size=(n, p))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 1] ** 2 + 0.3 * x[:, 2] + rng.normal(0, 0.5, n)
-    z = np.column_stack([EmpiricalCDF.fit(x[:, j]).train_values for j in range(p)])
+    z = np.column_stack([EmpiricalCDF.fit(x[:, j])(x[:, j]) for j in range(p)])
+    _, tied, ranked = fit_empirical(x)
     _, lam = spline.default_penalties(n, p)
-    fit = spline.fit_doubly_penalized(z, y, (0.0, lam))
+    fit = spline.fit_doubly_penalized(tied, y, (0.0, lam), ranked=ranked)
     assert fit.converged and fit.penalties[0] == 0.0
     assert 0 < len(fit.active_set) < p
-    design = spline._WhitenedDesign(list(fit.bases), z, grid_ranks(z))
+    design = spline._WhitenedDesign(list(fit.bases), tied, ranked)
     resid = y - fit.intercept - sum(fit.component(j, z[:, j]) for j in fit.active_set)
     half = fit.penalties[1] / 2
     tol = math.sqrt(p * spline.FIT_TOL * fit.objective_trace[-2])

@@ -283,8 +283,9 @@ def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
         [ndtr(np.asarray(x_cols[:, j], float) / s) for j, s in enumerate(sds)]
     )
     opts = PipelineOptions(transform="known")
-    transforms, z = _fit_transforms(x_cols, opts, cdfs)
+    transforms, z, ranked = _fit_transforms(x_cols, opts, cdfs)
     np.testing.assert_array_equal(z, want)
+    assert ranked is None  # known CDFs have no rank columns
     for j, tr in enumerate(transforms):
         np.testing.assert_array_equal(tr(x_cols[:, j]), want[:, j])
     # Any other callable keeps the per-column path, with the same values.

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from dll import spline
 
 from dll.errors import RankDeficientError
-from dll.transforms import EmpiricalCDF, grid_ranks
+from dll.transforms import EmpiricalCDF, fit_empirical
 from dll.spline import (
     CoordinateBasis,
     default_penalties,
@@ -222,7 +222,8 @@ def golden_problem(n, p, seed):
 
 
 def rank_columns(x):
-    return np.column_stack([EmpiricalCDF.fit(col).train_values for col in x.T])
+    """The empirical-CDF transform of each column, as values."""
+    return np.column_stack([EmpiricalCDF.fit(col)(col) for col in x.T])
 
 
 # Produced by the plain per-block sweep (with null-space eigenvalues
@@ -241,7 +242,8 @@ GOLDEN_FITS = {
         0.3745893231109244, 0.3745892685250988, 0.3745892593541867,
     )),
     # The n-heavy problem on empirical-CDF ranks, as `dll fit` transforms
-    # its columns: each column is a permutation of the grid k / (n + 1).
+    # its columns: each column is a permutation of the grid k / (n + 1),
+    # passed to the fit as its sort order.
     # Recorded from per-column whitened designs.
     (3000, 8, 42, "ranks"): ((0, 1, 2, 3), 11, (
         0.9287103017056864, 0.39337748674171796, 0.37885873404413634,
@@ -259,9 +261,10 @@ def test_fit_follows_golden_path(key):
     n, p, seed, *ranks = key
     active, sweeps, trace = GOLDEN_FITS[key]
     z, y = golden_problem(n, p, seed)
+    ranked = None
     if ranks:
-        z = rank_columns(z)
-    fit = fit_doubly_penalized(z, y, default_penalties(n, p))
+        _, z, ranked = fit_empirical(z)
+    fit = fit_doubly_penalized(z, y, default_penalties(n, p), ranked=ranked)
     assert fit.active_set == active
     assert fit.sweeps == sweeps and fit.converged
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
@@ -292,7 +295,8 @@ def test_constant_coefficients_reproduce_the_constant_on_a_ridged_coordinate():
     z = rng.uniform(0, 1, (n, 3))
     z[:, 1] = rng.choice([0.2, 0.5, 0.9], n)
     bases = spline._coordinate_bases(z, None)
-    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
+    no_ranks = (np.zeros(0, np.intp), np.zeros((0, n), np.intp))
+    design = spline._WhitenedDesign(bases, z, no_ranks)
     assert np.abs(design.col_means[1] - design.const_coefs[1]).max() > 1e-9
     for j in range(3):
         ones = design.fitted(j, design.const_coefs[j])
@@ -306,10 +310,12 @@ def test_rank_columns_share_one_whitened_basis():
     # identity Gram matrix and diagonal penalty.
     rng = np.random.default_rng(8)
     n, p = 500, 5
-    z = rank_columns(rng.normal(size=(n, p)))
+    x = rng.normal(size=(n, p))
+    z = rank_columns(x)
     bases = spline._coordinate_bases(z, None)
-    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
-    assert sorted(design.ranks) == list(range(p))
+    _, tied, ranked = fit_empirical(x)
+    design = spline._WhitenedDesign(bases, tied, ranked)
+    assert sorted(design.orders) == list(range(p))
     resid = rng.normal(size=n)
     blocks = [design.maps[j].T @ bases[j].design(z[:, j]).T for j in range(p)]
     for j, block in enumerate(blocks):
@@ -332,9 +338,10 @@ def test_rank_columns_take_the_grid_basis():
     n = 300
     x = rng.normal(size=(n, 4))
     x[10, 2] = x[20, 2]
-    z = rank_columns(x)
-    fit = spline.fit_doubly_penalized(z, x[:, 0] + rng.normal(size=n), default_penalties(n, 4))
-    for basis, own in zip(fit.bases, spline._coordinate_bases(z, None)):
+    _, tied, ranked = fit_empirical(x)
+    y = x[:, 0] + rng.normal(size=n)
+    fit = spline.fit_doubly_penalized(tied, y, default_penalties(n, 4), ranked=ranked)
+    for basis, own in zip(fit.bases, spline._coordinate_bases(rank_columns(x), None)):
         np.testing.assert_array_equal(basis.knots, own.knots)
     assert fit.bases[0] is fit.bases[1] is fit.bases[3] is not fit.bases[2]
 
@@ -348,10 +355,12 @@ def test_rank_column_with_a_tie_keeps_its_own_design():
     x[10, 1] = x[20, 1]
     z = rank_columns(x)
     bases = spline._coordinate_bases(z, None)
-    design = spline._WhitenedDesign(bases, z, grid_ranks(z))
-    assert sorted(design.ranks) == [0, 2, 3]
-    alone = spline._WhitenedDesign(bases[1:2], z[:, 1:2], grid_ranks(z[:, 1:2]))
-    assert alone.ranks == {}
+    _, tied, ranked = fit_empirical(x)
+    design = spline._WhitenedDesign(bases, tied, ranked)
+    assert sorted(design.orders) == [0, 2, 3]
+    _, tied, ranked = fit_empirical(x[:, 1:2])
+    alone = spline._WhitenedDesign(bases[1:2], tied, ranked)
+    assert alone.orders == {}
     resid = rng.normal(size=n)
     theta = rng.normal(size=len(alone.eig[0]))
     assert np.array_equal(design.maps[1], alone.maps[0])

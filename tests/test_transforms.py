@@ -6,13 +6,12 @@ from scipy.special import ndtr
 from scipy.stats import kstest, rankdata
 
 from dll import transforms
-from dll.transforms import EmpiricalCDF, KnownCDF, grid_ranks
+from dll.transforms import EmpiricalCDF, KnownCDF, count_clamped, fit_empirical, rank_grid
 
 
 def test_rank_transform_small_cases():
-    np.testing.assert_allclose(
-        EmpiricalCDF.fit([3.0, 1.0, 2.0]).train_values, [3 / 4, 1 / 4, 2 / 4]
-    )
+    column = np.array([3.0, 1.0, 2.0])
+    np.testing.assert_allclose(EmpiricalCDF.fit(column)(column), [3 / 4, 1 / 4, 2 / 4])
 
 
 def test_rank_transform_equals_ranks_without_ties():
@@ -20,22 +19,74 @@ def test_rank_transform_equals_ranks_without_ties():
     for n in (1, 2, 7, 500):
         column = rng.normal(size=n)
         expected = rankdata(column, method="average") / (n + 1)
-        np.testing.assert_array_equal(EmpiricalCDF.fit(column).train_values, expected)
+        np.testing.assert_array_equal(EmpiricalCDF.fit(column)(column), expected)
 
 
-def test_grid_ranks_finds_the_tie_free_rank_columns():
+def test_fit_empirical_finds_the_tie_free_rank_columns():
     # A tie-free column's transform is a permutation of the grid and is
-    # found with its ranks; a tie, or a value off the grid, leaves it out.
+    # returned as its sort order, which gives its ranks; a tie leaves it out.
     rng = np.random.default_rng(18)
     n = 300
     x = rng.normal(size=(n, 4))
     x[5, 1] = x[9, 1]
-    z = np.column_stack([EmpiricalCDF.fit(col).train_values for col in x.T])
-    z[0, 3] = np.nextafter(z[0, 3], 1.0)
-    cols, ranks = grid_ranks(z)
-    assert cols.tolist() == [0, 2]
-    for col, rank in zip(cols, ranks):
+    _, z, (cols, orders) = fit_empirical(x)
+    assert cols.tolist() == [0, 2, 3]
+    for col, order in zip(cols, orders):
+        rank = np.empty(n)
+        rank[order] = np.arange(n)
         np.testing.assert_array_equal(rank, rankdata(x[:, col]) - 1)
+    np.testing.assert_array_equal(z[:, 0], EmpiricalCDF.fit(x[:, 1])(x[:, 1]))
+
+
+def per_column_fit(column):
+    """The reference: one argsort per column, then each value's top rank."""
+    order = np.argsort(column)
+    s = column[order]
+    values = np.empty(column.size)
+    values[order] = rank_grid(column.size)[np.searchsorted(s, s, "right") - 1]
+    return s, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.sampled_from([1, 2, 500]), st.integers(min_value=3, max_value=40)),
+    st.integers(min_value=1, max_value=4),
+)
+def test_fit_empirical_matches_the_per_column_fit(seed, n, c):
+    # Bit for bit, against EmpiricalCDF.fit and the per-column reference:
+    # each column's order statistics, and its transformed training values,
+    # given as a sort order for a tie-free column and as values otherwise.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c))
+    x[:, ::2] = np.round(x[:, ::2], int(rng.integers(0, 3)))
+    transforms, z, (cols, orders) = fit_empirical(x)
+    tied = [j for j in range(c) if np.unique(x[:, j]).size < n]
+    assert cols.tolist() == [j for j in range(c) if j not in tied]
+    assert z.shape == (n, len(tied)) and orders.shape == (len(cols), n)
+    values = np.empty((n, c))
+    values[:, tied] = z
+    for j, order in zip(cols, orders):
+        values[order, j] = rank_grid(n)
+    for j, tr in enumerate(transforms):
+        order_stats, train_values = per_column_fit(x[:, j])
+        for stats in (order_stats, EmpiricalCDF.fit(x[:, j]).order_stats):
+            assert tr.order_stats.tobytes() == stats.tobytes()
+        for expected in (train_values, tr(x[:, j])):
+            assert values[:, j].tobytes() == expected.tobytes()
+
+
+def test_count_clamped_sums_the_per_column_counts():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(200, 5))
+    x[:, 1] = np.round(x[:, 1])
+    transforms, _, _ = fit_empirical(x)
+    new = 1.5 * rng.normal(size=(300, 5))
+    new[0, 2], new[1, 2] = transforms[2].order_stats[[0, -1]]  # the ends are inside
+    per_column = [
+        sum(v < x[:, j].min() or v > x[:, j].max() for v in new[:, j]) for j in range(5)
+    ]
+    assert count_clamped(transforms, new) == sum(per_column) > 0
 
 
 def test_ndtr_is_scipy_ndtr_bit_for_bit():
@@ -46,7 +97,8 @@ def test_ndtr_is_scipy_ndtr_bit_for_bit():
 
 def test_empirical_transform_ks_against_uniform():
     rng = np.random.default_rng(0)
-    z = EmpiricalCDF.fit(rng.normal(size=10_000)).train_values
+    draws = rng.normal(size=10_000)
+    z = EmpiricalCDF.fit(draws)(draws)
     stat = kstest(z, "uniform").statistic
     assert stat < 0.02
 
@@ -68,7 +120,7 @@ def test_empirical_out_of_sample_interpolation_and_clamp():
     assert tr(1.5) == pytest.approx((2 / 5 + 3 / 5) / 2)
     assert tr(-10.0) == pytest.approx(1 / (n + 1))  # clamped left
     assert tr(10.0) == pytest.approx(n / (n + 1))  # clamped right
-    assert tr.clamp_count(np.array([-1.0, 0.5, 99.0])) == 2
+    assert count_clamped((tr,), np.array([[-1.0], [0.5], [99.0]])) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -89,7 +141,5 @@ def test_empirical_train_values_equal_the_transform(seed, n):
     # A training value maps to the top rank of its tie group over n + 1.
     rng = np.random.default_rng(seed)
     column = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
-    tr = EmpiricalCDF.fit(column)
-    np.testing.assert_array_equal(tr.train_values, tr(column))
     top = np.array([np.sum(column <= v) for v in column]) / (n + 1)
-    np.testing.assert_array_equal(tr.train_values, top)
+    np.testing.assert_array_equal(EmpiricalCDF.fit(column)(column), top)
