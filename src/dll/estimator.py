@@ -324,6 +324,9 @@ def _fit_additive(
     cubic splines on quantile knots, second-derivative smoothness penalty."""
     n, n_coords = x_cols.shape
     transforms, z, ranked = _fit_transforms(x_cols, options, known_cdfs)
+    # cross_fit passes each fold's columns as a temporary, so this was the
+    # last reference: they are freed before the fit, which holds the most.
+    del x_cols
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
@@ -376,6 +379,12 @@ def cross_fit(
     Splits the sample in two folds, fits the projection of x1 on x2 and
     the additive model of y on each, and evaluates every observation with
     the fits of the opposite fold.
+
+    The working set is kept small: a fold's coordinate matrix
+    ``[x1, x2]`` exists only until that fold's transforms are fitted, no
+    stacked copy of the whole sample is made, and each fit evaluates each
+    of its active components once over the n rows, for both the nuisance
+    and the full prediction.
     """
     y, x1, x2 = dataset.y, dataset.x1, dataset.x2
     n, p = dataset.n, dataset.p
@@ -392,17 +401,18 @@ def cross_fit(
 
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
-    x_all = np.column_stack([x1, x2])
     proj = [_fit_projection(x2[i], x1[i], options) for i in folds]
-    additive = [_fit_additive(x_all[i], y[i], options, known_cdfs) for i in folds]
+    additive = [
+        _fit_additive(np.column_stack([x1[i], x2[i]]), y[i], options, known_cdfs)
+        for i in folds
+    ]
 
     # Cross-application: each observation is evaluated with the fits from
     # the opposite fold. The two fold fits are aligned to a common level
     # (their average mean over the full sample): a constant offset that
     # differs by fold is not annihilated by the global centering of the
     # weights, so it would leak into the estimate as extra noise.
-    nuis_all = [fit.predict_sum(x2, exclude=0) for fit in additive]
-    full_all = [fit.predict_sum(x_all) for fit in additive]
+    nuis_all, full_all = zip(*(fit.predict_sums(x1, x2) for fit in additive))
     nuis_level = [float(np.mean(v)) for v in nuis_all]
     full_level = [float(np.mean(v)) for v in full_all]
     nuis_mid = (nuis_level[0] + nuis_level[1]) / 2
@@ -415,7 +425,9 @@ def cross_fit(
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
         if options.transform == "empirical":
-            clamped += count_clamped(additive[other].transforms, x_all[idx])
+            transforms = additive[other].transforms
+            clamped += count_clamped(transforms[:1], x1[idx, None])
+            clamped += count_clamped(transforms[1:], x2[idx])
 
     sigma2 = noise_sd_estimate(x1, rows, 0)
     if sigma1 is None:

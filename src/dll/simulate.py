@@ -11,6 +11,7 @@ never finite-differenced.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -326,6 +327,35 @@ def default_jobs() -> int:
         raise ValueError(f"DLL_JOBS must be an integer, got {raw!r}") from None
 
 
+# The thread-count variables of the BLAS builds numpy ships with or links.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_in_workers(fn, tasks: list, n_jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, computed in ``n_jobs`` worker processes.
+
+    The workers are spawned, not forked, so each starts fresh and reads its
+    BLAS thread count at start: every variable of BLAS_THREAD_VARS that the
+    caller has not set is ``max(1, cpus // n_jobs)`` while the workers
+    start, so that the workers' BLAS threads together do not oversubscribe
+    the CPUs, and the caller's environment is restored afterwards. ``fn``
+    and the tasks must pickle.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    budget = str(max(1, (cpus or 1) // n_jobs))
+    unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=spawn) as pool:
+        os.environ.update(dict.fromkeys(unset, budget))
+        try:
+            # map submits every chunk at once, which starts the workers.
+            results = pool.map(fn, tasks, chunksize=4)
+        finally:
+            for name in unset:
+                del os.environ[name]
+        return list(results)
+
+
 def monte_carlo_records(
     config: SimConfig,
     b: int,
@@ -334,17 +364,18 @@ def monte_carlo_records(
 ) -> tuple[MCReport, list[RepRecord]]:
     """Run B replications with seeds seed+1..seed+B and aggregate.
 
-    Replications are independent; with ``n_jobs > 1`` they run in worker
-    processes, and records are always reduced in seed order so the report
-    is identical regardless of scheduling.
+    Replications are independent; with ``n_jobs > 1`` they run in fresh
+    worker processes with their own BLAS thread budget (``_map_in_workers``),
+    so a script that calls this needs an ``if __name__ == "__main__"``
+    guard. Records are always reduced in seed order, so the report is
+    identical regardless of scheduling.
     """
     if b < 1:
         raise ValueError("need at least one replication")
     n_jobs = default_jobs() if n_jobs is None else n_jobs
     tasks = [(config, options, config.seed + r) for r in range(1, b + 1)]
     if n_jobs > 1 and b > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_replication_task, tasks, chunksize=4))
+        records = _map_in_workers(_replication_task, tasks, n_jobs)
     else:
         records = [_replication_task(t) for t in tasks]
     return _aggregate(config, records), records

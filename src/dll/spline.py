@@ -257,22 +257,34 @@ def _bisection_band(target: np.ndarray, half_rdp: np.ndarray, top: float) -> tup
     can differ from the exact one only within ``(m + 5) eps / |G'|`` of
     the root; the band is the bracket widened by four times that. It is
     the whole line when the bracket does not close within SCREEN_ROOT_CAP
-    steps.
+    steps, or when a step overflows or divides by zero.
+
+    The sums run in Python floats: a block has a few terms, for which
+    numpy's per-call overhead costs more than the arithmetic, and the
+    guard bounds the rounding of any summation order.
     """
-    widen = 4 * (target.size + 5) * np.finfo(float).eps
+    widen = 4 * (target.size + 5) * math.ulp(1.0)
+    terms = list(zip(target.tolist(), half_rdp.tolist()))
     lo, hi = 0.0, top
-    for _ in range(SCREEN_ROOT_CAP):
-        den = np.array([[lo], [hi]]) + half_rdp
-        g_lo, g_hi = (target / den**2).sum(axis=1)
-        s_lo, s_hi = (target / den**3).sum(axis=1)  # -G' / 2
-        guard = widen / (2 * s_hi)
-        if hi - lo <= guard:
-            return lo - guard, hi + guard
-        psi_lo, psi_hi = g_lo**-0.5 - 1, g_hi**-0.5 - 1
-        gap = psi_hi - psi_lo
-        if gap > 0:
-            hi = min(hi, lo - psi_lo * (hi - lo) / gap)
-        lo = max(lo, lo - psi_lo / (g_lo**-1.5 * s_lo))
+    try:
+        for _ in range(SCREEN_ROOT_CAP):
+            g_lo = g_hi = s_lo = s_hi = 0.0
+            for t, e in terms:
+                den_lo, den_hi = lo + e, hi + e
+                g_lo += t / (den_lo * den_lo)
+                g_hi += t / (den_hi * den_hi)
+                s_lo += t / (den_lo * den_lo * den_lo)  # -G' / 2
+                s_hi += t / (den_hi * den_hi * den_hi)
+            guard = widen / (2 * s_hi)
+            if hi - lo <= guard:
+                return lo - guard, hi + guard
+            psi_lo, psi_hi = g_lo**-0.5 - 1, g_hi**-0.5 - 1
+            gap = psi_hi - psi_lo
+            if gap > 0:
+                hi = min(hi, lo - psi_lo * (hi - lo) / gap)
+            lo = max(lo, lo - psi_lo / (g_lo**-1.5 * s_lo))
+    except (OverflowError, ZeroDivisionError):
+        pass
     return -math.inf, math.inf
 
 
@@ -469,6 +481,21 @@ class AdditiveFit:
             if j in self.active_set:
                 out += self.component(j, self._to_unit(j, x_matrix[:, pos]))
         return out
+
+    def predict_sums(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(predict_sum(x2, exclude=0), predict_sum(column_stack([x1, x2])))``
+        bit for bit, without the stacked copy, each active component
+        evaluated once and added to both sums in ``predict_sum``'s order."""
+        if x2.shape[1] != self.n_coordinates - 1:
+            raise ValueError(f"expected {self.n_coordinates - 1} columns, got {x2.shape[1]}")
+        nuisance = np.full(len(x1), self.intercept)
+        full = nuisance.copy()
+        for j in self.active_set:
+            values = self.component(j, self._to_unit(j, x2[:, j - 1] if j else x1))
+            full += values
+            if j:
+                nuisance += values
+        return nuisance, full
 
 
 def nuisance_fit_error(

@@ -61,11 +61,15 @@ def fit_empirical(x_cols: np.ndarray) -> tuple[tuple[EmpiricalCDF, ...], np.ndar
     """The EmpiricalCDF of every column of ``x_cols`` (n, c) from one
     argsort, with the transformed columns: a tie-free (rank) column maps row
     ``order[i]`` to ``rank_grid(n)[i]``, so it is returned in ``ranked =
-    (cols, orders)``, its index and sort order; ``z`` holds the others."""
+    (cols, orders)``, its index and sort order; ``z`` holds the others.
+    The orders are int32 below 2**31 rows: the spline fit keeps them
+    throughout, and half the bytes of the default index type suffice."""
     x_cols = np.asarray(x_cols, dtype=float)
     if x_cols.shape[0] < 1:
         raise ValueError("need at least one observation")
     order = np.argsort(x_cols.T, axis=1)
+    if x_cols.shape[0] < 2**31:
+        order = order.astype(np.int32)
     ordered = np.take_along_axis(x_cols.T, order, axis=1)
     transforms = tuple(EmpiricalCDF(s) for s in ordered)
     tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)

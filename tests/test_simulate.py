@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import pickle
 
 import numpy as np
@@ -8,7 +9,9 @@ from scipy.special import ndtr
 
 from dll.estimator import PipelineOptions, _fit_transforms, cross_fit, dll_pipeline, evaluate
 from dll.simulate import (
+    BLAS_THREAD_VARS,
     SimConfig,
+    _map_in_workers,
     compare_naive,
     default_jobs,
     gen_design,
@@ -228,6 +231,21 @@ def test_monte_carlo_parallel_matches_serial():
     serial = monte_carlo_records(cfg, 6, opts, n_jobs=1)[0]
     parallel = monte_carlo_records(cfg, 6, opts, n_jobs=2)[0]
     assert serial == parallel
+
+
+def test_workers_get_a_blas_thread_budget_and_the_caller_keeps_its_environment(monkeypatch):
+    # Forked workers inherited the caller's BLAS threads, so two workers on
+    # two CPUs ran four threads. Spawned workers get cpus // n_jobs each,
+    # except where the caller set the variable itself.
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    budget = str(max(1, cpus // 2))
+    seen = _map_in_workers(os.getenv, list(BLAS_THREAD_VARS) * 4, 2)
+    assert seen == ([budget, "3", budget] * 4)
+    assert dict(os.environ) == before
 
 
 def test_compare_naive_zero_contamination_balanced():

@@ -469,6 +469,25 @@ def test_predict_nuisance_excludes_component():
     assert nuis == pytest.approx(full - g0, abs=1e-10)
 
 
+def test_predict_sums_match_predict_sum_bit_for_bit():
+    # One pass over the components gives both sums cross_fit needs, with
+    # the bytes of the two predict_sum calls it replaces.
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(300, 4))
+    y = np.sin(x[:, 0]) + 0.5 * x[:, 2] ** 2 + rng.normal(0, 0.1, 300)
+    transforms, z, ranked = fit_empirical(x)
+    fit = fit_doubly_penalized(
+        z, y, default_penalties(300, 4), transforms=transforms, ranked=ranked
+    )
+    assert 0 in fit.active_set and len(fit.active_set) > 1
+    new = 1.2 * rng.normal(size=(500, 4))
+    nuisance, full = fit.predict_sums(new[:, 0], new[:, 1:])
+    assert nuisance.tobytes() == fit.predict_sum(new[:, 1:], exclude=0).tobytes()
+    assert full.tobytes() == fit.predict_sum(new).tobytes()
+    with pytest.raises(ValueError, match="expected 3 columns"):
+        fit.predict_sums(new[:, 0], new)
+
+
 def test_predict_all_blocks_zero_returns_intercept():
     rng = np.random.default_rng(8)
     z = rng.uniform(0, 1, (60, 2))
@@ -748,3 +767,14 @@ def test_prox_matches_plain_bisection(seed, rho_mode):
         np.testing.assert_array_equal(
             two_penalty_prox(z, d, rho, lam), reference_two_penalty_prox(z, d, rho, lam)
         )
+
+
+def test_prox_band_is_the_whole_line_where_its_sums_overflow():
+    # At hi = 1e103 the cube overflows and -G'(hi) sums to zero: the band
+    # gives up, and the bisection tests every midpoint, as the plain one does.
+    band = spline._bisection_band(np.array([1e206]), np.array([5e7]), 1e103)
+    assert band == (-math.inf, math.inf)
+    z, d = np.array([1e99, -3e98]), np.array([1e8, 0.0])
+    np.testing.assert_array_equal(
+        two_penalty_prox(z, d, 1.0, 0.0), reference_two_penalty_prox(z, d, 1.0, 0.0)
+    )

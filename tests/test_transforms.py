@@ -30,7 +30,7 @@ def test_fit_empirical_finds_the_tie_free_rank_columns():
     x = rng.normal(size=(n, 4))
     x[5, 1] = x[9, 1]
     _, z, (cols, orders) = fit_empirical(x)
-    assert cols.tolist() == [0, 2, 3]
+    assert cols.tolist() == [0, 2, 3] and orders.dtype == np.int32
     for col, order in zip(cols, orders):
         rank = np.empty(n)
         rank[order] = np.arange(n)
