@@ -222,6 +222,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             if not os.path.isdir(os.path.dirname(ns.output) or "."):
                 raise ValueError(f"--output {ns.output}: no such directory")
         if ns.subcommand in ("fit", "bandwidth"):
+            if not math.isfinite(ns.x0):
+                raise ValueError(f"--x0 must be finite, got {ns.x0}")
             ns.options = PipelineOptions(**{
                 k: v for k, v in vars(ns).items() if k in _OPTION_FIELDS and v is not None
             })
@@ -453,15 +455,12 @@ def _cmd_coverage(ns: argparse.Namespace) -> None:
 def _cmd_bandwidth(ns: argparse.Namespace) -> None:
     dataset = load_csv(ns.input)
     h = default_bandwidth(dataset.x1, ns.x0, ns.options.bandwidth_const)
-    ratio = None
-    if dataset.p > 0:
-        proj = _fit_projection(dataset.x2, dataset.x1, ns.options)
-        ratio = window_tail_ratio(ns.x0, h, proj.gamma, proj.sigma2, dataset.n)
+    proj = _fit_projection(dataset.x2, dataset.x1, ns.options)
     _write_json({
         "h_default": h,
         "density_at_x0": kde_density(dataset.x1, ns.x0),
         "effective_sample_size": effective_sample_size(dataset.x1, KernelSpec(ns.x0, h)),
-        "window_tail_ratio": ratio,
+        "window_tail_ratio": window_tail_ratio(ns.x0, h, proj.gamma, proj.sigma2, dataset.n),
     }, ns.output)
 
 

@@ -177,23 +177,24 @@ class CrossFit:
     """Cross-fitted nuisance estimates, shared by every evaluation point.
 
     ``projection_rows`` holds each observation's ``x2 @ gamma`` from the
-    opposite fold; ``sigma2`` is the pooled projection-error scale,
-    ``gamma`` the folds' mean coefficients and ``flags`` the fit
-    diagnostics that every evaluation reports. With p == 0 there are no
-    folds or fits, the residuals are the outcome and the window shifts
-    are zero.
+    opposite fold (``None`` gives zero window shifts, the plug-in
+    weights); ``sigma2`` is the pooled projection-error scale, ``gamma``
+    the folds' mean coefficients and ``flags`` the fit diagnostics that
+    every evaluation reports. With p == 0 the projection is empty, each
+    fold fits x1 alone, and the constant nuisance and window shifts are
+    annihilated by the centered weights.
     """
 
     dataset: Dataset
     residuals: np.ndarray
     sigma1: float
     flags: dict[str, Any]
-    plan: SwapPlan | None = None
-    projections: tuple[ProjectionFit, ...] = ()
-    additive: tuple[spline.AdditiveFit, ...] = ()
+    plan: SwapPlan
+    projections: tuple[ProjectionFit, ...]
+    additive: tuple[spline.AdditiveFit, ...]
+    sigma2: float
+    gamma: np.ndarray
     projection_rows: np.ndarray | None = None
-    sigma2: float | None = None
-    gamma: np.ndarray | None = None
 
 
 def slope_normalizer(
@@ -282,8 +283,10 @@ def kde_density(x1: np.ndarray, x0: float) -> float:
     if spread <= 0:
         raise BandwidthSelectionError("sample has no spread")
     bw = 0.9 * spread * n ** (-1 / 5)
-    u = (x0 - x1) / bw
-    return float(np.mean(np.exp(-0.5 * u * u)) / (bw * math.sqrt(2 * math.pi)))
+    # Far from the data u overflows to inf: default_bandwidth reports the 0.
+    with np.errstate(over="ignore"):
+        u = (x0 - x1) / bw
+        return float(np.mean(np.exp(-0.5 * u * u)) / (bw * math.sqrt(2 * math.pi)))
 
 
 def default_bandwidth(x1: np.ndarray, x0: float, c: float = 0.5) -> float:
@@ -351,6 +354,8 @@ def _check_size(n: int) -> None:
 
 def _kernel_window(x1: np.ndarray, x0: float, options: PipelineOptions) -> KernelSpec:
     """Window at x0 (given or plug-in bandwidth), checked to hold enough points."""
+    if not math.isfinite(x0):
+        raise DataError(f"x0 must be finite, got {x0}")
     h = options.h if options.h is not None else default_bandwidth(
         x1, x0, options.bandwidth_const
     )
@@ -387,18 +392,8 @@ def cross_fit(
     and the full prediction.
     """
     y, x1, x2 = dataset.y, dataset.x1, dataset.x2
-    n, p = dataset.n, dataset.p
+    n = dataset.n
     _check_size(n)
-    sigma1 = options.sigma1_override
-    if p == 0:
-        # Univariate reduction: no projection and no nuisance, so the
-        # outcome is the residual and the window shifts are zero.
-        if sigma1 is None:
-            uni = _fit_additive(x1[:, None], y, options, known_cdfs)
-            fitted = uni.predict_sum(x1[:, None])
-            sigma1 = noise_sd_estimate(y, fitted, uni.active_dimension + 1)
-        return CrossFit(dataset, y.copy(), sigma1, {})
-
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
     proj = [_fit_projection(x2[i], x1[i], options) for i in folds]
@@ -430,6 +425,7 @@ def cross_fit(
             clamped += count_clamped(transforms[1:], x2[idx])
 
     sigma2 = noise_sd_estimate(x1, rows, 0)
+    sigma1 = options.sigma1_override
     if sigma1 is None:
         df = round((additive[0].active_dimension + additive[1].active_dimension) / 2) + 1
         sigma1 = noise_sd_estimate(y, full, df)
@@ -442,7 +438,7 @@ def cross_fit(
     }
     return CrossFit(
         dataset, y - nuis, sigma1, flags, plan, tuple(proj), tuple(additive),
-        rows, sigma2, (proj[0].gamma + proj[1].gamma) / 2,
+        sigma2, (proj[0].gamma + proj[1].gamma) / 2, rows,
     )
 
 
@@ -486,9 +482,7 @@ def evaluate(
     gamma, sigma2 = (cf.gamma, cf.sigma2) if projection is None else projection
     diagnostics = {
         "weight_error": None,
-        "window_tail_ratio": None if sigma2 is None else window_tail_ratio(
-            x0, spec.h, np.asarray(gamma, dtype=float), sigma2, cf.dataset.n
-        ),
+        "window_tail_ratio": window_tail_ratio(x0, spec.h, gamma, sigma2, cf.dataset.n),
         "flags": {"h": spec.h, **cf.flags, "shift_underflow": underflow},
     }
     s_n = slope_normalizer(weights, x1, spec)

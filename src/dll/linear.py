@@ -75,7 +75,8 @@ def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
     moments. numpy's SVD least squares solves it; the design counts as
     rank deficient when a singular value is at most
     ``max(n, p) * eps`` times the largest (``rcond=None``). The residual
-    scale is ``noise_sd_estimate`` with p degrees of freedom.
+    scale is ``noise_sd_estimate`` with p degrees of freedom; with p = 0
+    (no nuisance covariates) it is the root mean square of ``x1``.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)

@@ -11,9 +11,7 @@ never finite-differenced.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,8 +337,12 @@ def _map_in_workers(fn, tasks: list, n_jobs: int) -> list:
     caller has not set is ``max(1, cpus // n_jobs)`` while the workers
     start, so that the workers' BLAS threads together do not oversubscribe
     the CPUs, and the caller's environment is restored afterwards. ``fn``
-    and the tasks must pickle.
+    and the tasks must pickle. The pool modules are imported here, so
+    that only a study with workers pays for their import.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     budget = str(max(1, (cpus or 1) // n_jobs))
     unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]

@@ -81,8 +81,8 @@ def fit_empirical(x_cols: np.ndarray) -> tuple[tuple[EmpiricalCDF, ...], np.ndar
 
 def count_clamped(transforms: tuple[EmpiricalCDF, ...], x_matrix: np.ndarray) -> int:
     """Entries of ``x_matrix`` outside the training range of their column's
-    transform (one per column), where it clamps."""
-    lo, hi = np.array([tr.order_stats[[0, -1]] for tr in transforms]).T
+    transform (one per column, possibly none), where it clamps."""
+    lo, hi = np.array([tr.order_stats[[0, -1]] for tr in transforms]).reshape(-1, 2).T
     return int(np.count_nonzero((x_matrix < lo) | (x_matrix > hi)))
 
 

@@ -60,13 +60,15 @@ def test_parse_rejects_bad_alpha_and_h():
         ("--lasso-const", "0.5"),
         ("--h", "inf"),
         ("--lam", "2"),  # no prefix matching (was --lambda-const)
+        ("--x0", "nan"),
+        ("--x0", "inf"),
     ],
 )
 def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, value):
     missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
     assert main(["fit", "--input", missing, "--x0", "0", flag, value]) == 2
     assert "error:" in capsys.readouterr().err
-    if flag == "--bandwidth-const":
+    if flag in ("--bandwidth-const", "--x0"):
         assert main(["bandwidth", "--input", missing, "--x0", "0", flag, value]) == 2
         capsys.readouterr()
 
@@ -575,6 +577,22 @@ def test_main_bandwidth_payload(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_and_bandwidth_report_one_window_tail_ratio_for_p0(tmp_path, capsys):
+    # With no nuisance covariates both commands take the empty projection.
+    data = tmp_path / "d.csv"
+    cfg = SimConfig(n=200, p=0, gamma_true=(), f1=("linear", (2.0,)), seed=3)
+    write_csv_dataset(make_dataset(cfg), str(data))
+    fit_out, bw_out = tmp_path / "fit.json", tmp_path / "bw.json"
+    assert main(["fit", "--input", str(data), "--x0", "0.1", "--output", str(fit_out)]) == 0
+    assert main(["bandwidth", "--input", str(data), "--x0", "0.1", "--output", str(bw_out)]) == 0
+    ratio = json.loads(bw_out.read_text())["window_tail_ratio"]
+    assert ratio is not None
+    assert json.loads(fit_out.read_text())["diagnostics"]["window_tail_ratio"] == (
+        pytest.approx(ratio, rel=1e-12)
+    )
+    capsys.readouterr()
+
+
 def test_main_simulate_writes_dataset(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "60", "--p", "2", "--seed", "5",
@@ -595,7 +613,9 @@ def test_default_commands_load_no_scipy(tmp_path):
     # `import dll` and the default fit, bandwidth and simulate commands
     # load no scipy module; an --mode exact_gaussian fit loads
     # scipy.special, and never scipy.stats. Folds of 100 rows and p = 2
-    # take the OLS projection, folds of 60 rows and p = 40 the Lasso.
+    # take the OLS projection, folds of 60 rows and p = 40 the Lasso. The
+    # worker pool's modules load only for studies with workers, so those
+    # commands load no concurrent.futures either (scipy itself imports it).
     ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
     steps = [
         ("import", []),
@@ -614,7 +634,9 @@ def test_default_commands_load_no_scipy(tmp_path):
         for name, runs in {steps!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [dll.cli.main(argv) for argv in runs]
-            out[name] = codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            out[name] = codes, sorted(
+                m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")
+            )
         print(json.dumps(out))
     """)
     proc = subprocess.run(

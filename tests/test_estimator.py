@@ -188,6 +188,7 @@ def test_test_zero_decisions():
         zero_slope_test(1.0, 1.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_default_bandwidth_values():
     rng = np.random.default_rng(6)
     x = rng.normal(size=10_000)
@@ -200,6 +201,10 @@ def test_default_bandwidth_values():
         default_bandwidth(x[:10], 0.0)
     with pytest.raises(BandwidthSelectionError):
         default_bandwidth(x, 80.0)
+    for far in (1e200, 1e308, -1e308):  # u overflows: a zero density, no warning
+        assert kde_density(x, far) == 0.0
+        with pytest.raises(BandwidthSelectionError):
+            default_bandwidth(x, far)
 
 
 def test_pipeline_exact_linear_univariate():
@@ -259,12 +264,15 @@ def test_dataset_rejects_non_real_input(field, value):
 
 
 def test_cross_fit_residuals():
-    # With p = 0 the residuals are the outcome, as a copy.
+    # With p = 0 each fold's nuisance is its intercept, so the residuals
+    # are the outcome minus one constant, the folds' mean intercept, in a
+    # new array.
     rng = np.random.default_rng(21)
     x1 = rng.uniform(-1, 1, 200)
     uni = Dataset(y=np.sin(x1) + rng.normal(0, 0.3, 200), x1=x1, x2=np.empty((200, 0)))
     cf = cross_fit(uni)
-    np.testing.assert_array_equal(cf.residuals, uni.y)
+    level = (cf.additive[0].intercept + cf.additive[1].intercept) / 2
+    np.testing.assert_allclose(uni.y - cf.residuals, level, rtol=0, atol=1e-12)
     assert not np.shares_memory(cf.residuals, uni.y)
     # With p > 0 each residual is y minus the opposite fold's nuisance
     # prediction, shifted to the mean of both folds' full-sample levels.
@@ -418,6 +426,21 @@ def test_pipeline_p0_variance_positive_and_test():
     assert fit.ci_low <= 2.0 <= fit.ci_high
 
 
+@pytest.mark.parametrize("transform", ["empirical", "known"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_p0_cross_fit_is_the_local_linear_slope(transform, seed):
+    # With p = 0 the cross-fitted nuisance and window shifts are constants,
+    # which the centered weights annihilate: the estimate is the plug-in
+    # local linear slope of y.
+    cfg = SimConfig(n=400, p=0, gamma_true=(), f1=("sine", (1.0, 1.0)), seed=seed)
+    ds = make_dataset(cfg, seed)
+    opts = estimator.check_window(ds, 0.0, PipelineOptions(seed=seed, transform=transform))
+    fit = evaluate(cross_fit(ds, opts, cfg.known_cdfs()), 0.0, opts)
+    spec = KernelSpec(0.0, opts.h)
+    slope = dll_point(zero_shift_weights(ds.x1, spec), ds.y, ds.x1, spec)
+    assert fit.estimate == pytest.approx(slope, rel=1e-12, abs=0)
+
+
 def test_pipeline_general_density_matches_exact_gaussian():
     def std_normal(t):
         return float(np.exp(-t * t / 2) / np.sqrt(2 * np.pi))
@@ -504,12 +527,13 @@ def test_general_density_mode_requires_a_density():
 
 # Golden (estimate, variance, ci_low, ci_high) of each pipeline path on
 # fixed inputs, taken before the pipeline was split into cross_fit and
-# evaluate.
+# evaluate, except the p0 variance and CI ends: they follow the
+# cross-fitted sigma1, which p == 0 shares with p > 0.
 PARITY_GAMMA = np.array([0.5, -0.3])
 PARITY_GOLDEN = {
     "p0": (
-        1.7684180919674615, 0.013881117448604373,
-        1.537498753097733, 1.9993374308371898,
+        1.7684180919674615, 0.015395484608831948,
+        1.525228618203776, 2.011607565731146,
     ),
     "linear": (
         0.897700078387643, 0.35141122244649775,
@@ -593,11 +617,18 @@ def test_pipeline_checks_the_window_before_fitting(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("cross_fit ran before the window check")
 
+    cf = cross_fit(parity_dataset(2))
     monkeypatch.setattr(estimator, "cross_fit", no_fit)
     with pytest.raises(InsufficientLocalDataError):
         dll_pipeline(parity_dataset(2), 40.0, PipelineOptions(h=0.1))
     with pytest.raises(BandwidthSelectionError):
         dll_pipeline(parity_dataset(2), 80.0)
+    for x0 in (math.nan, math.inf):
+        for h in (None, 0.5):
+            with pytest.raises(DataError, match="x0 must be finite"):
+                dll_pipeline(parity_dataset(2), x0, PipelineOptions(h=h))
+    with pytest.raises(DataError, match="x0 must be finite"):
+        evaluate(cf, math.nan, PipelineOptions(h=0.5))
 
 
 def test_group_lasso_nuisance_satisfies_group_lasso_kkt():

@@ -87,6 +87,8 @@ def test_count_clamped_sums_the_per_column_counts():
         sum(v < x[:, j].min() or v > x[:, j].max() for v in new[:, j]) for j in range(5)
     ]
     assert count_clamped(transforms, new) == sum(per_column) > 0
+    # No columns, as the nuisance of a p = 0 fold, clamp nothing.
+    assert count_clamped(transforms[:0], new[:, :0]) == 0
 
 
 def test_ndtr_is_scipy_ndtr_bit_for_bit():
