@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
 from .linear import ProjectionFit, noise_sd_estimate, ols_projection, scaled_lasso
-from .transforms import GaussianCDF, KnownCDF, count_clamped, fit_empirical, ndtr
+from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, count_outside, fit_empirical, ndtr
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -303,39 +303,74 @@ def default_bandwidth(x1: np.ndarray, x0: float, c: float = 0.5) -> float:
     return c * (n * dens) ** (-1 / 5)
 
 
-def _fit_transforms(
+# Rows gathered per step when a fold's rows are copied out of x2: each
+# step's temporary stays small, and no fold-sized copy is made twice.
+GATHER_ROWS = 256
+
+
+def _row_blocks(x2: np.ndarray, idx: np.ndarray):
+    """``(start, x2[idx[start:start + GATHER_ROWS]])`` over ``idx``."""
+    for start in range(0, len(idx), GATHER_ROWS):
+        yield start, x2[idx[start : start + GATHER_ROWS]]
+
+
+def _fold_matrix(x1: np.ndarray, x2: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.column_stack([x1[idx], x2[idx]])``, filled in place."""
+    x_cols = np.empty((len(idx), x2.shape[1] + 1))
+    x_cols[:, 0] = x1[idx]
+    for start, block in _row_blocks(x2, idx):
+        x_cols[start : start + len(block), 1:] = block
+    return x_cols
+
+
+def _transform_columns(
     x_cols: np.ndarray, options: PipelineOptions, known_cdfs
-) -> tuple[tuple, np.ndarray, tuple | None]:
-    """One transform per coordinate, fitted on the given training columns, and
-    the transformed and rank columns (see ``fit_empirical``; none if known)."""
+) -> tuple[np.ndarray | None, np.ndarray, tuple | None]:
+    """``(ranges, z, ranked)`` of the training columns as ``fit_empirical``
+    returns them, or ``(None, z, None)`` through the known CDFs."""
     if options.transform == "empirical":
         return fit_empirical(x_cols)
     if known_cdfs is None or len(known_cdfs) != x_cols.shape[1]:
         raise ValueError("transform='known' requires one CDF per coordinate")
-    transforms = tuple(KnownCDF(cdf) for cdf in known_cdfs)
     if all(isinstance(cdf, GaussianCDF) for cdf in known_cdfs):
-        z = ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs]))
-    else:
-        z = np.column_stack([tr(x_cols[:, j]) for j, tr in enumerate(transforms)])
-    return transforms, z, None
+        return None, ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs])), None
+    z = np.column_stack([KnownCDF(cdf)(x_cols[:, j]) for j, cdf in enumerate(known_cdfs)])
+    return None, z, None
 
 
 def _fit_additive(
-    x_cols: np.ndarray, y: np.ndarray, options: PipelineOptions, known_cdfs
-) -> spline.AdditiveFit:
-    """Transform the training columns and run the penalized additive fit:
-    cubic splines on quantile knots, second-derivative smoothness penalty."""
+    x1: np.ndarray, x2: np.ndarray, idx: np.ndarray, y: np.ndarray,
+    options: PipelineOptions, known_cdfs,
+) -> tuple[spline.AdditiveFit, np.ndarray | None]:
+    """The penalized additive fit of ``y`` on the transformed fold columns
+    ``[x1[idx], x2[idx]]`` (cubic splines on quantile knots,
+    second-derivative smoothness penalty), with the empirical transforms'
+    training ranges (see ``fit_empirical``; none for known CDFs).
+
+    The fold's coordinate matrix lives only until its columns are
+    transformed. The fit keeps a transform only for each active coordinate
+    (the others are None), built after the fit: an empirical one from the
+    column's fold values, gathered in a rank column's sort order or sorted
+    again where the column has ties."""
+    x_cols = _fold_matrix(x1, x2, idx)
     n, n_coords = x_cols.shape
-    transforms, z, ranked = _fit_transforms(x_cols, options, known_cdfs)
-    # cross_fit passes each fold's columns as a temporary, so this was the
-    # last reference: they are freed before the fit, which holds the most.
-    del x_cols
+    ranges, z, ranked = _transform_columns(x_cols, options, known_cdfs)
+    del x_cols  # the fit holds the most; the fold matrix is freed before it
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
-    return spline.fit_doubly_penalized(
-        z, y, penalties, options.num_interior_knots, transforms=transforms, ranked=ranked
-    )
+    fit = spline.fit_doubly_penalized(z, y, penalties, options.num_interior_knots, ranked=ranked)
+    transforms = [None] * n_coords
+    orders = {} if ranked is None else dict(zip(ranked[0].tolist(), ranked[1]))
+    for j in fit.active_set:
+        column = x2[:, j - 1] if j else x1
+        if ranked is None:
+            transforms[j] = KnownCDF(known_cdfs[j])
+        elif j in orders:
+            transforms[j] = EmpiricalCDF(column[idx[orders[j]]])
+        else:
+            transforms[j] = EmpiricalCDF.fit(column[idx])
+    return replace(fit, transforms=tuple(transforms)), ranges
 
 
 def _fit_projection(
@@ -397,10 +432,7 @@ def cross_fit(
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
     proj = [_fit_projection(x2[i], x1[i], options) for i in folds]
-    additive = [
-        _fit_additive(np.column_stack([x1[i], x2[i]]), y[i], options, known_cdfs)
-        for i in folds
-    ]
+    additive, ranges = zip(*(_fit_additive(x1, x2, i, y[i], options, known_cdfs) for i in folds))
 
     # Cross-application: each observation is evaluated with the fits from
     # the opposite fold. The two fold fits are aligned to a common level
@@ -419,10 +451,11 @@ def cross_fit(
         rows[idx] = x2[idx] @ proj[other].gamma
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
-        if options.transform == "empirical":
-            transforms = additive[other].transforms
-            clamped += count_clamped(transforms[:1], x1[idx, None])
-            clamped += count_clamped(transforms[1:], x2[idx])
+        if ranges[other] is not None:
+            clamped += count_outside(ranges[other][:1], x1[idx, None])
+            clamped += sum(
+                count_outside(ranges[other][1:], block) for _, block in _row_blocks(x2, idx)
+            )
 
     sigma2 = noise_sd_estimate(x1, rows, 0)
     sigma1 = options.sigma1_override

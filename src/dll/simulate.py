@@ -130,6 +130,16 @@ class SimConfig:
             return self.ar1_rho ** np.abs(idx[:, None] - idx[None, :])
         raise ValueError(f"unknown design_cov {self.design_cov!r}")
 
+    def _nuisance_draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n rows of the Gaussian nuisance design: standard normal draws,
+        correlated by the Cholesky factor of ``_cov()``. With the identity
+        covariance the draws are returned as they are, which is what the
+        product with the identity factor gives, bit for bit."""
+        z = rng.standard_normal((n, self.p))
+        if self.design_cov == "identity":
+            return z
+        return z @ np.linalg.cholesky(self._cov()).T
+
     def known_cdfs(self) -> list[GaussianCDF]:
         """Exact marginal CDFs for [x1, nuisance columns]."""
         diag = np.sqrt(np.diag(self._cov())) if self.p else np.empty(0)
@@ -144,9 +154,7 @@ def gen_design(config: SimConfig, seed: int | None = None) -> tuple[np.ndarray, 
         x2 = np.empty((config.n, 0))
         x1 = rng.normal(0.0, config.sigma2_true, size=config.n)
         return x1, x2
-    cov = config._cov()
-    z = rng.standard_normal((config.n, config.p))
-    x2 = z @ np.linalg.cholesky(cov).T
+    x2 = config._nuisance_draws(rng, config.n)
     delta = rng.normal(0.0, config.sigma2_true, size=config.n)
     x1 = x2 @ np.asarray(config.gamma_true, dtype=float) + delta
     return x1, x2
@@ -252,7 +260,7 @@ def run_replication(
     extra = {}
     if cfg.p > 0:
         rng = np.random.default_rng([seed, _FRESH])
-        fresh = rng.standard_normal((500, cfg.p)) @ np.linalg.cholesky(cfg._cov()).T
+        fresh = cfg._nuisance_draws(rng, 500)
         extra["nuisance_error"] = nuisance_fit_error(
             *cf.additive,
             lambda rows: nuisance_truth(cfg, rows),

@@ -61,6 +61,8 @@ SCREEN_FLOOR = 1e-150
 SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
+# Rank orders are cast to intp in pieces of about this size for a gather.
+GATHER_INDEX_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -434,7 +436,8 @@ class AdditiveFit:
     components are empirically centered on the training sample, with the
     common level in ``intercept``. When ``transforms`` is present,
     prediction maps raw covariates through them; otherwise inputs are
-    taken as already transformed to [0,1].
+    taken as already transformed to [0,1]. Only active components are
+    evaluated, so an inactive coordinate's transform may be None.
     """
 
     intercept: float
@@ -445,7 +448,7 @@ class AdditiveFit:
     objective_trace: tuple[float, ...]
     converged: bool
     sweeps: int
-    transforms: tuple[Callable, ...] | None = None
+    transforms: tuple[Callable | None, ...] | None = None
 
     @property
     def n_coordinates(self) -> int:
@@ -623,11 +626,23 @@ class _WhitenedDesign:
             store, i = self.slots[j]
             stop = min(len(store), i + k - j)
             if j in self.orders:
-                parts.append((resid[store[i:stop]] @ self.grid_basis.T).ravel())
+                parts.append((_gather_rows(resid, store[i:stop]) @ self.grid_basis.T).ravel())
             else:
                 parts.append(store[i:stop].reshape(-1, self.n) @ resid)
             j += stop - i
         return np.concatenate(parts) / self.n
+
+
+def _gather_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for a 2-D int32 ``index``, cast to intp a few rows
+    at a time: indexing with the int32 array itself would build an intp
+    copy of all of it first. The indices are valid, so mode "clip" changes
+    no value; it lets ``take`` write into ``out`` without buffering it."""
+    out = np.empty(index.shape)
+    rows = max(1, GATHER_INDEX_BYTES // (8 * index.shape[1]))
+    for i in range(0, len(index), rows):
+        np.take(values, index[i : i + rows].astype(np.intp), out=out[i : i + rows], mode="clip")
+    return out
 
 
 def _reduced_eigh(omega: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

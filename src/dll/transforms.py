@@ -4,8 +4,8 @@ Two variants: the rank-based empirical CDF, whose training values lie
 on the grid ``rank_grid(n)`` = k/(n+1), k = 1..n, with ties at the top
 rank of their group (strictly inside (0,1), where spline bases do not
 degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
-``fit_empirical`` fits a matrix from one argsort, and returns a column
-without ties, a permutation of that grid, as its sort order.
+``fit_empirical`` transforms a matrix's training columns, and returns a
+column without ties, a permutation of that grid, as its sort order.
 ``ndtr``, the standard normal CDF, is the package's one route to scipy.
 """
 
@@ -48,7 +48,12 @@ class EmpiricalCDF:
 
     @classmethod
     def fit(cls, column) -> "EmpiricalCDF":
-        return fit_empirical(np.reshape(column, (-1, 1)))[0][0]
+        column = np.asarray(column, dtype=float).ravel()
+        if column.size < 1:
+            raise ValueError("need at least one observation")
+        # Sorted by argsort, as fit_empirical sorts: np.sort may order a
+        # -0.0 and a 0.0 the other way round.
+        return cls(column[np.argsort(column)])
 
     def __call__(self, x):
         grid = rank_grid(self.order_stats.size)
@@ -57,32 +62,44 @@ class EmpiricalCDF:
         return float(out) if out.ndim == 0 else out
 
 
-def fit_empirical(x_cols: np.ndarray) -> tuple[tuple[EmpiricalCDF, ...], np.ndarray, tuple]:
-    """The EmpiricalCDF of every column of ``x_cols`` (n, c) from one
-    argsort, with the transformed columns: a tie-free (rank) column maps row
-    ``order[i]`` to ``rank_grid(n)[i]``, so it is returned in ``ranked =
-    (cols, orders)``, its index and sort order; ``z`` holds the others.
-    The orders are int32 below 2**31 rows: the spline fit keeps them
-    throughout, and half the bytes of the default index type suffice."""
+def fit_empirical(x_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The empirical-CDF transform of every column of ``x_cols`` (n, c),
+    applied to its training values, with one argsort per column.
+
+    A tie-free (rank) column maps row ``order[i]`` to ``rank_grid(n)[i]``,
+    so it is returned in ``ranked = (cols, orders)``, its index and sort
+    order; ``z`` holds the transformed values of the others. ``ranges``
+    (c, 2) holds each column's training [min, max], outside which its
+    transform clamps. No ``EmpiricalCDF`` is built for a rank column: its
+    order statistics are the column gathered in its sort order. The orders
+    are int32 below 2**31 rows: the spline fit keeps them throughout, and
+    half the bytes of the default index type suffice."""
     x_cols = np.asarray(x_cols, dtype=float)
-    if x_cols.shape[0] < 1:
+    n, c = x_cols.shape
+    if n < 1:
         raise ValueError("need at least one observation")
-    order = np.argsort(x_cols.T, axis=1)
-    if x_cols.shape[0] < 2**31:
-        order = order.astype(np.int32)
-    ordered = np.take_along_axis(x_cols.T, order, axis=1)
-    transforms = tuple(EmpiricalCDF(s) for s in ordered)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    z = [tr(x) for tr, x, t in zip(transforms, x_cols.T, tied) if t]
-    z = np.column_stack(z or [np.empty((len(x_cols), 0))])
+    orders = np.empty((c, n), dtype=np.int32 if n < 2**31 else np.intp)
+    ranges = np.empty((c, 2))
+    tied = np.zeros(c, dtype=bool)
+    z = []
+    for j in range(c):
+        column = x_cols[:, j]
+        orders[j] = order = np.argsort(column)
+        ordered = column[order]
+        ranges[j] = ordered[0], ordered[-1]
+        tied[j] = (ordered[1:] == ordered[:-1]).any()
+        if tied[j]:
+            z.append(EmpiricalCDF(ordered)(column))
+    z = np.column_stack(z or [np.empty((n, 0))])
     cols = np.flatnonzero(~tied)
-    return transforms, z, (cols, order[cols] if tied.any() else order)
+    return ranges, z, (cols, orders[cols] if tied.any() else orders)
 
 
-def count_clamped(transforms: tuple[EmpiricalCDF, ...], x_matrix: np.ndarray) -> int:
-    """Entries of ``x_matrix`` outside the training range of their column's
-    transform (one per column, possibly none), where it clamps."""
-    lo, hi = np.array([tr.order_stats[[0, -1]] for tr in transforms]).reshape(-1, 2).T
+def count_outside(ranges: np.ndarray, x_matrix: np.ndarray) -> int:
+    """Entries of ``x_matrix`` outside the training range ``ranges[j]`` =
+    (min, max) of their column j (``fit_empirical``'s ``ranges``), where
+    its empirical transform clamps."""
+    lo, hi = ranges.T
     return int(np.count_nonzero((x_matrix < lo) | (x_matrix > hi)))
 
 

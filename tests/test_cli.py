@@ -450,6 +450,23 @@ def test_write_csv_dataset_golden(tmp_path):
     )
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_write_csv_dataset_streams_savetxt_bytes(tmp_path, p):
+    # 1,031 rows span two write blocks and a partial third.
+    rng = np.random.default_rng(p)
+    n = 1031
+    ds = Dataset(y=rng.normal(size=n), x1=rng.normal(size=n) * 1e-300,
+                 x2=rng.standard_cauchy(size=(n, p)))
+    header = ",".join(["y", "x1"] + [f"x2_{j}" for j in range(1, p + 1)])
+    expected = tmp_path / "savetxt.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, np.column_stack([ds.y, ds.x1, ds.x2]), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=header, comments="")
+    path = tmp_path / "w.csv"
+    write_csv_dataset(ds, str(path))
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     cfg = SimConfig(
         n=50, p=2, gamma_true=(0.5, -0.25), sigma2_true=1.0,

@@ -34,7 +34,7 @@ from dll.estimator import test_zero as zero_slope_test
 from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import noise_sd_estimate, sigma_floor
 from dll.simulate import SimConfig, make_dataset
-from dll.transforms import EmpiricalCDF, fit_empirical
+from dll.transforms import EmpiricalCDF, KnownCDF, fit_empirical
 
 Z_975 = 1.959963984540054  # inverse-normal oracle, alpha = 0.05
 Z_84 = 0.9944578832097532  # inverse-normal oracle, alpha = 0.32
@@ -298,11 +298,52 @@ def test_cross_fit_counts_the_clamped_entries_of_both_folds():
     assert cf.flags["transform_clamped"] == expected > 0
 
 
+@pytest.mark.parametrize("transform", ["empirical", "known"])
+def test_cross_fit_keeps_transforms_only_for_active_coordinates(transform):
+    # A fold fit keeps the transform of each active coordinate and None for
+    # the others; its predictions are those of a fit that keeps every
+    # coordinate's transform, bit for bit. Column x2_1 has ties, so its
+    # empirical transform is sorted again after the fit, not gathered in a
+    # rank column's sort order. 1,200 rows span several gather blocks.
+    cfg = SimConfig(
+        n=1200, p=8, gamma_true=(0.5, 0.5) + (0.0,) * 6,
+        nuisance_components=((0, "sine", (1.0, 1.0)), (3, "sine", (0.8, 0.7))),
+    )
+    ds = make_dataset(cfg, 6)
+    x2 = ds.x2.copy()
+    x2[:, 0] = np.round(x2[:, 0], 1)
+    ds = Dataset(ds.y, ds.x1, x2)
+    known = None if transform == "empirical" else cfg.known_cdfs()
+    cf = cross_fit(ds, PipelineOptions(transform=transform), known)
+    x_all = np.column_stack([ds.x1, ds.x2])
+    for fit, idx in zip(cf.additive, (cf.plan.fold_a, cf.plan.fold_b)):
+        assert {0, 1, 4} <= set(fit.active_set) and len(fit.active_set) < fit.n_coordinates
+        kept = [j for j, tr in enumerate(fit.transforms) if tr is not None]
+        assert kept == list(fit.active_set)
+        every = tuple(
+            EmpiricalCDF.fit(x_all[idx, j]) if known is None else KnownCDF(known[j])
+            for j in range(fit.n_coordinates)
+        )
+        for ours, theirs in zip(
+            fit.predict_sums(ds.x1, ds.x2), replace(fit, transforms=every).predict_sums(ds.x1, ds.x2)
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+    clamped = 0
+    for idx, train in ((cf.plan.fold_a, cf.plan.fold_b), (cf.plan.fold_b, cf.plan.fold_a)):
+        lo, hi = x_all[train].min(axis=0), x_all[train].max(axis=0)
+        clamped += np.count_nonzero((x_all[idx] < lo) | (x_all[idx] > hi))
+    assert cf.flags["transform_clamped"] == (clamped if known is None else 0)
+
+
 def test_cross_fit_working_set_is_a_small_multiple_of_the_data():
     # The traced heap peak of a cross-fit with empirical transforms (numpy
     # reports its arrays to tracemalloc) over the bytes of y, x1 and x2. It
     # was 3.68 with a stacked copy of [x1, x2] alive through both fold fits
-    # and int64 sort orders, and is 2.08 without them.
+    # and int64 sort orders, and 2.07 with every column's sorted copy kept
+    # to the end and full-width int64 sort and gather indices. It is 1.28
+    # with each column sorted on its own, the fold matrix gathered in row
+    # blocks, transforms kept for the active coordinates only and the rank
+    # gather indexed a few rows at a time.
     cfg = SimConfig(
         n=4000, p=30, gamma_true=(0.5, 0.5, 0.5) + (0.0,) * 27,
         nuisance_components=((0, "sine", (1.0, 1.0)),),
@@ -317,7 +358,7 @@ def test_cross_fit_working_set_is_a_small_multiple_of_the_data():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (ds.y.nbytes + ds.x1.nbytes + ds.x2.nbytes) < 2.8
+    assert peak / (ds.y.nbytes + ds.x1.nbytes + ds.x2.nbytes) < 1.6
 
 
 @pytest.mark.filterwarnings("error")  # the NumericalError reports the overflow

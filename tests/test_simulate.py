@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from dll.estimator import PipelineOptions, _fit_transforms, cross_fit, dll_pipeline, evaluate
+from dll.estimator import PipelineOptions, _transform_columns, cross_fit, dll_pipeline, evaluate
 from dll.simulate import (
     BLAS_THREAD_VARS,
     SimConfig,
@@ -301,11 +301,11 @@ def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
         [ndtr(np.asarray(x_cols[:, j], float) / s) for j, s in enumerate(sds)]
     )
     opts = PipelineOptions(transform="known")
-    transforms, z, ranked = _fit_transforms(x_cols, opts, cdfs)
+    ranges, z, ranked = _transform_columns(x_cols, opts, cdfs)
     np.testing.assert_array_equal(z, want)
-    assert ranked is None  # known CDFs have no rank columns
-    for j, tr in enumerate(transforms):
-        np.testing.assert_array_equal(tr(x_cols[:, j]), want[:, j])
+    assert ranges is None and ranked is None  # known CDFs clamp nothing, rank nothing
+    for j, cdf in enumerate(cdfs):
+        np.testing.assert_array_equal(cdf(x_cols[:, j]), want[:, j])
     # Any other callable keeps the per-column path, with the same values.
     other = cdfs[:-1] + [lambda x, s=sds[-1]: ndtr(np.asarray(x, float) / s)]
-    np.testing.assert_array_equal(_fit_transforms(x_cols, opts, other)[1], want)
+    np.testing.assert_array_equal(_transform_columns(x_cols, opts, other)[1], want)

@@ -475,7 +475,8 @@ def test_predict_sums_match_predict_sum_bit_for_bit():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(300, 4))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 2] ** 2 + rng.normal(0, 0.1, 300)
-    transforms, z, ranked = fit_empirical(x)
+    _, z, ranked = fit_empirical(x)
+    transforms = tuple(EmpiricalCDF.fit(col) for col in x.T)
     fit = fit_doubly_penalized(
         z, y, default_penalties(300, 4), transforms=transforms, ranked=ranked
     )

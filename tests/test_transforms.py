@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import kstest, rankdata
 
 from dll import transforms
-from dll.transforms import EmpiricalCDF, KnownCDF, count_clamped, fit_empirical, rank_grid
+from dll.transforms import EmpiricalCDF, KnownCDF, count_outside, fit_empirical, rank_grid
 
 
 def test_rank_transform_small_cases():
@@ -60,7 +60,9 @@ def test_fit_empirical_matches_the_per_column_fit(seed, n, c):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c))
     x[:, ::2] = np.round(x[:, ::2], int(rng.integers(0, 3)))
-    transforms, z, (cols, orders) = fit_empirical(x)
+    # A rank column's values gathered in its sort order are its order
+    # statistics, which is how a fit builds the transforms it keeps.
+    ranges, z, (cols, orders) = fit_empirical(x)
     tied = [j for j in range(c) if np.unique(x[:, j]).size < n]
     assert cols.tolist() == [j for j in range(c) if j not in tied]
     assert z.shape == (n, len(tied)) and orders.shape == (len(cols), n)
@@ -68,27 +70,29 @@ def test_fit_empirical_matches_the_per_column_fit(seed, n, c):
     values[:, tied] = z
     for j, order in zip(cols, orders):
         values[order, j] = rank_grid(n)
-    for j, tr in enumerate(transforms):
+        assert x[order, j].tobytes() == np.sort(x[:, j]).tobytes()
+    for j in range(c):
         order_stats, train_values = per_column_fit(x[:, j])
-        for stats in (order_stats, EmpiricalCDF.fit(x[:, j]).order_stats):
-            assert tr.order_stats.tobytes() == stats.tobytes()
+        tr = EmpiricalCDF.fit(x[:, j])
+        assert tr.order_stats.tobytes() == order_stats.tobytes()
+        assert ranges[j].tobytes() == order_stats[[0, -1]].tobytes()
         for expected in (train_values, tr(x[:, j])):
             assert values[:, j].tobytes() == expected.tobytes()
 
 
-def test_count_clamped_sums_the_per_column_counts():
+def test_count_outside_sums_the_per_column_counts():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(200, 5))
     x[:, 1] = np.round(x[:, 1])
-    transforms, _, _ = fit_empirical(x)
+    ranges, _, _ = fit_empirical(x)
     new = 1.5 * rng.normal(size=(300, 5))
-    new[0, 2], new[1, 2] = transforms[2].order_stats[[0, -1]]  # the ends are inside
+    new[0, 2], new[1, 2] = ranges[2]  # the ends are inside
     per_column = [
         sum(v < x[:, j].min() or v > x[:, j].max() for v in new[:, j]) for j in range(5)
     ]
-    assert count_clamped(transforms, new) == sum(per_column) > 0
+    assert count_outside(ranges, new) == sum(per_column) > 0
     # No columns, as the nuisance of a p = 0 fold, clamp nothing.
-    assert count_clamped(transforms[:0], new[:, :0]) == 0
+    assert count_outside(ranges[:0], new[:, :0]) == 0
 
 
 def test_ndtr_is_scipy_ndtr_bit_for_bit():
@@ -122,7 +126,8 @@ def test_empirical_out_of_sample_interpolation_and_clamp():
     assert tr(1.5) == pytest.approx((2 / 5 + 3 / 5) / 2)
     assert tr(-10.0) == pytest.approx(1 / (n + 1))  # clamped left
     assert tr(10.0) == pytest.approx(n / (n + 1))  # clamped right
-    assert count_clamped((tr,), np.array([[-1.0], [0.5], [99.0]])) == 2
+    ranges = fit_empirical(np.array([[0.0], [1.0], [2.0], [3.0]]))[0]
+    assert count_outside(ranges, np.array([[-1.0], [0.5], [99.0]])) == 2
 
 
 @settings(max_examples=30, deadline=None)
