@@ -692,7 +692,6 @@ def fit_doubly_penalized(
     y: np.ndarray,
     penalties: tuple[float, float],
     num_interior_knots: int | None = None,
-    transforms: tuple[Callable, ...] | None = None,
     ranked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AdditiveFit:
     """Backfitting solver for the doubly penalized additive objective.
@@ -835,5 +834,4 @@ def fit_doubly_penalized(
         objective_trace=tuple(trace),
         converged=converged,
         sweeps=sweeps,
-        transforms=transforms,
     )

@@ -476,9 +476,9 @@ def test_predict_sums_match_predict_sum_bit_for_bit():
     x = rng.normal(size=(300, 4))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 2] ** 2 + rng.normal(0, 0.1, 300)
     _, z, ranked = fit_empirical(x)
-    transforms = tuple(EmpiricalCDF.fit(col) for col in x.T)
-    fit = fit_doubly_penalized(
-        z, y, default_penalties(300, 4), transforms=transforms, ranked=ranked
+    fit = replace(
+        fit_doubly_penalized(z, y, default_penalties(300, 4), ranked=ranked),
+        transforms=tuple(EmpiricalCDF.fit(col) for col in x.T),
     )
     assert 0 in fit.active_set and len(fit.active_set) > 1
     new = 1.2 * rng.normal(size=(500, 4))
