@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dll import estimator, spline
-from dll.decorrelate import build_weights
+from dll.decorrelate import build_weights, swap_split
 from dll.errors import (
     BandwidthSelectionError,
     DataError,
@@ -304,7 +304,9 @@ def test_cross_fit_keeps_transforms_only_for_active_coordinates(transform):
     # the others; its predictions are those of a fit that keeps every
     # coordinate's transform, bit for bit. Column x2_1 has ties, so its
     # empirical transform is sorted again after the fit, not gathered in a
-    # rank column's sort order. 1,200 rows span several gather blocks.
+    # rank column's sort order. 1,200 rows span several gather blocks, and
+    # column x2_8 is shifted in one fold, so each of its entries lies
+    # outside the other fold's range and every block adds to the count.
     cfg = SimConfig(
         n=1200, p=8, gamma_true=(0.5, 0.5) + (0.0,) * 6,
         nuisance_components=((0, "sine", (1.0, 1.0)), (3, "sine", (0.8, 0.7))),
@@ -312,6 +314,7 @@ def test_cross_fit_keeps_transforms_only_for_active_coordinates(transform):
     ds = make_dataset(cfg, 6)
     x2 = ds.x2.copy()
     x2[:, 0] = np.round(x2[:, 0], 1)
+    x2[swap_split(cfg.n, 0).fold_b, 7] += 10
     ds = Dataset(ds.y, ds.x1, x2)
     known = None if transform == "empirical" else cfg.known_cdfs()
     cf = cross_fit(ds, PipelineOptions(transform=transform), known)
@@ -333,6 +336,7 @@ def test_cross_fit_keeps_transforms_only_for_active_coordinates(transform):
         lo, hi = x_all[train].min(axis=0), x_all[train].max(axis=0)
         clamped += np.count_nonzero((x_all[idx] < lo) | (x_all[idx] > hi))
     assert cf.flags["transform_clamped"] == (clamped if known is None else 0)
+    assert clamped > cfg.n
 
 
 def test_cross_fit_working_set_is_a_small_multiple_of_the_data():
