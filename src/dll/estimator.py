@@ -39,7 +39,7 @@ from .errors import (
     SingularDesignError,
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
-from .linear import ProjectionFit, noise_sd_estimate, ols_projection, scaled_lasso
+from .linear import ProjectionFit, _row_blocks, noise_sd_estimate, ols_projection, scaled_lasso
 from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, count_outside, fit_empirical, ndtr
 
 
@@ -303,15 +303,20 @@ def default_bandwidth(x1: np.ndarray, x0: float, c: float = 0.5) -> float:
     return c * (n * dens) ** (-1 / 5)
 
 
-# Rows gathered per step when a fold's rows are copied out of x2: each
-# step's temporary stays small, and no fold-sized copy is made twice.
-GATHER_ROWS = 256
+class _FoldColumns:
+    """The columns ``x1[idx], x2[idx, 0], x2[idx, 1], ...`` of a fold as a
+    sequence, each gathered only when it is read."""
 
+    def __init__(self, x1: np.ndarray, x2: np.ndarray, idx: np.ndarray):
+        self.x1, self.x2, self.idx = x1, x2, idx
 
-def _row_blocks(x2: np.ndarray, idx: np.ndarray):
-    """``(start, x2[idx[start:start + GATHER_ROWS]])`` over ``idx``."""
-    for start in range(0, len(idx), GATHER_ROWS):
-        yield start, x2[idx[start : start + GATHER_ROWS]]
+    def __len__(self) -> int:
+        return self.x2.shape[1] + 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        return self.x2[self.idx, j - 1] if j else self.x1[self.idx]
 
 
 def _fold_matrix(x1: np.ndarray, x2: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -324,10 +329,12 @@ def _fold_matrix(x1: np.ndarray, x2: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _transform_columns(
-    x_cols: np.ndarray, options: PipelineOptions, known_cdfs
+    x_cols, options: PipelineOptions, known_cdfs
 ) -> tuple[np.ndarray | None, np.ndarray, tuple | None]:
     """``(ranges, z, ranked)`` of the training columns as ``fit_empirical``
-    returns them, or ``(None, z, None)`` through the known CDFs."""
+    returns them, or ``(None, z, None)`` through the known CDFs.
+    ``x_cols`` is the (n, c) matrix of the columns, or for the empirical
+    transform any sequence of them."""
     if options.transform == "empirical":
         return fit_empirical(x_cols)
     if known_cdfs is None or len(known_cdfs) != x_cols.shape[1]:
@@ -347,15 +354,20 @@ def _fit_additive(
     second-derivative smoothness penalty), with the empirical transforms'
     training ranges (see ``fit_empirical``; none for known CDFs).
 
-    The fold's coordinate matrix lives only until its columns are
-    transformed. The fit keeps a transform only for each active coordinate
-    (the others are None), built after the fit: an empirical one from the
-    column's fold values, gathered in a rank column's sort order or sorted
-    again where the column has ties."""
-    x_cols = _fold_matrix(x1, x2, idx)
-    n, n_coords = x_cols.shape
+    The empirical transform reads the fold's columns one at a time, so
+    no coordinate matrix is built; the known CDFs transform a fold matrix
+    that lives only until its columns are transformed. The fit keeps a
+    transform only for each active coordinate (the others are None),
+    built after the fit: an empirical one from the column's fold values,
+    gathered in a rank column's sort order or sorted again where the
+    column has ties."""
+    if options.transform == "empirical":
+        x_cols = _FoldColumns(x1, x2, idx)
+    else:
+        x_cols = _fold_matrix(x1, x2, idx)
     ranges, z, ranked = _transform_columns(x_cols, options, known_cdfs)
-    del x_cols  # the fit holds the most; the fold matrix is freed before it
+    del x_cols  # the fit holds the most; a fold matrix is freed before it
+    n, n_coords = len(idx), x2.shape[1] + 1
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
@@ -374,11 +386,16 @@ def _fit_additive(
 
 
 def _fit_projection(
-    x2: np.ndarray, x1: np.ndarray, options: PipelineOptions
+    x2: np.ndarray, x1: np.ndarray, options: PipelineOptions, rows: np.ndarray | None = None
 ) -> ProjectionFit:
-    n, p = x2.shape
+    """The projection of ``x1[rows]`` on ``x2[rows]`` (all rows when None):
+    least squares, which reads the rows in place, when the sample is
+    large against p, and the scaled Lasso, on a copy of them, otherwise."""
+    n, p = len(x2) if rows is None else len(rows), x2.shape[1]
     if n > max(4 * p, p + 10):
-        return ols_projection(x2, x1)
+        return ols_projection(x2, x1, rows)
+    if rows is not None:
+        x2, x1 = x2[rows], x1[rows]
     return scaled_lasso(x2, x1, options.lasso_const)
 
 
@@ -420,18 +437,21 @@ def cross_fit(
     the additive model of y on each, and evaluates every observation with
     the fits of the opposite fold.
 
-    The working set is kept small: a fold's coordinate matrix
-    ``[x1, x2]`` exists only until that fold's transforms are fitted, no
-    stacked copy of the whole sample is made, and each fit evaluates each
-    of its active components once over the n rows, for both the nuisance
-    and the full prediction.
+    The working set is kept small: every step reads a fold through its
+    row indices, and none copies the fold's ``x2``. The least squares
+    projection and the projection rows read it a block of rows at a time,
+    the empirical transforms one column at a time (only known CDFs
+    transform a fold matrix, freed before the additive fit), the spline
+    fit scores its rank columns over tiles of the sample, and each fit
+    evaluates each of its active components once, in row blocks, for
+    both the nuisance and the full prediction.
     """
     y, x1, x2 = dataset.y, dataset.x1, dataset.x2
     n = dataset.n
     _check_size(n)
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
-    proj = [_fit_projection(x2[i], x1[i], options) for i in folds]
+    proj = [_fit_projection(x2, x1, options, i) for i in folds]
     additive, ranges = zip(*(_fit_additive(x1, x2, i, y[i], options, known_cdfs) for i in folds))
 
     # Cross-application: each observation is evaluated with the fits from
@@ -448,14 +468,14 @@ def cross_fit(
     rows, nuis, full = (np.empty(n) for _ in range(3))
     clamped = 0
     for idx, other in ((folds[0], 1), (folds[1], 0)):
-        rows[idx] = x2[idx] @ proj[other].gamma
         nuis[idx] = nuis_all[other][idx] - nuis_level[other] + nuis_mid
         full[idx] = full_all[other][idx] - full_level[other] + full_mid
         if ranges[other] is not None:
             clamped += count_outside(ranges[other][:1], x1[idx, None])
-            clamped += sum(
-                count_outside(ranges[other][1:], block) for _, block in _row_blocks(x2, idx)
-            )
+        for start, block in _row_blocks(x2, idx):
+            rows[idx[start : start + len(block)]] = block @ proj[other].gamma
+            if ranges[other] is not None:
+                clamped += count_outside(ranges[other][1:], block)
 
     sigma2 = noise_sd_estimate(x1, rows, 0)
     sigma1 = options.sigma1_override

@@ -4,8 +4,10 @@ Two fitting routes produce the projection coefficients and the residual
 standard deviation: plain least squares when the sample comfortably
 exceeds the dimension, and the scaled Lasso (joint minimization over
 coefficients and noise level with an L1 penalty proportional to the noise
-estimate) in high dimension. Both run on numpy alone, so neither loads
-scipy.
+estimate) in high dimension. Least squares reads the sample a block of
+GATHER_ROWS rows at a time and keeps only a small triangular factor, so
+it copies no fold out of the data. Both run on numpy alone, so neither
+loads scipy.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ SIGMA_RTOL = 1e-6
 # The full sweep skips a zero coordinate only if its score is below the
 # penalty by this fraction of the score's bound (see _cd_lasso).
 SCREEN_MARGIN = 1e-9
+# Rows gathered per step when a sample's rows are read out of x2: each
+# step's temporary stays small, and no fold-sized copy is made.
+GATHER_ROWS = 256
 
 
 def sigma_floor(x1) -> float:
@@ -68,25 +73,62 @@ class ProjectionFit:
         return int(np.count_nonzero(self.gamma))
 
 
-def ols_projection(x2: np.ndarray, x1: np.ndarray) -> ProjectionFit:
-    """Least squares projection of ``x1`` on the columns of ``x2``.
+def _row_blocks(x2: np.ndarray, rows: np.ndarray | None = None):
+    """``(start, x2[rows[start:start + GATHER_ROWS]])`` over ``rows``, or
+    ``(start, x2[start:start + GATHER_ROWS])`` (a view) when it is None."""
+    n = len(x2) if rows is None else len(rows)
+    for start in range(0, n, GATHER_ROWS):
+        stop = start + GATHER_ROWS
+        yield start, x2[start:stop] if rows is None else x2[rows[start:stop]]
+
+
+def ols_projection(
+    x2: np.ndarray, x1: np.ndarray, rows: np.ndarray | None = None
+) -> ProjectionFit:
+    """Least squares projection of ``x1[rows]`` on the columns of
+    ``x2[rows]`` (all rows when ``rows`` is None), without copying them.
 
     No intercept: the projection is defined through uncentered second
-    moments. numpy's SVD least squares solves it; the design counts as
-    rank deficient when a singular value is at most
-    ``max(n, p) * eps`` times the largest (``rcond=None``). The residual
-    scale is ``noise_sd_estimate`` with p degrees of freedom; with p = 0
-    (no nuisance covariates) it is the root mean square of ``x1``.
+    moments. A Householder QR of ``[x2 | x1]`` runs over the row blocks
+    of ``_row_blocks``, each factored together with the triangular factor
+    R of the blocks before it (TSQR; Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 2012). R's leading p x p block is the factor of
+    ``x2`` and its last column holds ``Q' x1``, so ``gamma`` solves one
+    triangular system. The design counts as rank deficient when a
+    singular value of that block is at most ``max(n, p) * eps`` times the
+    largest, the rule of ``np.linalg.lstsq(rcond=None)``. The residual
+    scale is ``noise_sd_estimate`` with p degrees of freedom, on fitted
+    values computed block by block; with p = 0 (no nuisance covariates)
+    it is the root mean square of ``x1``.
     """
     x2 = np.asarray(x2, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    n, p = x2.shape
+    if rows is not None:
+        x1 = x1[rows]
+    n, p = len(x1), x2.shape[1]
     if n <= p + 1:
         raise SampleTooSmallError(f"need n > p + 1, got n={n}, p={p}")
-    gamma, _, rank, _ = np.linalg.lstsq(x2, x1, rcond=None)
-    if rank < p:
-        raise RankDeficientError("design matrix is rank deficient")
-    sigma2 = noise_sd_estimate(x1, x2 @ gamma, p)
+    # R of the blocks so far stacked over the next block, factored again.
+    work = np.empty((GATHER_ROWS + p + 1, p + 1))
+    r_rows = 0
+    for start, block in _row_blocks(x2, rows):
+        end = r_rows + len(block)
+        work[r_rows:end, :p] = block
+        work[r_rows:end, p] = x1[start : start + len(block)]
+        r_factor = np.linalg.qr(work[:end], mode="r")
+        r_rows = len(r_factor)
+        work[:r_rows] = r_factor
+    r_x2 = work[:p, :p]
+    gamma = np.zeros(0)
+    if p:
+        sv = np.linalg.svd(r_x2, compute_uv=False)
+        if not sv[-1] > max(n, p) * np.finfo(float).eps * sv[0]:
+            raise RankDeficientError("design matrix is rank deficient")
+        gamma = np.linalg.solve(r_x2, work[:p, p])
+    fitted = np.empty(n)
+    for start, block in _row_blocks(x2, rows):
+        fitted[start : start + len(block)] = block @ gamma
+    sigma2 = noise_sd_estimate(x1, fitted, p)
     return ProjectionFit(gamma, sigma2, "ols", iterations=0, converged=True)
 
 

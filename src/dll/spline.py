@@ -61,7 +61,8 @@ SCREEN_FLOOR = 1e-150
 SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
-# Rank orders are cast to intp in pieces of about this size for a gather.
+# Rank orders are cast to intp and gathered, and predictions evaluated, in
+# pieces of about this size.
 GATHER_INDEX_BYTES = 1 << 18
 
 
@@ -462,6 +463,15 @@ class AdditiveFit:
         """Evaluate the j-th fitted component on transformed inputs."""
         return self.bases[j].design(z) @ self.coef_blocks[j]
 
+    def _component_blocks(self, j: int, x: np.ndarray):
+        """``(rows, component j of x[rows])`` over row blocks of the raw
+        inputs ``x``, each block's design below GATHER_INDEX_BYTES; a
+        component's values at a row do not depend on the other rows."""
+        size = max(1, GATHER_INDEX_BYTES // (8 * self.bases[j].size))
+        for start in range(0, len(x), size):
+            rows = slice(start, start + size)
+            yield rows, self.component(j, self._to_unit(j, x[rows]))
+
     def _to_unit(self, j: int, x):
         if self.transforms is None:
             return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -482,7 +492,8 @@ class AdditiveFit:
         out = np.full(x_matrix.shape[0], self.intercept)
         for pos, j in enumerate(cols):
             if j in self.active_set:
-                out += self.component(j, self._to_unit(j, x_matrix[:, pos]))
+                for rows, values in self._component_blocks(j, x_matrix[:, pos]):
+                    out[rows] += values
         return out
 
     def predict_sums(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,10 +505,10 @@ class AdditiveFit:
         nuisance = np.full(len(x1), self.intercept)
         full = nuisance.copy()
         for j in self.active_set:
-            values = self.component(j, self._to_unit(j, x2[:, j - 1] if j else x1))
-            full += values
-            if j:
-                nuisance += values
+            for rows, values in self._component_blocks(j, x2[:, j - 1] if j else x1):
+                full[rows] += values
+                if j:
+                    nuisance[rows] += values
         return nuisance, full
 
 
@@ -553,8 +564,9 @@ class _WhitenedDesign:
     order. Their whitened design is therefore built once, on the sorted
     grid, as ``W`` (q x n); rank column j keeps only ``order_j``
     (``(B_j V)[order_j] = W.T``), so its fitted values are one scatter and
-    the scores of a run of rank columns one gather and one product,
-    ``resid[order[j:k]] @ W.T / n``.
+    the scores of a run of rank columns are ``resid[order[j:k]] @ W.T / n``,
+    gathered and multiplied a tile of sample positions at a time (see
+    ``_rank_scores``).
 
     The transposed designs of the other coordinates are stored; those of
     consecutive coordinates share chunks of at most STORE_CHUNK_BYTES, so
@@ -626,22 +638,31 @@ class _WhitenedDesign:
             store, i = self.slots[j]
             stop = min(len(store), i + k - j)
             if j in self.orders:
-                parts.append((_gather_rows(resid, store[i:stop]) @ self.grid_basis.T).ravel())
+                parts.append(_rank_scores(resid, store[i:stop], self.grid_basis).ravel())
             else:
                 parts.append(store[i:stop].reshape(-1, self.n) @ resid)
             j += stop - i
         return np.concatenate(parts) / self.n
 
 
-def _gather_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[index]`` for a 2-D int32 ``index``, cast to intp a few rows
-    at a time: indexing with the int32 array itself would build an intp
-    copy of all of it first. The indices are valid, so mode "clip" changes
-    no value; it lets ``take`` write into ``out`` without buffering it."""
-    out = np.empty(index.shape)
-    rows = max(1, GATHER_INDEX_BYTES // (8 * index.shape[1]))
-    for i in range(0, len(index), rows):
-        np.take(values, index[i : i + rows].astype(np.intp), out=out[i : i + rows], mode="clip")
+def _rank_scores(resid: np.ndarray, index: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``resid[index] @ basis.T`` for a 2-D int32 ``index`` (k, n), summed
+    over tiles of a few hundred of the n positions, so no (k, n) buffer is
+    built; indexing with the int32 array itself would also build an intp
+    copy of all of it first. A tile of the gather, its indices and its
+    slice of ``basis`` stay in cache, which a tile of a few whole rows of
+    ``index`` would not, for ``basis`` is read once per tile. The indices
+    are valid, so mode "clip" changes no value; it lets ``take`` write into
+    the buffer without buffering it."""
+    k, n = index.shape
+    out = np.zeros((k, len(basis)))
+    width = max(1, GATHER_INDEX_BYTES // (8 * k))
+    gathered = np.empty(k * min(width, n))
+    for start in range(0, n, width):
+        tile = slice(start, start + width)
+        part = gathered[: k * min(width, n - start)].reshape(k, -1)  # contiguous
+        np.take(resid, index[:, tile].astype(np.intp), out=part, mode="clip")
+        out += part @ basis[:, tile].T
     return out
 
 
@@ -712,9 +733,10 @@ def fit_doubly_penalized(
     Each sweep visits the blocks in order (Gauss-Seidel). A nonzero block
     is updated on its own. At a zero block, the scores of it and of every
     zero block before the next nonzero one come from one matrix-vector
-    product per design chunk (one gather and one matrix product for a run
-    of rank columns), and ``_prox_zero_blocks`` finds the first
-    of them whose prox is nonzero; the sweep jumps there. The skipped
+    product per design chunk (for a run of rank columns, gathers and
+    matrix products summed over tiles of the sample), and
+    ``_prox_zero_blocks`` finds the first of them whose prox is nonzero;
+    the sweep jumps there. The skipped
     blocks are exactly those the per-block update would have left at
     zero, and a block that stays zero leaves the residual untouched, so
     the scores stay valid across the jump: block order, sweep count,

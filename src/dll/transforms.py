@@ -4,8 +4,9 @@ Two variants: the rank-based empirical CDF, whose training values lie
 on the grid ``rank_grid(n)`` = k/(n+1), k = 1..n, with ties at the top
 rank of their group (strictly inside (0,1), where spline bases do not
 degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
-``fit_empirical`` transforms a matrix's training columns, and returns a
-column without ties, a permutation of that grid, as its sort order.
+``fit_empirical`` transforms the training columns of a matrix, or of a
+sequence of columns, and returns a column without ties, a permutation of
+that grid, as its sort order.
 ``ndtr``, the standard normal CDF, is the package's one route to scipy.
 """
 
@@ -62,28 +63,33 @@ class EmpiricalCDF:
         return float(out) if out.ndim == 0 else out
 
 
-def fit_empirical(x_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The empirical-CDF transform of every column of ``x_cols`` (n, c),
-    applied to its training values, with one argsort per column.
+def fit_empirical(x_cols) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The empirical-CDF transform of every column of ``x_cols``, applied
+    to its training values, with one argsort per column.
 
-    A tie-free (rank) column maps row ``order[i]`` to ``rank_grid(n)[i]``,
-    so it is returned in ``ranked = (cols, orders)``, its index and sort
-    order; ``z`` holds the transformed values of the others. ``ranges``
-    (c, 2) holds each column's training [min, max], outside which its
-    transform clamps. No ``EmpiricalCDF`` is built for a rank column: its
-    order statistics are the column gathered in its sort order. The orders
-    are int32 below 2**31 rows: the spline fit keeps them throughout, and
-    half the bytes of the default index type suffice."""
-    x_cols = np.asarray(x_cols, dtype=float)
-    n, c = x_cols.shape
+    ``x_cols`` is an (n, c) matrix or a sequence of its c columns, each
+    read once and in order, so a caller can gather one column at a time
+    and never build the matrix. A tie-free (rank) column maps row
+    ``order[i]`` to ``rank_grid(n)[i]``, so it is returned in
+    ``ranked = (cols, orders)``, its index and sort order; ``z`` holds the
+    transformed values of the others. ``ranges`` (c, 2) holds each
+    column's training [min, max], outside which its transform clamps. No
+    ``EmpiricalCDF`` is built for a rank column: its order statistics are
+    the column gathered in its sort order. The orders are int32 below
+    2**31 rows: the spline fit keeps them throughout, and half the bytes
+    of the default index type suffice."""
+    columns = np.asarray(x_cols, dtype=float).T if isinstance(x_cols, np.ndarray) else x_cols
+    c = len(columns)
+    first = np.asarray(columns[0], dtype=float) if c else np.empty(0)
+    n = first.size
     if n < 1:
-        raise ValueError("need at least one observation")
+        raise ValueError("need at least one column and one observation")
     orders = np.empty((c, n), dtype=np.int32 if n < 2**31 else np.intp)
     ranges = np.empty((c, 2))
     tied = np.zeros(c, dtype=bool)
     z = []
     for j in range(c):
-        column = x_cols[:, j]
+        column = np.asarray(columns[j], dtype=float) if j else first
         orders[j] = order = np.argsort(column)
         ordered = column[order]
         ranges[j] = ordered[0], ordered[-1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from dll.linear import (
     _cd_lasso,
     _column_stats,
     kkt_check,
+    noise_sd_estimate,
     ols_projection,
     scaled_lasso,
     sigma_floor,
@@ -85,6 +88,60 @@ def test_ols_rank_and_size_errors():
             ols_projection(np.column_stack([x, extra]), rng.normal(size=30))
     with pytest.raises(SampleTooSmallError):
         ols_projection(rng.normal(size=(4, 3)), rng.normal(size=4))
+
+
+def ols_case(name, rng):
+    """A sample (x2, x1) twice the size of the fold a case fits."""
+    n, p = {"5000x50": (5000, 50), "n=p+2": (7, 5), "constant": (600, 4), "p=0": (300, 0)}[name]
+    x2 = rng.normal(size=(2 * n, p))
+    if name == "constant":
+        x2[:, 1] = 1.0
+    x1 = x2 @ rng.normal(size=p) + rng.normal(size=2 * n)
+    return n, x2, x1
+
+
+@pytest.mark.parametrize("name", ["5000x50", "n=p+2", "constant", "p=0"])
+@pytest.mark.parametrize("sort_rows", [True, False])
+def test_ols_on_rows_is_the_fit_of_the_gathered_rows(name, sort_rows):
+    # The blocked QR reads the fold's rows in place: the same bytes as the
+    # fit of the gathered copy, and numpy's SVD least squares up to rounding.
+    rng = np.random.default_rng(15)
+    n, x2, x1 = ols_case(name, rng)
+    rows = rng.permutation(2 * n)[:n]
+    if sort_rows:
+        rows.sort()
+    fit = ols_projection(x2, x1, rows)
+    gathered = ols_projection(x2[rows], x1[rows])
+    assert fit.gamma.tobytes() == gathered.gamma.tobytes()
+    assert fit.sigma2 == gathered.sigma2
+    p = x2.shape[1]
+    if not p:
+        assert fit.gamma.shape == (0,)
+        assert fit.sigma2 == pytest.approx(np.sqrt(np.mean(x1[rows] ** 2)), rel=1e-15)
+        return
+    gamma = np.linalg.lstsq(x2[rows], x1[rows], rcond=None)[0]
+    sigma2 = noise_sd_estimate(x1[rows], x2[rows] @ gamma, p)
+    assert np.abs(fit.gamma - gamma).max() <= 1e-12 * np.abs(gamma).max()
+    assert fit.sigma2 == pytest.approx(sigma2, rel=1e-12, abs=0)
+
+
+def test_ols_on_rows_copies_no_fold():
+    # The projection of half of a 20,000 x 30 sample holds a few row blocks,
+    # the triangular factor and fold-length vectors, not the fold's x2.
+    rng = np.random.default_rng(16)
+    x2 = rng.normal(size=(20_000, 30))
+    x1 = x2 @ rng.normal(size=30) + rng.normal(size=20_000)
+    rows = rng.permutation(20_000)[:10_000]
+    ols_projection(x2[:100], x1[:100])  # first-call set-up untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ols_projection(x2, x1, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x2.nbytes
 
 
 def test_cd_lasso_unpenalized_limit():

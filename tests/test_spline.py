@@ -330,6 +330,27 @@ def test_rank_columns_share_one_whitened_basis():
         np.testing.assert_allclose(design.scores(j, k, resid), expected, rtol=0, atol=1e-12)
 
 
+def test_rank_scores_match_the_single_buffer_product():
+    # The rank-column scores are summed over tiles of the sample, so no
+    # (k, n) gather is built. Not bit for bit: the tiles split each row's
+    # dot products into partial sums, which round differently from the one
+    # matrix product over the whole buffer, whose own blocking depends on
+    # the shapes.
+    rng = np.random.default_rng(21)
+    k, n = 40, 20_000
+    index = np.stack([rng.permutation(n) for _ in range(k)]).astype(np.int32)
+    basis = rng.normal(size=(12, n))
+    resid = rng.normal(size=n)
+    assert spline.GATHER_INDEX_BYTES // (8 * k) < n  # several tiles
+    want = resid[index] @ basis.T
+    got = spline._rank_scores(resid, index, basis)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # A run that fits in one tile is the one product.
+    small = index[:2, :50] % 50
+    one_tile = spline._rank_scores(resid, small, basis[:, :50])
+    assert np.array_equal(one_tile, resid[small] @ basis[:, :50].T)
+
+
 def test_rank_columns_take_the_grid_basis():
     # A permutation of rank_grid(n) sorts back to that grid exactly, so the
     # fit builds one basis from the grid for all rank columns; its knots are
@@ -471,7 +492,10 @@ def test_predict_nuisance_excludes_component():
 
 def test_predict_sums_match_predict_sum_bit_for_bit():
     # One pass over the components gives both sums cross_fit needs, with
-    # the bytes of the two predict_sum calls it replaces.
+    # the bytes of the two predict_sum calls it replaces. Both evaluate each
+    # component in row blocks; a component's value at a row does not depend
+    # on the other rows, so over a sample of several blocks both equal the
+    # sums of the whole-sample designs times the coefficients, bit for bit.
     rng = np.random.default_rng(10)
     x = rng.normal(size=(300, 4))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 2] ** 2 + rng.normal(0, 0.1, 300)
@@ -481,10 +505,21 @@ def test_predict_sums_match_predict_sum_bit_for_bit():
         transforms=tuple(EmpiricalCDF.fit(col) for col in x.T),
     )
     assert 0 in fit.active_set and len(fit.active_set) > 1
-    new = 1.2 * rng.normal(size=(500, 4))
+    block = spline.GATHER_INDEX_BYTES // (8 * min(b.size for b in fit.bases))
+    new = 1.2 * rng.normal(size=(2 * block + 123, 4))
     nuisance, full = fit.predict_sums(new[:, 0], new[:, 1:])
     assert nuisance.tobytes() == fit.predict_sum(new[:, 1:], exclude=0).tobytes()
     assert full.tobytes() == fit.predict_sum(new).tobytes()
+    want_nuisance = np.full(len(new), fit.intercept)
+    want_full = want_nuisance.copy()
+    for j in fit.active_set:
+        unit = np.clip(fit.transforms[j](new[:, j]), 0.0, 1.0)
+        values = fit.bases[j].design(unit) @ fit.coef_blocks[j]
+        want_full += values
+        if j:
+            want_nuisance += values
+    assert nuisance.tobytes() == want_nuisance.tobytes()
+    assert full.tobytes() == want_full.tobytes()
     with pytest.raises(ValueError, match="expected 3 columns"):
         fit.predict_sums(new[:, 0], new)
 

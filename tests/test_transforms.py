@@ -80,6 +80,41 @@ def test_fit_empirical_matches_the_per_column_fit(seed, n, c):
             assert values[:, j].tobytes() == expected.tobytes()
 
 
+class ColumnReader:
+    """The columns of a matrix as a sequence that records each read."""
+
+    def __init__(self, x):
+        self.x, self.reads = x, []
+
+    def __len__(self):
+        return self.x.shape[1]
+
+    def __getitem__(self, j):
+        self.reads.append(j)
+        return self.x[:, j].copy()
+
+
+def test_fit_empirical_reads_one_column_at_a_time():
+    # Fed a sequence of columns, each read once and in order, the fit
+    # returns the bytes of the fit of the stacked matrix: for tied and
+    # tie-free columns, and for columns whose minimum is a -0.0 and 0.0
+    # pair, which tie and whose range keeps the sign that sorts first.
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(400, 5))
+    x[:, 1] = np.round(x[:, 1], 1)
+    x[:, 3:] = np.abs(x[:, 3:])
+    x[:2, 3] = -0.0, 0.0
+    x[5:7, 4] = 0.0, -0.0
+    reader = ColumnReader(x)
+    for ours, theirs in zip(fit_empirical(reader), fit_empirical(x)):
+        ours, theirs = (ours, theirs) if isinstance(ours, tuple) else ((ours,), (theirs,))
+        for a, b in zip(ours, theirs):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert reader.reads == list(range(5))
+    ranges, _, (cols, _) = fit_empirical(x)
+    assert cols.tolist() == [0, 2] and np.all(ranges[3:, 0] == 0)
+
+
 def test_count_outside_sums_the_per_column_counts():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(200, 5))
