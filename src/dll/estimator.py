@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import spline
+from . import linear, spline
 from .decorrelate import (
     SHIFT_MODES,
     DecorrelationWeights,
@@ -111,7 +111,7 @@ class PipelineOptions:
     mode: str = "linear"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
     bandwidth_const: float = 0.5
-    lasso_const: float = 1.01
+    lasso_const: float = linear.DEFAULT_PENALTY_CONST
     num_interior_knots: int | None = None
     rho_const: float = spline.DEFAULT_RHO_CONST
     lambda_const: float = spline.DEFAULT_LAMBDA_CONST

@@ -24,7 +24,12 @@ KKT_TOL = 1e-8
 MAX_OUTER = 50
 MAX_SWEEPS = 10_000
 COEF_TOL = 1e-9
+# The scaled Lasso is converged once the noise level moves by less than
+# SIGMA_RTOL (relative), but keeps alternating until it moves by less than
+# SIGMA_POLISH_RTOL, or MAX_OUTER runs out, so that the reported solution
+# is stationary to well below the convergence test.
 SIGMA_RTOL = 1e-6
+SIGMA_POLISH_RTOL = 1e-12
 # The full sweep skips a zero coordinate only if its score is below the
 # penalty by this fraction of the score's bound (see _cd_lasso).
 SCREEN_MARGIN = 1e-9
@@ -298,7 +303,7 @@ def scaled_lasso(
         sig = sig_new
         if rel < SIGMA_RTOL:
             converged = True
-        if rel < 1e-12:
+        if rel < SIGMA_POLISH_RTOL:
             break
     kkt = kkt_check(xs, x1, sig * lam0, beta)
     return ProjectionFit(

@@ -51,15 +51,6 @@ def _catalog_entry(fid: str, params: tuple):
             lambda x: a * np.sin(b * np.asarray(x, float)),
             lambda x: a * b * np.cos(b * np.asarray(x, float)),
         )
-    if fid == "bump":
-        a, c, w = params
-        def f(x):
-            x = np.asarray(x, float)
-            return a * np.exp(-((x - c) ** 2) / (2 * w**2))
-        def fp(x):
-            x = np.asarray(x, float)
-            return f(x) * (-(x - c) / w**2)
-        return f, fp
     if fid == "zero":
         return (
             lambda x: np.zeros_like(np.asarray(x, float)),
@@ -68,7 +59,7 @@ def _catalog_entry(fid: str, params: tuple):
     raise ValueError(f"unknown function id {fid!r}")
 
 
-FUNCTION_IDS = ("linear", "quadratic", "sine", "bump", "zero")
+FUNCTION_IDS = ("linear", "quadratic", "sine", "zero")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ produces exact zeros). The number of interior knots is the one setting
 of the basis; by default it is ceil(n^(1/5)) + 2. The fit is block
 coordinate descent; after a change of coordinates that whitens the
 empirical Gram matrix and diagonalizes the smoothness form, each block
-update is an exact proximal step for the sum of the two penalties.
+update is an exact proximal step for the sum of the two penalties: a
+closed form up to one scalar shrinkage root, which Newton and chord
+steps bracket to rounding.
 
 In a sparse fit most blocks are zero and stay zero, and a block that
 stays zero leaves the residual untouched. The sweep therefore screens:
@@ -47,8 +49,6 @@ DEGREE = 3
 SMOOTHNESS_ORDER = 2
 FIT_TOL = 1e-7
 MAX_SWEEPS = 500
-PROX_ITERS = 100
-PROX_TOL = 1e-10
 # Penalty eigenvalues below this fraction of the largest are null space.
 EIG_SNAP = 1e-9
 # The block screen decides in closed form only outside a relative band
@@ -57,7 +57,8 @@ EIG_SNAP = 1e-9
 # squares lose precision, go to the prox too.
 SCREEN_MARGIN = 1e-8
 SCREEN_FLOOR = 1e-150
-# Hard cap on the bracketing steps of the screen's shrinkage root.
+# Hard cap on the bracketing steps of the shrinkage root, in the prox and
+# in the screen.
 SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
@@ -246,49 +247,59 @@ def default_penalties(
     return rho, lam
 
 
-def _bisection_band(target: np.ndarray, half_rdp: np.ndarray, top: float) -> tuple[float, float]:
-    """Interval outside which the prox's bisection test follows from its root.
+def _shrinkage_root(target: np.ndarray, half_rdp: np.ndarray, top: float) -> float:
+    """The root in [0, top] of ``G(a) = sum(target / (a + half_rdp)**2) = 1``.
 
-    At a midpoint ``a`` the bisection of ``two_penalty_prox`` tests
-    ``val > a * a``, which holds exactly when
-    ``G(a) = sum(target / (a + half_rdp)**2) > 1``. G is convex and
-    decreasing, so the test holds below the root of G = 1 and fails above
-    it. The root is bracketed in [0, top] by Newton steps from below and
+    ``top`` is ``sqrt(sum(target))``, so ``G(top) <= 1``; G is convex and
+    decreasing, and the root is bracketed by Newton steps from below and
     chords from above on ``G**-0.5 - 1``, which is concave and increasing
-    (the steps of ``_prox_zero_blocks``). Either sum carries a relative
-    rounding error of about (m + 5) eps for m terms, so the computed test
-    can differ from the exact one only within ``(m + 5) eps / |G'|`` of
-    the root; the band is the bracket widened by four times that. It is
-    the whole line when the bracket does not close within SCREEN_ROOT_CAP
-    steps, or when a step overflows or divides by zero.
+    (the steps of ``_prox_zero_blocks``), with a bisection step wherever
+    one of them is not finite. The steps run on the problem divided by
+    ``top``, where G at the bracket's upper end is at most 1 and its sums
+    cannot overflow. Either sum carries a relative rounding error of about
+    (m + 5) eps for m terms, which moves the computed root by about
+    ``(m + 5) eps / |G'|``; the bracket's midpoint is returned once the
+    bracket is within four times that, with ``|G'|`` at the lower end,
+    its largest on the bracket, or after SCREEN_ROOT_CAP steps.
 
     The sums run in Python floats: a block has a few terms, for which
-    numpy's per-call overhead costs more than the arithmetic, and the
-    guard bounds the rounding of any summation order.
+    numpy's per-call overhead costs more than the arithmetic.
     """
-    widen = 4 * (target.size + 5) * math.ulp(1.0)
-    terms = list(zip(target.tolist(), half_rdp.tolist()))
-    lo, hi = 0.0, top
-    try:
-        for _ in range(SCREEN_ROOT_CAP):
-            g_lo = g_hi = s_lo = s_hi = 0.0
-            for t, e in terms:
-                den_lo, den_hi = lo + e, hi + e
-                g_lo += t / (den_lo * den_lo)
-                g_hi += t / (den_hi * den_hi)
-                s_lo += t / (den_lo * den_lo * den_lo)  # -G' / 2
-                s_hi += t / (den_hi * den_hi * den_hi)
-            guard = widen / (2 * s_hi)
-            if hi - lo <= guard:
-                return lo - guard, hi + guard
-            psi_lo, psi_hi = g_lo**-0.5 - 1, g_hi**-0.5 - 1
-            gap = psi_hi - psi_lo
-            if gap > 0:
-                hi = min(hi, lo - psi_lo * (hi - lo) / gap)
-            lo = max(lo, lo - psi_lo / (g_lo**-1.5 * s_lo))
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return -math.inf, math.inf
+    if top == 0.0:
+        return 0.0
+    terms = [(t / top / top, e / top) for t, e in zip(target.tolist(), half_rdp.tolist())]
+    widen = 4 * (len(terms) + 5) * math.ulp(1.0)
+
+    def sums(a: float) -> tuple[float, float]:
+        g = s = 0.0
+        for t, e in terms:
+            den = a + e
+            g += t / (den * den)
+            s += t / (den * den * den)  # -G' / 2
+        return g, s
+
+    lo, hi = 0.0, 1.0
+    for _ in range(SCREEN_ROOT_CAP):
+        try:
+            (g_lo, s_lo), (g_hi, s_hi) = sums(lo), sums(hi)
+            if hi - lo <= widen / (2 * s_lo):
+                break
+            psi_lo = g_lo**-0.5 - 1
+            gap = g_hi**-0.5 - 1 - psi_lo
+            newton = lo - psi_lo / (g_lo**-1.5 * s_lo)
+            chord = lo - psi_lo * (hi - lo) / gap if gap > 0 else hi
+        except (OverflowError, ZeroDivisionError):
+            newton = chord = math.nan
+        if math.isfinite(newton) and math.isfinite(chord):
+            lo, hi = max(lo, newton), min(hi, chord)
+            continue
+        mid = (lo + hi) / 2
+        try:
+            below = sums(mid)[0] > 1
+        except ZeroDivisionError:  # a zero denominator: G is infinite
+            below = True
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return top * (lo + hi) / 2
 
 
 def two_penalty_prox(
@@ -296,13 +307,11 @@ def two_penalty_prox(
 ) -> np.ndarray:
     """Minimizer of ||t - z||^2 + rho*sqrt(t'diag(d)t) + lam*||t||_2.
 
-    Solved exactly in two stages: the weighted-norm shrinkage (scalar
-    bisection on the weighted block norm), then the Euclidean-norm
-    shrinkage, which rescales without moving the weighted-norm
-    subgradient off its cone. The bisection's midpoints away from the
-    root are decided by the root itself (see ``_bisection_band``); only
-    those near it evaluate the test, so the result is the plain
-    bisection's, bit for bit.
+    Solved exactly in two stages: the weighted-norm shrinkage, which
+    scales the penalized part by ``a / (a + rho d / 2)`` at the root a of
+    ``G(a) = sum(z^2 d / (a + rho d / 2)^2) = 1`` (see
+    ``_shrinkage_root``), then the Euclidean-norm shrinkage, which
+    rescales without moving the weighted-norm subgradient off its cone.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -321,24 +330,9 @@ def two_penalty_prox(
                 v[pos] = 0.0
             else:
                 target = zp2 * dp
-                rdp = rho * dp
-                hi = math.sqrt(float(target.sum()))
-                lo = 0.0
-                below, above = _bisection_band(target, rdp / 2, hi)
-                for _ in range(PROX_ITERS):
-                    a = (lo + hi) / 2
-                    if a < below:
-                        lo = a
-                    elif a > above:
-                        hi = a
-                    elif float((target / np.square(1 + rdp / (2 * a))).sum()) > a * a:
-                        lo = a
-                    else:
-                        hi = a
-                    if hi - lo < PROX_TOL * max(1.0, hi):
-                        break
-                a = (lo + hi) / 2
-                v[pos] = zp / (1 + rdp / (2 * a))
+                half_rdp = rho * dp / 2
+                a = _shrinkage_root(target, half_rdp, math.sqrt(float(target.sum())))
+                v[pos] = zp * (a / (a + half_rdp))
     vnorm = float(np.linalg.norm(v))
     if vnorm <= lam / 2:
         return np.zeros_like(z)
@@ -356,8 +350,8 @@ def _prox_zero_blocks(
     zero tests run in closed form, and its weighted-shrinkage root is
     bracketed by Newton steps from below and chords from above on
     ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
-    whose answer lies within SCREEN_MARGIN of a threshold (beyond the
-    bisection tolerance of the prox) is passed to the prox itself.
+    whose answer lies within SCREEN_MARGIN of a threshold, far beyond the
+    rounding of the prox's root, is passed to the prox itself.
     """
     nb = len(starts) - 1
     owner = np.repeat(np.arange(nb), np.diff(starts))
@@ -393,7 +387,6 @@ def _prox_zero_blocks(
         e_el = rho * d[el] / 2
         top = np.sqrt(np.bincount(own, c_el, ids.size))
         lo, hi = np.zeros(ids.size), top
-        slack = PROX_TOL * np.maximum(1.0, top)
 
         def psi(a):
             den = a[own] + e_el
@@ -405,19 +398,19 @@ def _prox_zero_blocks(
             shrink = a[own] / (a[own] + e_el)
             return np.sqrt(null2[ids] + np.bincount(own, zz_el * shrink**2, ids.size))
 
-        # Step only the blocks still undecided whose bracket is wider than
-        # the prox's own tolerance; the rest are decided or go to the prox.
+        # Step only the blocks still undecided whose bracket has not
+        # closed; the rest are decided or go to the prox.
         for step in range(SCREEN_ROOT_CAP + 1):
-            zero[ids] |= vnorm(hi + slack) <= half - tol[ids]
-            nonzero[ids] |= vnorm(np.maximum(lo - slack, 0.0)) > half + tol[ids]
-            keep = ~zero[ids] & ~nonzero[ids] & (hi - lo > slack)
+            zero[ids] |= vnorm(hi) <= half - tol[ids]
+            nonzero[ids] |= vnorm(lo) > half + tol[ids]
+            keep = ~zero[ids] & ~nonzero[ids] & (hi > lo)
             if step == SCREEN_ROOT_CAP or not keep.any():
                 break
             if not keep.all():
                 el_keep = keep[own]
                 own = (np.cumsum(keep) - 1)[own[el_keep]]
                 zz_el, c_el, e_el = zz_el[el_keep], c_el[el_keep], e_el[el_keep]
-                ids, lo, hi, slack = ids[keep], lo[keep], hi[keep], slack[keep]
+                ids, lo, hi = ids[keep], lo[keep], hi[keep]
             psi_lo, slope = psi(lo)
             gap = psi(hi)[0] - psi_lo
             chord = lo - psi_lo * (hi - lo) / np.where(gap > 0, gap, 1.0)

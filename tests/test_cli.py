@@ -19,6 +19,7 @@ from dll.cli import (
     parse_args,
     write_csv_dataset,
 )
+from dll import linear, spline
 from dll.errors import DataError
 from dll.estimator import Dataset, DLLFit, PipelineOptions
 from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset
@@ -36,6 +37,12 @@ def test_parse_fit_defaults():
 def test_parse_fit_options_match_library_defaults():
     argv = ["fit", "--input", "d.csv", "--x0", "0.5"]
     assert parse_args(argv).options == PipelineOptions()
+    # The penalty constants default to their modules' constants, not to
+    # copies of their values.
+    defaults = PipelineOptions()
+    assert defaults.lasso_const is linear.DEFAULT_PENALTY_CONST
+    assert defaults.rho_const is spline.DEFAULT_RHO_CONST
+    assert defaults.lambda_const is spline.DEFAULT_LAMBDA_CONST
     flags = ["--rho-const", "0.2", "--lambda-const", "2", "--seed", "3", "--knots", "4"]
     assert parse_args(argv + flags).options == PipelineOptions(
         rho_const=0.2, lambda_const=2.0, seed=3, num_interior_knots=4

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from dll import spline
 
 from dll.errors import RankDeficientError
-from dll.transforms import EmpiricalCDF, fit_empirical
+from dll.transforms import EmpiricalCDF, fit_empirical, rank_grid
 from dll.spline import (
     CoordinateBasis,
     default_penalties,
@@ -267,6 +267,76 @@ def test_fit_follows_golden_path(key):
     fit = fit_doubly_penalized(z, y, default_penalties(n, p), ranked=ranked)
     assert fit.active_set == active
     assert fit.sweeps == sweeps and fit.converged
+    np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
+
+
+def reference_backfit(z_matrix, y, penalties, ranked=None):
+    """``fit_doubly_penalized``'s sweeps with no screen: the prox of every
+    block, in order. Returns the active set, sweep count and objective
+    trace."""
+    n = len(y)
+    cols, orders = ranked or (np.zeros(0, np.intp), np.zeros((0, n), np.intp))
+    p = z_matrix.shape[1] + cols.size
+    rho, lam = penalties
+    own = iter(spline._coordinate_bases(z_matrix, None))
+    shared = spline._coordinate_bases(rank_grid(n)[:, None], None)[0]
+    bases = [shared if j in cols else next(own) for j in range(p)]
+    design = spline._WhitenedDesign(bases, z_matrix, (cols, orders))
+    thetas = [np.zeros(b.size) for b in bases]
+    intercept = float(np.mean(y))
+    resid = y - intercept
+
+    def objective():
+        val = float(np.mean(resid**2))
+        for th, eig in zip(thetas, design.eig):
+            if th.any():
+                val += rho * math.sqrt(float(th @ (eig * th))) + lam * float(np.linalg.norm(th))
+        return val
+
+    trace = [objective()]
+    for sweeps in range(1, spline.MAX_SWEEPS + 1):
+        for j in range(p):
+            if thetas[j].any():
+                resid += design.fitted(j, thetas[j])
+            th = two_penalty_prox(design.scores(j, j + 1, resid), design.eig[j], rho, lam)
+            if th.any():
+                shift = float(design.col_means[j] @ th)
+                th = th - shift * design.const_coefs[j]
+                intercept += shift
+                resid -= design.fitted(j, th)
+            thetas[j] = th
+        delta = float(np.mean(resid))
+        intercept += delta
+        resid -= delta
+        trace.append(objective())
+        if abs(trace[-2] - trace[-1]) <= spline.FIT_TOL * max(abs(trace[-2]), 1e-12):
+            break
+    return tuple(j for j in range(p) if thetas[j].any()), sweeps, trace
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(GOLDEN_FITS) + [(600, 12, 43, "tied")],
+    ids=["p-heavy", "n-heavy", "n-heavy-ranks", "tied"],
+)
+def test_screened_sweep_is_the_plain_sweep(key):
+    # The screen batches the prox's zero test over runs of zero blocks; the
+    # fit must take the path of the per-block sweep, up to the rounding of
+    # scores computed for several blocks at once. "tied" puts one tie in
+    # column 6 of the problem on ranks: that column keeps its own design
+    # between runs of rank columns.
+    n, p, seed, *tags = key
+    z, y = golden_problem(n, p, seed)
+    if "tied" in tags:
+        z[10, 6] = z[20, 6]
+    ranked = None
+    if tags:
+        _, z, ranked = fit_empirical(z)
+    penalties = default_penalties(n, p)
+    fit = fit_doubly_penalized(z, y, penalties, ranked=ranked)
+    active, sweeps, trace = reference_backfit(z, y, penalties, ranked)
+    assert fit.active_set == active
+    assert fit.sweeps == sweeps
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
 
 
@@ -735,8 +805,14 @@ def test_design_batch_matches_knot_comparison(degree, interior, seed):
     )
 
 
+# The stop of the reference prox's bisection: at most REFERENCE_ITERS
+# halvings, or a bracket narrower than REFERENCE_TOL * max(1, hi).
+REFERENCE_ITERS = 100
+REFERENCE_TOL = 1e-10
+
+
 def reference_two_penalty_prox(z, d, rho, lam):
-    """The prox with the plain bisection: every midpoint evaluates the sum."""
+    """The prox with a plain bisection for its shrinkage root."""
     znorm = float(np.linalg.norm(z))
     if znorm == 0.0 or znorm <= lam / 2:
         return np.zeros_like(z)
@@ -755,14 +831,14 @@ def reference_two_penalty_prox(z, d, rho, lam):
                 rdp = rho * dp
                 hi = math.sqrt(float(target.sum()))
                 lo = 0.0
-                for _ in range(spline.PROX_ITERS):
+                for _ in range(REFERENCE_ITERS):
                     a = (lo + hi) / 2
                     val = float((target / np.square(1 + rdp / (2 * a))).sum())
                     if val > a * a:
                         lo = a
                     else:
                         hi = a
-                    if hi - lo < spline.PROX_TOL * max(1.0, hi):
+                    if hi - lo < REFERENCE_TOL * hi:
                         break
                 a = (lo + hi) / 2
                 v[pos] = zp / (1 + rdp / (2 * a))
@@ -777,10 +853,13 @@ def reference_two_penalty_prox(z, d, rho, lam):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["spread", "dyadic", "threshold"]),
 )
-def test_prox_matches_plain_bisection(seed, rho_mode):
-    # "dyadic" puts the root of the bisection exactly on one of its
-    # midpoints, where only rounding decides the test; "threshold" puts
-    # rho at the stage-one threshold, where the penalized part is zeroed.
+def test_prox_matches_bisection_reference(seed, rho_mode):
+    # "dyadic" puts the root exactly on a midpoint of the reference's
+    # bisection; "threshold" puts rho at the stage-one threshold, where
+    # the penalized part is zeroed. The reference's root is good to 1e-10
+    # relative, so its output is good to about 1e-10 of the block's norm:
+    # entries that are rounding noise at the threshold, or small
+    # differences after the Euclidean shrinkage, are compared to that.
     rng = np.random.default_rng(seed)
     for _ in range(20):
         q = int(rng.integers(1, 12))
@@ -800,17 +879,47 @@ def test_prox_matches_plain_bisection(seed, rho_mode):
         else:
             rho = float(rng.choice([s1, np.nextafter(s1, 0.0), np.nextafter(s1, np.inf)]))
         lam = float(rng.choice([0.0, rng.uniform(0, 2) * float(np.linalg.norm(z))]))
-        np.testing.assert_array_equal(
-            two_penalty_prox(z, d, rho, lam), reference_two_penalty_prox(z, d, rho, lam)
+        np.testing.assert_allclose(
+            two_penalty_prox(z, d, rho, lam), reference_two_penalty_prox(z, d, rho, lam),
+            rtol=1e-9, atol=1e-9 * float(np.linalg.norm(z)),
         )
 
 
-def test_prox_band_is_the_whole_line_where_its_sums_overflow():
-    # At hi = 1e103 the cube overflows and -G'(hi) sums to zero: the band
-    # gives up, and the bisection tests every midpoint, as the plain one does.
-    band = spline._bisection_band(np.array([1e206]), np.array([5e7]), 1e103)
-    assert band == (-math.inf, math.inf)
-    z, d = np.array([1e99, -3e98]), np.array([1e8, 0.0])
-    np.testing.assert_array_equal(
-        two_penalty_prox(z, d, 1.0, 0.0), reference_two_penalty_prox(z, d, 1.0, 0.0)
+def test_prox_solves_a_block_whose_sums_overflow_unscaled():
+    # Unscaled, the cube of the root's upper bound 1e103 overflows; the
+    # root is found on the problem divided by that bound. In the second
+    # block even the scaled slope at 0 divides by zero, so the first
+    # step is a bisection.
+    for z, d in [([1e99, -3e98], [1e8, 0.0]), ([1e150, -3e149], [1e-8, 0.0])]:
+        z, d = np.array(z), np.array(d)
+        t = two_penalty_prox(z, d, 1.0, 0.0)
+        assert np.all(np.isfinite(t))
+        np.testing.assert_allclose(
+            t, reference_two_penalty_prox(z, d, 1.0, 0.0), rtol=1e-9, atol=0
+        )
+        # The optimality check of test_two_penalty_prox_optimality, with
+        # the step and the tolerance scaled to the block.
+        scale = float(np.linalg.norm(z))
+        f0 = prox_objective(t, z, d, 1.0, 0.0)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            v = rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            step = 1e-6 * scale
+            fd = (prox_objective(t + step * v, z, d, 1.0, 0.0) - f0) / step
+            assert fd >= -1e-8 * scale
+
+
+def test_prox_root_where_g_is_flat_at_the_top():
+    # Eigenvalues 1e21 apart: the root is 9e-11 of its upper bound, where
+    # G's slope is 1e-20 of its slope at the root, so a stop judged by the
+    # upper end's slope would take the first bracket [0, top] as closed.
+    z = np.array([1 / math.sqrt(2e10), math.sqrt(5e-10)])
+    d = np.array([2e10, 2e-11])
+    # The root in closed form: G(a) = 1 at a = 9e-11, to about 1e-20.
+    exact = z / (1 + d / (2 * 9e-11))
+    np.testing.assert_allclose(two_penalty_prox(z, d, 1.0, 0.0), exact, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(
+        two_penalty_prox(z, d, 1.0, 0.0), reference_two_penalty_prox(z, d, 1.0, 0.0),
+        rtol=1e-9, atol=0,
     )
