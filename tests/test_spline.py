@@ -806,7 +806,8 @@ def test_design_batch_matches_knot_comparison(degree, interior, seed):
 
 
 # The stop of the reference prox's bisection: at most REFERENCE_ITERS
-# halvings, or a bracket narrower than REFERENCE_TOL * max(1, hi).
+# halvings, or a bracket narrower than REFERENCE_TOL * hi, relative so that
+# a small root is found as accurately as a large one.
 REFERENCE_ITERS = 100
 REFERENCE_TOL = 1e-10
 
