@@ -12,8 +12,9 @@ or infinite values are data errors naming the line number and column. The file i
 parsed array (8 bytes per cell); a file that fails is read again to name
 its first error. Datasets are written with CRLF line ends and 17
 significant digits, so a round trip is exact. Reports are JSON (full
-precision) or CSV; Monte Carlo CSV output writes one row per replication
-to the ``--output`` file plus an aggregate footer file beside it, so
+precision) or CSV. A coverage study reports once per arm (a JSON list);
+its CSV output writes one row per replication and arm to the ``--output``
+file plus a footer file beside it with one aggregate row per arm, so
 ``coverage --format csv`` requires ``--output``.
 
 Flags of each subcommand (exact names; prefixes are not accepted):
@@ -64,6 +65,7 @@ from .estimator import (
 )
 from .kernel import KernelSpec, effective_sample_size
 from .simulate import (
+    Arm,
     MCReport,
     RepRecord,
     SimConfig,
@@ -78,6 +80,8 @@ REPORT_FORMATS = ("json", "csv")
 CSV_WRITE_ROWS = 1024
 
 # Named scenarios so the standing coverage studies are one command each.
+# Each replication is one cross-fit, evaluated once per listed arm.
+ESTIMATED_AND_ORACLE = (Arm("estimated"), Arm("oracle", "oracle"))
 REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
     "lowdim": dict(
         config=SimConfig(
@@ -93,6 +97,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
         ),
         options=PipelineOptions(transform="known"),
         b=300,
+        arms=ESTIMATED_AND_ORACLE,
     ),
     "highdim": dict(
         config=SimConfig(
@@ -112,6 +117,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
         ),
         options=PipelineOptions(transform="known"),
         b=200,
+        arms=ESTIMATED_AND_ORACLE,
     ),
     "univariate-oracle": dict(
         config=SimConfig(
@@ -126,6 +132,26 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
         ),
         options=PipelineOptions(transform="known", sigma1_override=0.5),
         b=500,
+        arms=(Arm("estimated"),),
+    ),
+    # The residuals are contaminated by 0.3 times the projection of x1 on
+    # x2, or by an independent column as a control: the decorrelated
+    # weights should beat the plug-in slope against the first only.
+    "decorrelation-benefit": dict(
+        config=SimConfig(
+            n=1000, p=5, gamma_true=(1.0, -1.0, 0.0, 0.0, 0.0), sigma2_true=1.0,
+            f1=("sine", (1.0, 1.0)),
+            nuisance_components=((0, "sine", (0.5, 1.0)), (1, "sine", (0.4, 0.7))),
+            sigma1_true=0.1, x0=0.0, seed=42,
+        ),
+        options=PipelineOptions(transform="known", h=0.4),
+        b=200,
+        arms=(
+            Arm("dll-projection", contamination=0.3),
+            Arm("plugin-projection", "plugin", contamination=0.3),
+            Arm("dll-orthogonal", contamination=0.3, orthogonal=True),
+            Arm("plugin-orthogonal", "plugin", contamination=0.3, orthogonal=True),
+        ),
     ),
 }
 
@@ -391,29 +417,28 @@ def write_csv_dataset(dataset: Dataset, path: str) -> None:
 
 
 def emit_report(
-    result: DLLFit | MCReport,
+    result: DLLFit | list[MCReport],
     path: str | None,
     fmt: str = "json",
     records: list[RepRecord] | None = None,
 ) -> None:
-    """Serialize a fit or Monte Carlo report at full precision.
-
-    The payload is the result's ``repr=True`` fields, in field order. CSV
-    output for a Monte Carlo report writes one row per replication to
-    ``path``, which it needs; the aggregate goes to a
-    ``<path>.summary.csv`` footer file.
+    """Serialize a fit, or a Monte Carlo study's reports (one per arm), at
+    full precision. A report's payload is its ``repr=True`` fields, in
+    field order; a study's JSON is the list of its reports' payloads. CSV
+    output for a study writes one row per replication and arm to ``path``,
+    which it needs, and one row per arm to a ``<path>.summary.csv`` file.
     """
-    payload = _report_fields(result)
+    fit = isinstance(result, DLLFit)
+    payload = _report_fields(result) if fit else [_report_fields(r) for r in result]
     if fmt == "json":
         _write_json(payload, path)
-        return
-    if isinstance(result, DLLFit):
+    elif fit:
         flat = {k: v for k, v in payload.items() if not isinstance(v, dict)}
         _write_csv_rows(path, list(flat), [flat])
-        return
-    rec_fields = [f.name for f in dataclasses.fields(RepRecord)]
-    _write_csv_rows(path, rec_fields, [_report_fields(r) for r in records or ()])
-    _write_csv_rows(path + ".summary.csv", list(payload), [payload])
+    else:
+        rec_fields = [f.name for f in dataclasses.fields(RepRecord)]
+        _write_csv_rows(path, rec_fields, [_report_fields(r) for r in records or ()])
+        _write_csv_rows(path + ".summary.csv", list(payload[0]), payload)
 
 
 def _report_fields(result) -> dict[str, Any]:
@@ -421,7 +446,7 @@ def _report_fields(result) -> dict[str, Any]:
     return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.repr}
 
 
-def _write_json(payload: dict[str, Any], path: str | None) -> None:
+def _write_json(payload: dict[str, Any] | list[dict[str, Any]], path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=repr)
     if path is None:
         print(text)
@@ -458,8 +483,10 @@ def _cmd_simulate(ns: argparse.Namespace) -> None:
 def _cmd_coverage(ns: argparse.Namespace) -> None:
     entry = REFERENCE_CONFIGS[ns.name]
     b = entry["b"] if ns.b is None else ns.b
-    report, records = monte_carlo_records(entry["config"], b, entry["options"], ns.jobs)
-    emit_report(report, ns.output, ns.format, records=records)
+    reports, records = monte_carlo_records(
+        entry["config"], b, entry["options"], ns.jobs, entry["arms"]
+    )
+    emit_report(reports, ns.output, ns.format, records=records)
 
 
 def _cmd_bandwidth(ns: argparse.Namespace) -> None:

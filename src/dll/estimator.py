@@ -166,7 +166,6 @@ class DLLFit:
     alpha: float
     reject_zero: bool
     n_effective: int
-    mode: str  # estimated | oracle
     diagnostics: dict[str, Any] = field(default_factory=dict)
     # The weights behind the estimate; not part of the reports.
     weights: DecorrelationWeights | None = field(default=None, repr=False, compare=False)
@@ -496,18 +495,10 @@ def cross_fit(
 
 
 def _weights(
-    cf: CrossFit,
-    spec: KernelSpec,
-    options: PipelineOptions,
-    projection: tuple[np.ndarray, float] | None,
+    cf: CrossFit, spec: KernelSpec, options: PipelineOptions
 ) -> tuple[DecorrelationWeights, int]:
     """Decorrelated weights and the count of window-mass underflows."""
     x1 = cf.dataset.x1
-    if projection is not None:
-        gamma, sigma2 = projection
-        rows = cf.dataset.x2 @ np.asarray(gamma, dtype=float)
-        shifts, underflow = window_shifts(rows, sigma2, spec, "exact_gaussian")
-        return build_weights(x1, shifts, spec), underflow
     if cf.projection_rows is None:
         return build_weights(x1, np.zeros(cf.dataset.n), spec), 0
     shifts, underflow = window_shifts(
@@ -516,26 +507,31 @@ def _weights(
     return build_weights(x1, shifts, spec), underflow
 
 
-def evaluate(
-    cf: CrossFit,
-    x0: float,
-    options: PipelineOptions = PipelineOptions(),
-    projection: tuple[np.ndarray, float] | None = None,
-) -> DLLFit:
-    """Estimate, variance, CI and test at x0 from one cross-fit.
+def oracle_view(
+    cf: CrossFit, law: tuple[np.ndarray, float], options: PipelineOptions
+) -> tuple[CrossFit, PipelineOptions]:
+    """The cross-fit and options whose weights are the oracle weights of a
+    simulation: the exact Gaussian shifts of the known law
+    ``law = (gamma, sigma2)`` of x1 given x2. The nuisance fits, residuals
+    and noise scale stay the cross-fitted ones."""
+    gamma, sigma2 = law
+    gamma = np.asarray(gamma, dtype=float)
+    view = replace(cf, projection_rows=cf.dataset.x2 @ gamma, sigma2=sigma2, gamma=gamma)
+    return view, replace(options, mode="exact_gaussian")
 
-    The weights come from the cross-fitted projection, or with
-    ``projection=(gamma, sigma2)`` from the known Gaussian law of x1 given
-    x2 (the oracle weights of a simulation); the nuisance fits are the
-    same either way.
-    """
+
+def evaluate(cf: CrossFit, x0: float, options: PipelineOptions = PipelineOptions()) -> DLLFit:
+    """Estimate, variance, CI and test at x0 from one cross-fit, with the
+    weights of its projection rows and ``sigma2`` under ``options.mode``.
+    Other weights come from a ``dataclasses.replace`` variant of the
+    cross-fit: ``oracle_view``'s, or with ``projection_rows=None`` the
+    plug-in ones."""
     x1 = cf.dataset.x1
     spec = _kernel_window(x1, x0, options)
-    weights, underflow = _weights(cf, spec, options, projection)
-    gamma, sigma2 = (cf.gamma, cf.sigma2) if projection is None else projection
+    weights, underflow = _weights(cf, spec, options)
     diagnostics = {
         "weight_error": None,
-        "window_tail_ratio": window_tail_ratio(x0, spec.h, gamma, sigma2, cf.dataset.n),
+        "window_tail_ratio": window_tail_ratio(x0, spec.h, cf.gamma, cf.sigma2, cf.dataset.n),
         "flags": {"h": spec.h, **cf.flags, "shift_underflow": underflow},
     }
     s_n = slope_normalizer(weights, x1, spec)
@@ -554,7 +550,6 @@ def evaluate(
         alpha=options.alpha,
         reject_zero=test_zero(estimate, variance, options.alpha),
         n_effective=effective_sample_size(x1, spec),
-        mode="estimated" if projection is None else "oracle",
         diagnostics=diagnostics,
         weights=weights,
     )
@@ -580,7 +575,8 @@ def dll_pipeline(
     if true_projection is None:
         return fit
     spec = KernelSpec(x0, options.h)
-    oracle, _ = _weights(cf, spec, options, true_projection)
+    view, view_options = oracle_view(cf, true_projection, options)
+    oracle, _ = _weights(view, spec, view_options)
     error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
     return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 

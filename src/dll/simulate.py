@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .decorrelate import build_weights, weight_estimation_error
+from .decorrelate import weight_estimation_error
 from .errors import DLLError
 from .estimator import (
     CrossFit,
@@ -25,16 +26,16 @@ from .estimator import (
     PipelineOptions,
     check_window,
     cross_fit,
-    dll_point,
     evaluate,
+    oracle_view,
 )
 from .kernel import KernelSpec
 from .spline import nuisance_fit_error
 from .transforms import GaussianCDF
 
-# Sub-seed offsets so design, noise, swap and fresh draws are independent
-# streams derived from one replication seed.
-_DESIGN, _NOISE, _FRESH = 11, 13, 17
+# Sub-seed offsets so design, noise, fresh and contamination draws are
+# independent streams derived from one replication seed.
+_DESIGN, _NOISE, _FRESH, _CONTAMINATION = 11, 13, 17, 23
 
 
 def _catalog_entry(fid: str, params: tuple):
@@ -60,6 +61,7 @@ def _catalog_entry(fid: str, params: tuple):
 
 
 FUNCTION_IDS = ("linear", "quadratic", "sine", "zero")
+DESIGN_COVS = ("identity", "ar1")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class SimConfig:
     p: int
     gamma_true: tuple[float, ...] = ()
     sigma2_true: float = 1.0
-    design_cov: str = "identity"  # or "ar1"
+    design_cov: str = "identity"  # one of DESIGN_COVS
     ar1_rho: float = 0.5
     f1: tuple = ("sine", (1.0, 1.0))
     nuisance_components: tuple[tuple[int, str, tuple], ...] = ()
@@ -90,6 +92,10 @@ class SimConfig:
             # A chained comparison with math.inf also rejects NaN.
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.design_cov not in DESIGN_COVS:
+            raise ValueError(f"design_cov must be one of {DESIGN_COVS}, got {self.design_cov!r}")
+        if not -1 < self.ar1_rho < 1:  # also rejects NaN
+            raise ValueError(f"ar1_rho must lie in (-1, 1), got {self.ar1_rho}")
         if len(self.gamma_true) != self.p:
             raise ValueError("gamma_true must have one entry per nuisance column")
         for j, fid, _ in self.nuisance_components:
@@ -116,10 +122,8 @@ class SimConfig:
     def _cov(self) -> np.ndarray:
         if self.design_cov == "identity":
             return np.eye(self.p)
-        if self.design_cov == "ar1":
-            idx = np.arange(self.p)
-            return self.ar1_rho ** np.abs(idx[:, None] - idx[None, :])
-        raise ValueError(f"unknown design_cov {self.design_cov!r}")
+        idx = np.arange(self.p)
+        return self.ar1_rho ** np.abs(idx[:, None] - idx[None, :])
 
     def _nuisance_draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n rows of the Gaussian nuisance design: standard normal draws,
@@ -181,11 +185,34 @@ def make_dataset(config: SimConfig, seed: int | None = None) -> Dataset:
 
 
 @dataclass(frozen=True)
-class RepRecord:
-    """Outcome of a single Monte Carlo replication. The ``oracle_*`` fields
-    evaluate the same cross-fit with the exact-law weights; they stay NaN
-    (not covered) when p == 0 or when that evaluation fails."""
+class Arm:
+    """One named evaluation of a replication's cross-fit, with the weights
+    of the cross-fitted projection (``"estimated"``), of the exact law
+    (``"oracle"``, see ``estimator.oracle_view``) or with zero window
+    shifts (``"plugin"``, the plug-in local linear slope). A nonzero
+    ``contamination`` c subtracts c times the true projection
+    ``x2 @ gamma_true`` from the residuals, or with ``orthogonal=True`` c
+    times an independent standard normal column."""
 
+    name: str
+    weights: str = "estimated"
+    contamination: float = 0.0
+    orthogonal: bool = False
+
+    def __post_init__(self) -> None:
+        if self.weights not in ("estimated", "oracle", "plugin"):
+            raise ValueError(f"unknown arm weights {self.weights!r}")
+
+
+@dataclass(frozen=True)
+class RepRecord:
+    """Outcome of one arm of a single Monte Carlo replication. With p > 0,
+    ``nuisance_error`` is the cross-fit's error on fresh rows. When the
+    study runs an oracle arm and it succeeds, ``weight_error`` is the
+    distance of this arm's weights from that arm's (exact-law) weights."""
+
+    arm: str
+    seed: int
     estimate: float = math.nan
     ci_low: float = math.nan
     ci_high: float = math.nan
@@ -196,16 +223,13 @@ class RepRecord:
     nuisance_error: float = math.nan
     failed: bool = False
     message: str = ""
-    oracle_estimate: float = math.nan
-    oracle_ci_low: float = math.nan
-    oracle_ci_high: float = math.nan
-    oracle_covered: bool = False
 
 
 @dataclass(frozen=True)
 class MCReport:
-    """Aggregate Monte Carlo results; failures are excluded from rates."""
+    """Aggregate Monte Carlo results of one arm; failures are excluded from rates."""
 
+    arm: str
     coverage: float
     mean_ci_length: float
     bias: float
@@ -216,112 +240,121 @@ class MCReport:
     mean_nuisance_error: float
     replications: int
     failures: int
-    oracle_coverage: float = math.nan
 
 
-def _replicate(
-    config: SimConfig, options: PipelineOptions, seed: int
-) -> tuple[SimConfig, PipelineOptions, CrossFit, DLLFit]:
-    """The config and options of replication ``seed`` (bandwidth fixed), the
-    cross-fit on its fresh data and the estimate at x0. Raises DLLError."""
-    cfg = replace(config, seed=seed)
-    dataset = make_dataset(cfg, seed)
-    options = replace(options, seed=seed)
-    known = cfg.known_cdfs() if options.transform == "known" else None
-    options = check_window(dataset, cfg.x0, options)
-    cf = cross_fit(dataset, options, known)
-    return cfg, options, cf, evaluate(cf, cfg.x0, options)
+def _evaluate_arm(arm: Arm, cf: CrossFit, cfg: SimConfig, options: PipelineOptions) -> DLLFit:
+    """The arm's evaluation of the cross-fit at x0. Raises DLLError."""
+    gamma = np.asarray(cfg.gamma_true, dtype=float)
+    if arm.weights == "oracle":
+        cf, options = oracle_view(cf, (gamma, cfg.sigma2_true), options)
+    elif arm.weights == "plugin":
+        cf = replace(cf, projection_rows=None)
+    if arm.contamination:
+        rng = np.random.default_rng([cfg.seed, _CONTAMINATION])
+        column = rng.standard_normal(cfg.n) if arm.orthogonal else cf.dataset.x2 @ gamma
+        cf = replace(cf, residuals=cf.residuals - arm.contamination * column)
+    return evaluate(cf, cfg.x0, options)
+
+
+def _failure(arm: Arm, seed: int, exc: DLLError) -> RepRecord:
+    return RepRecord(arm.name, seed, failed=True, message=f"{type(exc).__name__}: {exc}")
 
 
 def run_replication(
     config: SimConfig,
     options: PipelineOptions = PipelineOptions(transform="known"),
     seed: int | None = None,
-) -> RepRecord:
-    """One cross-fit on fresh data, evaluated with the estimated weights
-    and, when p > 0, with the exact-law weights; failures become records.
-    """
+    arms: tuple[Arm, ...] = (Arm("estimated"),),
+) -> list[RepRecord]:
+    """One cross-fit on fresh data (bandwidth fixed first), evaluated once
+    per arm. A failure becomes a failed record: every arm's when the
+    cross-fit fails, one arm's when its evaluation does."""
     seed = config.seed if seed is None else seed
+    cfg = replace(config, seed=seed)
     try:
-        cfg, options, cf, fit = _replicate(config, options, seed)
+        dataset = make_dataset(cfg, seed)
+        options = check_window(dataset, cfg.x0, replace(options, seed=seed))
+        known = cfg.known_cdfs() if options.transform == "known" else None
+        cf = cross_fit(dataset, options, known)
     except DLLError as exc:
-        return RepRecord(failed=True, message=f"{type(exc).__name__}: {exc}")
+        return [_failure(arm, seed, exc) for arm in arms]
 
-    truth = cfg.target
-    extra = {}
+    nuisance_error = math.nan
     if cfg.p > 0:
-        rng = np.random.default_rng([seed, _FRESH])
-        fresh = cfg._nuisance_draws(rng, 500)
-        extra["nuisance_error"] = nuisance_fit_error(
-            *cf.additive,
-            lambda rows: nuisance_truth(cfg, rows),
-            fresh,
-        )
-        law = (cfg.gamma_true, cfg.sigma2_true)
+        fresh = cfg._nuisance_draws(np.random.default_rng([seed, _FRESH]), 500)
+        nuisance_error = nuisance_fit_error(*cf.additive, partial(nuisance_truth, cfg), fresh)
+    fits = []
+    for arm in arms:
         try:
-            oracle = evaluate(cf, cfg.x0, options, projection=law)
-        except DLLError:
-            pass  # the oracle fields stay NaN
-        else:
-            extra.update(
-                weight_error=weight_estimation_error(
-                    fit.weights, oracle.weights, cf.dataset.x1, KernelSpec(cfg.x0, options.h)
-                ),
-                oracle_estimate=oracle.estimate,
-                oracle_ci_low=oracle.ci_low,
-                oracle_ci_high=oracle.ci_high,
-                oracle_covered=bool(oracle.ci_low <= truth <= oracle.ci_high),
-            )
-    return RepRecord(
-        estimate=fit.estimate,
-        ci_low=fit.ci_low,
-        ci_high=fit.ci_high,
-        ci_length=fit.ci_high - fit.ci_low,
-        covered=bool(fit.ci_low <= truth <= fit.ci_high),
-        rejected=fit.reject_zero,
-        **extra,
-    )
+            fits.append(_evaluate_arm(arm, cf, cfg, options))
+        except DLLError as exc:
+            fits.append(exc)
+    oracle = next((fit.weights for arm, fit in zip(arms, fits)
+                   if arm.weights == "oracle" and isinstance(fit, DLLFit)), None)
+    spec, truth, records = KernelSpec(cfg.x0, options.h), cfg.target, []
+    for arm, fit in zip(arms, fits):
+        if isinstance(fit, DLLError):
+            records.append(_failure(arm, seed, fit))
+            continue
+        weight_error = math.nan
+        if oracle is not None:
+            weight_error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
+        records.append(RepRecord(
+            arm.name, seed, fit.estimate, fit.ci_low, fit.ci_high, fit.ci_high - fit.ci_low,
+            covered=bool(fit.ci_low <= truth <= fit.ci_high), rejected=fit.reject_zero,
+            weight_error=weight_error, nuisance_error=nuisance_error,
+        ))
+    return records
 
 
-def _replication_task(args) -> RepRecord:
-    return run_replication(*args)
-
-
-def _aggregate(config: SimConfig, records: list[RepRecord]) -> MCReport:
+def _aggregate(config: SimConfig, arm: str, records: list[RepRecord]) -> MCReport:
     ok = [r for r in records if not r.failed]
-    failures = len(records) - len(ok)
     if not ok:
-        raise DLLError("all replications failed")
+        raise DLLError(f"all replications of arm {arm!r} failed")
     est = np.array([r.estimate for r in ok])
     truth = config.target
-    bias = float(np.mean(est) - truth)
-    sd = float(np.sqrt(np.mean((est - np.mean(est)) ** 2)))
-    rmse = float(np.sqrt(np.mean((est - truth) ** 2)))
     werr = np.array([r.weight_error for r in ok])
     nerr = np.array([r.nuisance_error for r in ok])
-    oracle = [r.oracle_covered for r in ok if not math.isnan(r.oracle_estimate)]
     return MCReport(
+        arm=arm,
         coverage=float(np.mean([r.covered for r in ok])),
         mean_ci_length=float(np.mean([r.ci_length for r in ok])),
-        bias=bias,
-        sd=sd,
-        rmse=rmse,
+        bias=float(np.mean(est) - truth),
+        sd=float(np.sqrt(np.mean((est - np.mean(est)) ** 2))),
+        rmse=float(np.sqrt(np.mean((est - truth) ** 2))),
         rejection_rate=float(np.mean([r.rejected for r in ok])),
         mean_weight_error=float(np.nanmean(werr)) if np.any(np.isfinite(werr)) else math.nan,
         mean_nuisance_error=float(np.nanmean(nerr)) if np.any(np.isfinite(nerr)) else math.nan,
         replications=len(ok),
-        failures=failures,
-        oracle_coverage=float(np.mean(oracle)) if oracle else math.nan,
+        failures=len(records) - len(ok),
     )
+
+
+def win_rate(records: list[RepRecord], arm: str, against: str, truth: float) -> float:
+    """Share of the seeds on which arm ``arm``'s estimate is strictly closer
+    to ``truth`` than arm ``against``'s, among the seeds where neither
+    failed: a paired comparison of two arms on the same cross-fits."""
+    errors = {(r.arm, r.seed): abs(r.estimate - truth) for r in records if not r.failed}
+    wins = [
+        error < errors[against, seed]
+        for (name, seed), error in errors.items()
+        if name == arm and (against, seed) in errors
+    ]
+    if not wins:
+        raise DLLError(f"no seed where both {arm!r} and {against!r} succeeded")
+    return float(np.mean(wins))
 
 
 def default_jobs() -> int:
     """Worker processes for Monte Carlo runs: ``DLL_JOBS``, default 1."""
     raw = os.environ.get("DLL_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        raise ValueError(f"DLL_JOBS must be an integer, got {raw!r}") from None
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"DLL_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 # The thread-count variables of the BLAS builds numpy ships with or links.
@@ -362,87 +395,30 @@ def monte_carlo_records(
     b: int,
     options: PipelineOptions = PipelineOptions(transform="known"),
     n_jobs: int | None = None,
-) -> tuple[MCReport, list[RepRecord]]:
-    """Run B replications with seeds seed+1..seed+B and aggregate.
+    arms: tuple[Arm, ...] = (Arm("estimated"),),
+) -> tuple[list[MCReport], list[RepRecord]]:
+    """Run B replications with seeds seed+1..seed+B, each one cross-fit
+    evaluated once per arm; returns one report per arm and the records in
+    seed order, a seed's arms in the order of ``arms``.
 
     Replications are independent; with ``n_jobs > 1`` they run in fresh
     worker processes with their own BLAS thread budget (``_map_in_workers``),
     so a script that calls this needs an ``if __name__ == "__main__"``
-    guard. Records are always reduced in seed order, so the report is
+    guard. Records are always reduced in seed order, so the reports are
     identical regardless of scheduling.
     """
     if b < 1:
         raise ValueError("need at least one replication")
+    names = [arm.name for arm in arms]
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"need one or more arms with distinct names, got {names}")
     n_jobs = default_jobs() if n_jobs is None else n_jobs
-    tasks = [(config, options, config.seed + r) for r in range(1, b + 1)]
+    replicate = partial(run_replication, config, options, arms=arms)
+    seeds = [config.seed + r for r in range(1, b + 1)]
     if n_jobs > 1 and b > 1:
-        records = _map_in_workers(_replication_task, tasks, n_jobs)
+        per_seed = _map_in_workers(replicate, seeds, n_jobs)
     else:
-        records = [_replication_task(t) for t in tasks]
-    return _aggregate(config, records), records
-
-
-@dataclass(frozen=True)
-class PairedReport:
-    """Head-to-head comparison of the decorrelated and plug-in slopes."""
-
-    dll_errors: tuple[float, ...]
-    naive_errors: tuple[float, ...]
-    win_rate: float
-    replications: int
-    failures: int
-
-
-def compare_naive(
-    config: SimConfig,
-    b: int,
-    contamination: float = 0.3,
-    orthogonal: bool = False,
-    options: PipelineOptions = PipelineOptions(transform="known"),
-) -> PairedReport:
-    """Paired comparison under a contaminated nuisance fit.
-
-    Each replication contaminates the cross-fitted nuisance predictions
-    by ``contamination`` times the projection of the variable of interest
-    (or, with ``orthogonal=True``, times an independent noise column that
-    cannot correlate with it), then computes both the plain local linear
-    slope of the residuals (the decorrelated ratio with zero window
-    shifts) and the decorrelated estimate from the same residuals. Wins
-    are replications where the decorrelated error is strictly smaller.
-    """
-    truth = config.target
-    dll_errs: list[float] = []
-    naive_errs: list[float] = []
-    failures = 0
-    for r in range(1, b + 1):
-        seed = config.seed + r
-        try:
-            cfg, opts, cf, fit = _replicate(config, options, seed)
-            x1 = cf.dataset.x1
-            rng = np.random.default_rng([seed, 23])
-            if orthogonal:
-                noise_col = rng.standard_normal(cfg.n)
-                bump = contamination * noise_col
-            else:
-                gamma = np.asarray(cfg.gamma_true, dtype=float)
-                bump = contamination * (cf.dataset.x2 @ gamma)
-            residuals = cf.residuals - bump
-            spec = KernelSpec(cfg.x0, opts.h)
-            plain = build_weights(x1, np.zeros(cfg.n), spec)
-            naive = dll_point(plain, residuals, x1, spec)
-            dll_est = dll_point(fit.weights, residuals, x1, spec)
-        except DLLError:
-            failures += 1
-            continue
-        dll_errs.append(abs(dll_est - truth))
-        naive_errs.append(abs(naive - truth))
-    if not dll_errs:
-        raise DLLError("all replications failed")
-    wins = np.mean([d < nv for d, nv in zip(dll_errs, naive_errs)])
-    return PairedReport(
-        dll_errors=tuple(dll_errs),
-        naive_errors=tuple(naive_errs),
-        win_rate=float(wins),
-        replications=len(dll_errs),
-        failures=failures,
-    )
+        per_seed = [replicate(seed) for seed in seeds]
+    records = [rec for recs in per_seed for rec in recs]
+    reports = [_aggregate(config, name, [r for r in records if r.arm == name]) for name in names]
+    return reports, records

@@ -17,7 +17,7 @@ from dll.decorrelate import build_weights, shift_linear, window_shifts
 from dll.estimator import Dataset, PipelineOptions, dll_pipeline, dll_point
 from dll.kernel import KernelSpec, kernel_weight
 from dll.linear import scaled_lasso
-from dll.simulate import SimConfig, compare_naive, monte_carlo_records
+from dll.simulate import monte_carlo_records, win_rate
 from dll.transforms import EmpiricalCDF, KnownCDF
 from scipy.special import ndtr
 
@@ -36,11 +36,11 @@ def report(number, name, ok, detail, started):
 
 @pytest.fixture(scope="module")
 def highdim_estimated():
-    # One cross-fit per replication, evaluated with both the estimated and
-    # the exact-law (oracle) weights.
+    # One cross-fit per replication, evaluated by the study's two arms: the
+    # estimated and the exact-law (oracle) weights.
     entry = REFERENCE_CONFIGS["highdim"]
     return monte_carlo_records(
-        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
+        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS, arms=entry["arms"]
     )
 
 
@@ -144,8 +144,8 @@ def test_criterion_05_variance_constant():
 def test_criterion_06_lowdim_coverage():
     t0 = time.time()
     entry = REFERENCE_CONFIGS["lowdim"]
-    rep, _ = monte_carlo_records(
-        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
+    (rep, _), _ = monte_carlo_records(
+        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS, arms=entry["arms"]
     )
     ok = rep.coverage >= 0.88 and rep.failures == 0
     report(6, "low-dimensional coverage", ok,
@@ -155,7 +155,7 @@ def test_criterion_06_lowdim_coverage():
 
 def test_criterion_07_highdim_coverage(highdim_estimated):
     t0 = time.time()
-    rep, _ = highdim_estimated
+    (rep, _), _ = highdim_estimated
     total = rep.replications + rep.failures
     ok = (
         rep.coverage >= 0.85
@@ -169,19 +169,15 @@ def test_criterion_07_highdim_coverage(highdim_estimated):
 
 def test_criterion_08_decorrelation_benefit():
     t0 = time.time()
-    cfg = SimConfig(
-        n=1000, p=5, gamma_true=(1.0, -1.0, 0.0, 0.0, 0.0), sigma2_true=1.0,
-        f1=("sine", (1.0, 1.0)),
-        nuisance_components=((0, "sine", (0.5, 1.0)), (1, "sine", (0.4, 0.7))),
-        sigma1_true=0.1, x0=0.0, seed=42,
+    entry = REFERENCE_CONFIGS["decorrelation-benefit"]
+    _, records = monte_carlo_records(
+        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS, arms=entry["arms"]
     )
-    opts = PipelineOptions(transform="known", h=0.4)
-    contaminated = compare_naive(cfg, 200, contamination=0.3, options=opts)
-    control = compare_naive(cfg, 200, contamination=0.3, orthogonal=True,
-                            options=opts)
-    ok = contaminated.win_rate >= 0.80 and 0.35 <= control.win_rate <= 0.65
-    report(8, "decorrelation benefit", ok,
-           f"win={contaminated.win_rate:.3f} control={control.win_rate:.3f}", t0)
+    truth = entry["config"].target
+    win = win_rate(records, "dll-projection", "plugin-projection", truth)
+    control = win_rate(records, "dll-orthogonal", "plugin-orthogonal", truth)
+    ok = win >= 0.80 and 0.35 <= control <= 0.65
+    report(8, "decorrelation benefit", ok, f"win={win:.3f} control={control:.3f}", t0)
 
 
 def test_criterion_09_scaled_lasso_correctness():
@@ -231,8 +227,8 @@ def test_criterion_09_scaled_lasso_correctness():
 def test_criterion_10_standardized_error_normality():
     t0 = time.time()
     entry = REFERENCE_CONFIGS["univariate-oracle"]
-    rep, records = monte_carlo_records(
-        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS
+    [rep], records = monte_carlo_records(
+        entry["config"], entry["b"], entry["options"], n_jobs=N_JOBS, arms=entry["arms"]
     )
     truth = entry["config"].target
     zs = []
@@ -249,10 +245,10 @@ def test_criterion_10_standardized_error_normality():
 
 def test_criterion_11_oracle_mode_dominance(highdim_estimated):
     t0 = time.time()
-    est_rep, _ = highdim_estimated
-    ok = est_rep.oracle_coverage >= est_rep.coverage - 0.03
+    (est_rep, oracle_rep), _ = highdim_estimated
+    ok = oracle_rep.coverage >= est_rep.coverage - 0.03
     report(11, "oracle-mode dominance", ok,
-           f"oracle={est_rep.oracle_coverage:.3f} estimated={est_rep.coverage:.3f}", t0)
+           f"oracle={oracle_rep.coverage:.3f} estimated={est_rep.coverage:.3f}", t0)
 
 
 def test_criterion_12_transform_uniformity():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -242,6 +243,8 @@ def test_bad_simulate_flag_is_usage_error(tmp_path, capsys, argv):
         (["--b", "-3"], None),
         (["--seed", "1"], None),
         (["--b", "1"], "two"),
+        (["--b", "1"], "0"),  # ran one worker
+        (["--b", "1"], "-3"),
     ],
 )
 def test_bad_coverage_run_is_usage_error(monkeypatch, capsys, no_study, argv, jobs):
@@ -278,7 +281,7 @@ def test_bad_output_path_is_usage_error_before_any_work(tmp_path, capsys, no_stu
 def test_coverage_b_overrides_the_study(monkeypatch, capsys):
     calls = []
 
-    def record(config, b, options, n_jobs):
+    def record(config, b, options, n_jobs, arms):
         calls.append((b, n_jobs))
         raise DataError("stop")
 
@@ -492,7 +495,7 @@ def fixture_fit():
     return DLLFit(
         estimate=1.25, s_n=0.01, sigma1=0.5, variance=0.04,
         ci_low=0.858, ci_high=1.642, alpha=0.05, reject_zero=True,
-        n_effective=37, mode="estimated",
+        n_effective=37,
         diagnostics={"weight_error": None, "window_tail_ratio": 1.2,
                      "flags": {"h": 0.2}},
     )
@@ -504,22 +507,23 @@ def test_emit_fit_json_schema(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload) >= {
         "estimate", "variance", "ci_low", "ci_high", "reject_zero",
-        "s_n", "sigma1", "alpha", "n_effective", "mode", "diagnostics",
+        "s_n", "sigma1", "alpha", "n_effective", "diagnostics",
     }
+    assert "mode" not in payload  # the options' mode sets the weights; the fit has no flag
     assert payload["estimate"] == 1.25
     assert payload["reject_zero"] is True
 
 
 def test_emit_report_round_trip_preserves_floats(tmp_path):
     report = MCReport(
-        coverage=0.9375, mean_ci_length=1.234567890123456789,
+        arm="estimated", coverage=0.9375, mean_ci_length=1.234567890123456789,
         bias=-0.000123456789012345, sd=0.5, rmse=0.500000015,
         rejection_rate=0.25, mean_weight_error=float("nan"),
         mean_nuisance_error=0.125, replications=16, failures=0,
     )
     path = tmp_path / "rep.json"
-    emit_report(report, str(path), "json")
-    payload = json.loads(path.read_text().replace("NaN", "null"))
+    emit_report([report], str(path), "json")
+    [payload] = json.loads(path.read_text().replace("NaN", "null"))
     assert payload["mean_ci_length"] == report.mean_ci_length
     assert payload["bias"] == report.bias
     assert payload["rmse"] == report.rmse
@@ -527,20 +531,20 @@ def test_emit_report_round_trip_preserves_floats(tmp_path):
 
 def test_emit_mc_csv_rows_and_footer(tmp_path):
     report = MCReport(
-        coverage=1.0, mean_ci_length=1.0, bias=0.0, sd=0.0, rmse=0.0,
+        arm="estimated", coverage=1.0, mean_ci_length=1.0, bias=0.0, sd=0.0, rmse=0.0,
         rejection_rate=0.0, mean_weight_error=0.0, mean_nuisance_error=0.0,
         replications=2, failures=0,
     )
     records = [
-        RepRecord(estimate=1.0, ci_low=0.5, ci_high=1.5, ci_length=1.0,
-                  covered=True, rejected=False, weight_error=0.0,
+        RepRecord(arm="estimated", seed=1, estimate=1.0, ci_low=0.5, ci_high=1.5,
+                  ci_length=1.0, covered=True, rejected=False, weight_error=0.0,
                   nuisance_error=0.0),
-        RepRecord(estimate=1.1, ci_low=0.6, ci_high=1.6, ci_length=1.0,
-                  covered=True, rejected=False, weight_error=0.0,
+        RepRecord(arm="estimated", seed=2, estimate=1.1, ci_low=0.6, ci_high=1.6,
+                  ci_length=1.0, covered=True, rejected=False, weight_error=0.0,
                   nuisance_error=0.0),
     ]
     path = tmp_path / "mc.csv"
-    emit_report(report, str(path), "csv", records=records)
+    emit_report([report], str(path), "csv", records=records)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 replications
     footer = (tmp_path / "mc.csv.summary.csv").read_text().strip().splitlines()
@@ -624,6 +628,27 @@ def test_main_simulate_writes_dataset(tmp_path, capsys):
     ds = load_csv(str(out))
     assert ds.n == 60 and ds.p == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_every_reference_study_reports_each_arm(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("DLL_JOBS", raising=False)
+    entry = REFERENCE_CONFIGS[name]
+    arms = [arm.name for arm in entry["arms"]]
+    argv = ["coverage", "--name", name, "--b", "1", "--output"]
+    out = tmp_path / "mc.json"
+    assert main(argv + [str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert [r["arm"] for r in reports] == arms
+    assert all(r["replications"] + r["failures"] == 1 for r in reports)
+    out = tmp_path / "mc.csv"
+    assert main(argv + [str(out), "--format", "csv"]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    seed = str(entry["config"].seed + 1)
+    assert [(r["arm"], r["seed"]) for r in rows] == [(arm, seed) for arm in arms]
+    with open(f"{out}.summary.csv", newline="", encoding="utf-8") as fh:
+        assert [r["arm"] for r in csv.DictReader(fh)] == arms
 
 
 def test_reference_registry_names():

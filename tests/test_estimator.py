@@ -27,6 +27,7 @@ from dll.estimator import (
     dll_point,
     evaluate,
     kde_density,
+    oracle_view,
     slope_normalizer,
     variance_estimate,
 )
@@ -434,10 +435,15 @@ def test_pipeline_invariants_and_diagnostics():
     assert half == pytest.approx(Z_975 * np.sqrt(fit.variance), rel=1e-12)
     assert fit.variance > 0
     assert fit.n_effective >= 10
-    assert fit.mode == "estimated"
     assert fit.diagnostics["window_tail_ratio"] > 0
     flags = fit.diagnostics["flags"]
     assert set(flags) >= {"h", "sigma2", "projection_method"}
+
+
+def oracle_fit(cf, x0, options, law):
+    """The evaluation of ``cf`` with the oracle weights of ``law``."""
+    view, view_options = oracle_view(cf, law, options)
+    return evaluate(view, x0, view_options)
 
 
 def test_oracle_pipeline_differs_only_through_shifts():
@@ -450,9 +456,7 @@ def test_oracle_pipeline_differs_only_through_shifts():
     ds = Dataset(y=y, x1=x1, x2=x2)
     opts = PipelineOptions(seed=5, h=0.4)
     est = dll_pipeline(ds, 0.0, opts)
-    orc = evaluate(cross_fit(ds, opts), 0.0, opts, projection=(gamma, 1.0))
-    assert orc.mode == "oracle"
-    assert est.mode == "estimated"
+    orc = oracle_fit(cross_fit(ds, opts), 0.0, opts, (gamma, 1.0))
     # same folds, same nuisance fits: sigma1 agrees exactly
     assert orc.sigma1 == pytest.approx(est.sigma1, rel=1e-12)
     assert orc.estimate != est.estimate  # shifts differ
@@ -467,7 +471,7 @@ def test_oracle_pipeline_zero_gamma_matches_unconditional():
     y = np.sin(x1) + rng.normal(0, 0.3, n)
     ds = Dataset(y=y, x1=x1, x2=x2)
     opts = PipelineOptions(seed=2, h=0.4)
-    orc = evaluate(cross_fit(ds, opts), 0.0, opts, projection=(np.zeros(1), 1.0))
+    orc = oracle_fit(cross_fit(ds, opts), 0.0, opts, (np.zeros(1), 1.0))
     # with gamma = 0 the window center is x0/sigma for every observation:
     # all shifts equal, so centering makes them irrelevant
     est_zero_shift = dll_pipeline(ds, 0.0, opts)
@@ -642,7 +646,7 @@ def parity_fit(path):
         )
     opts = PipelineOptions(seed=3, h=0.5)
     if path == "oracle":
-        return evaluate(cross_fit(ds, opts), 0.0, opts, projection=(PARITY_GAMMA, 1.0))
+        return oracle_fit(cross_fit(ds, opts), 0.0, opts, (PARITY_GAMMA, 1.0))
     return dll_pipeline(
         ds, 0.0, replace(opts, mode=path, error_density=std_normal_pdf)
     )
@@ -666,9 +670,15 @@ def test_one_cross_fit_serves_every_evaluation():
     for mode in ("linear", "exact_gaussian"):
         mode_opts = replace(opts, mode=mode)
         assert evaluate(cf, 0.0, mode_opts) == dll_pipeline(ds, 0.0, mode_opts)
-    oracle = evaluate(cf, 0.0, opts, projection=(PARITY_GAMMA, 1.0))
-    assert oracle == evaluate(cross_fit(ds, opts), 0.0, opts, projection=(PARITY_GAMMA, 1.0))
-    assert oracle.mode == "oracle" and oracle.sigma1 == cf.sigma1
+    oracle = oracle_fit(cf, 0.0, opts, (PARITY_GAMMA, 1.0))
+    assert oracle == oracle_fit(cross_fit(ds, opts), 0.0, opts, (PARITY_GAMMA, 1.0))
+    assert oracle.sigma1 == cf.sigma1
+    # The view changes the weights only: the same residuals and noise scale,
+    # and the estimated sigma2 still in the cross-fit's flags.
+    view, view_opts = oracle_view(cf, (PARITY_GAMMA, 1.0), opts)
+    assert view.residuals is cf.residuals and view.sigma1 == cf.sigma1
+    assert view_opts == replace(opts, mode="exact_gaussian")
+    assert oracle.diagnostics["flags"]["sigma2"] == cf.sigma2
 
 
 def test_pipeline_checks_the_window_before_fitting(monkeypatch):

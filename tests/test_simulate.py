@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from dll.estimator import PipelineOptions, _transform_columns, cross_fit, dll_pipeline, evaluate
+from dll.decorrelate import build_weights
+from dll.estimator import (
+    PipelineOptions,
+    _transform_columns,
+    cross_fit,
+    dll_pipeline,
+    dll_point,
+    evaluate,
+    oracle_view,
+)
+from dll.kernel import KernelSpec
 from dll.simulate import (
     BLAS_THREAD_VARS,
+    Arm,
     SimConfig,
     _map_in_workers,
-    compare_naive,
     default_jobs,
     gen_design,
     gen_response,
@@ -20,6 +30,7 @@ from dll.simulate import (
     monte_carlo_records,
     nuisance_truth,
     run_replication,
+    win_rate,
 )
 
 
@@ -51,7 +62,10 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("n", 0), ("n", -1), ("p", -1), ("sigma1_true", -0.5), ("sigma1_true", math.inf),
-     ("sigma2_true", -1.0), ("sigma2_true", math.nan)],
+     ("sigma2_true", -1.0), ("sigma2_true", math.nan),
+     # An unknown covariance failed only when data were drawn, and rho = 1
+     # with LinAlgError; NaN ran.
+     ("design_cov", "AR1"), ("ar1_rho", 1.0), ("ar1_rho", -1.0), ("ar1_rho", math.nan)],
 )
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -65,9 +79,11 @@ def test_config_accepts_noiseless_draws():
 def test_default_jobs_reads_dll_jobs(monkeypatch):
     monkeypatch.setenv("DLL_JOBS", "3")
     assert default_jobs() == 3
-    monkeypatch.setenv("DLL_JOBS", "two")
-    with pytest.raises(ValueError, match="DLL_JOBS"):
-        default_jobs()
+    # 0 and -3 ran one worker; `--b 0` is a usage error too.
+    for raw in ("two", "0", "-3"):
+        monkeypatch.setenv("DLL_JOBS", raw)
+        with pytest.raises(ValueError, match="DLL_JOBS"):
+            default_jobs()
 
 
 def test_target_uses_analytic_derivative():
@@ -128,7 +144,7 @@ def test_run_replication_exact_linear_univariate():
         n=200, p=0, gamma_true=(), f1=("linear", (3.0,)),
         sigma1_true=0.0, x0=0.0, seed=5,
     )
-    rec = run_replication(cfg, PipelineOptions(h=0.5))
+    [rec] = run_replication(cfg, PipelineOptions(h=0.5))
     assert not rec.failed
     assert rec.covered
     assert rec.estimate == pytest.approx(3.0, abs=1e-8)
@@ -141,41 +157,83 @@ def test_run_replication_deterministic():
     assert a == b
 
 
-def test_run_replication_oracle_fields_match_oracle_pipeline():
+def test_run_replication_oracle_arm_matches_oracle_view():
     cfg = small_config()
-    rec = run_replication(cfg, PipelineOptions(transform="known"), seed=77)
+    arms = (Arm("estimated"), Arm("oracle", "oracle"))
+    opts = PipelineOptions(transform="known")
+    rec, oracle_rec = run_replication(cfg, opts, seed=77, arms=arms)
+    assert [(r.arm, r.seed) for r in (rec, oracle_rec)] == [("estimated", 77), ("oracle", 77)]
     seeded = dataclasses.replace(cfg, seed=77)
     dataset = make_dataset(seeded, 77)
     opts = PipelineOptions(transform="known", seed=77)
     known = seeded.known_cdfs()
     law = (np.asarray(cfg.gamma_true), cfg.sigma2_true)
-    orc = evaluate(cross_fit(dataset, opts, known), cfg.x0, opts, projection=law)
-    assert (rec.oracle_estimate, rec.oracle_ci_low, rec.oracle_ci_high) == (
+    view, view_opts = oracle_view(cross_fit(dataset, opts, known), law, opts)
+    orc = evaluate(view, cfg.x0, view_opts)
+    assert (oracle_rec.estimate, oracle_rec.ci_low, oracle_rec.ci_high) == (
         orc.estimate, orc.ci_low, orc.ci_high
     )
-    assert rec.oracle_covered == (orc.ci_low <= cfg.target <= orc.ci_high)
+    assert oracle_rec.covered == (orc.ci_low <= cfg.target <= orc.ci_high)
     est = dll_pipeline(dataset, cfg.x0, opts, known, true_projection=law)
     assert (rec.estimate, rec.ci_low, rec.ci_high) == (
         est.estimate, est.ci_low, est.ci_high
     )
     assert rec.weight_error == est.diagnostics["weight_error"]
+    assert oracle_rec.weight_error == 0.0
+    assert oracle_rec.nuisance_error == rec.nuisance_error
 
 
-def test_monte_carlo_reports_oracle_coverage():
+def test_plugin_and_contaminated_arms_are_views_of_one_cross_fit():
+    cfg = small_config()
+    opts = PipelineOptions(h=0.6, seed=5)
+    arms = (
+        Arm("plugin", "plugin"),
+        Arm("projection", contamination=0.3),
+        Arm("orthogonal", "plugin", contamination=0.3, orthogonal=True),
+    )
+    plugin, projection, orthogonal = run_replication(cfg, opts, seed=5, arms=arms)
+    # Without an oracle arm there are no oracle weights to measure against.
+    assert all(math.isnan(r.weight_error) for r in (plugin, projection, orthogonal))
+    dataset = make_dataset(dataclasses.replace(cfg, seed=5), 5)
+    cf = cross_fit(dataset, opts)
+    spec = KernelSpec(cfg.x0, opts.h)
+    zero_shift = build_weights(dataset.x1, np.zeros(cfg.n), spec)
+    assert plugin.estimate == dll_point(zero_shift, cf.residuals, dataset.x1, spec)
+    bumped = cf.residuals - 0.3 * (dataset.x2 @ np.asarray(cfg.gamma_true))
+    assert projection.estimate == evaluate(
+        dataclasses.replace(cf, residuals=bumped), cfg.x0, opts
+    ).estimate
+    noise = np.random.default_rng([5, 23]).standard_normal(cfg.n)
+    assert orthogonal.estimate == dll_point(
+        zero_shift, cf.residuals - 0.3 * noise, dataset.x1, spec
+    )
+    with pytest.raises(ValueError, match="weights"):
+        Arm("exact", "exact")
+
+
+def test_monte_carlo_reports_one_report_per_arm():
     cfg = small_config(n=120)
-    report, records = monte_carlo_records(cfg, 4, PipelineOptions(h=0.6))
-    assert report.oracle_coverage == np.mean([r.oracle_covered for r in records])
+    arms = (Arm("estimated"), Arm("oracle", "oracle"))
+    reports, records = monte_carlo_records(cfg, 4, PipelineOptions(h=0.6), arms=arms)
+    assert [r.arm for r in reports] == ["estimated", "oracle"]
+    assert [(r.seed, r.arm) for r in records] == [
+        (cfg.seed + k, arm.name) for k in range(1, 5) for arm in arms
+    ]
+    oracle = [r for r in records if r.arm == "oracle"]
+    assert reports[1].coverage == np.mean([r.covered for r in oracle])
     univariate = SimConfig(n=200, p=0, gamma_true=(), f1=("linear", (2.0,)),
                            sigma1_true=0.0, seed=7)
-    report, records = monte_carlo_records(univariate, 2, PipelineOptions(h=0.5))
-    assert math.isnan(report.oracle_coverage)
-    assert all(math.isnan(r.oracle_estimate) for r in records)
+    [report], records = monte_carlo_records(univariate, 2, PipelineOptions(h=0.5))
+    assert report.arm == "estimated"
+    assert all(math.isnan(r.weight_error) for r in records)
+    with pytest.raises(ValueError, match="distinct"):
+        monte_carlo_records(cfg, 1, arms=(Arm("a"), Arm("a", "plugin")))
 
 
 def test_run_replication_records_failures():
     # Window too small: insufficient local data is recorded, not raised.
     cfg = small_config(x0=50.0)
-    rec = run_replication(cfg, PipelineOptions(h=0.01))
+    [rec] = run_replication(cfg, PipelineOptions(h=0.01))
     assert rec.failed
     assert "InsufficientLocalData" in rec.message or "Bandwidth" in rec.message
 
@@ -187,14 +245,14 @@ def test_run_replication_checks_the_window_before_fitting(monkeypatch):
         raise AssertionError("cross_fit ran before the window check")
 
     monkeypatch.setattr(simulate, "cross_fit", no_fit)
-    rec = run_replication(small_config(x0=50.0), PipelineOptions(h=0.01))
+    [rec] = run_replication(small_config(x0=50.0), PipelineOptions(h=0.01))
     assert rec.failed
     assert rec.message.startswith("InsufficientLocalDataError")
 
 
 def test_monte_carlo_single_replication_matches_record():
     cfg = small_config()
-    report, records = monte_carlo_records(cfg, 1, PipelineOptions())
+    [report], records = monte_carlo_records(cfg, 1, PipelineOptions())
     assert len(records) == 1
     rec = records[0]
     assert report.replications == 1
@@ -208,7 +266,7 @@ def test_monte_carlo_noiseless_coverage():
         n=200, p=0, gamma_true=(), f1=("linear", (2.0,)),
         sigma1_true=0.0, x0=0.0, seed=7,
     )
-    report = monte_carlo_records(cfg, 5, PipelineOptions(h=0.5))[0]
+    [report], _ = monte_carlo_records(cfg, 5, PipelineOptions(h=0.5))
     assert report.coverage == 1.0
     assert report.failures == 0
 
@@ -216,8 +274,8 @@ def test_monte_carlo_noiseless_coverage():
 def test_monte_carlo_rmse_identity_and_determinism():
     cfg = small_config(n=120)
     opts = PipelineOptions(h=0.6)
-    rep1 = monte_carlo_records(cfg, 8, opts)[0]
-    rep2 = monte_carlo_records(cfg, 8, opts)[0]
+    [rep1], _ = monte_carlo_records(cfg, 8, opts)
+    [rep2], _ = monte_carlo_records(cfg, 8, opts)
     assert rep1 == rep2  # byte-identical dataclasses
     assert rep1.rmse**2 == pytest.approx(rep1.bias**2 + rep1.sd**2, rel=1e-8)
     assert (rep1.coverage * rep1.replications) == pytest.approx(
@@ -248,22 +306,22 @@ def test_workers_get_a_blas_thread_budget_and_the_caller_keeps_its_environment(m
     assert dict(os.environ) == before
 
 
-def test_compare_naive_zero_contamination_balanced():
+def test_plugin_arm_zero_contamination_balanced():
     cfg = small_config(n=300, sigma1_true=0.3)
-    paired = compare_naive(cfg, 20, contamination=0.0, options=PipelineOptions(h=0.5))
-    assert paired.replications == 20
+    arms = (Arm("dll"), Arm("plugin", "plugin"))
+    _, records = monte_carlo_records(cfg, 20, PipelineOptions(h=0.5), arms=arms)
+    assert sum(not r.failed for r in records) == 40
     # no induced correlation: neither estimator should dominate strongly
-    assert 0.15 <= paired.win_rate <= 0.85
+    assert 0.15 <= win_rate(records, "dll", "plugin", cfg.target) <= 0.85
 
 
 def test_mc_report_is_serializable():
     cfg = small_config(n=120)
-    report = monte_carlo_records(cfg, 2, PipelineOptions(h=0.6))[0]
+    [report], _ = monte_carlo_records(cfg, 2, PipelineOptions(h=0.6))
     payload = dataclasses.asdict(report)
     assert set(payload) == {
-        "coverage", "mean_ci_length", "bias", "sd", "rmse", "rejection_rate",
+        "arm", "coverage", "mean_ci_length", "bias", "sd", "rmse", "rejection_rate",
         "mean_weight_error", "mean_nuisance_error", "replications", "failures",
-        "oracle_coverage",
     }
 
 
@@ -274,7 +332,7 @@ def test_nuisance_error_decreases_with_sample_size():
         errs = []
         for s in range(10):
             cfg = small_config(n=n, seed=9000 + s)
-            rec = run_replication(cfg, PipelineOptions(transform="known"))
+            [rec] = run_replication(cfg, PipelineOptions(transform="known"))
             if not rec.failed:
                 errs.append(rec.nuisance_error)
         means.append(np.mean(errs))

@@ -340,6 +340,34 @@ def test_screened_sweep_is_the_plain_sweep(key):
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("margin", [1.02, 1.2])
+def test_block_entering_just_above_its_threshold_enters(margin):
+    # Column 2 carries the signal, and lam puts its first prox at `margin`
+    # times its zero threshold: the screen of the first sweep, which scores
+    # blocks 0-3 on one residual, must pass it to the prox (so it enters,
+    # with a small coefficient) exactly as the per-block sweep does. A
+    # screen that zeroes blocks up to a few percent above a threshold
+    # drops it from the fit.
+    rng = np.random.default_rng(44)
+    n, p = 400, 4
+    z = rng.uniform(0, 1, (n, p))
+    y = np.sin(2 * np.pi * z[:, 2]) + rng.normal(0, 0.5, n)
+    rho = default_penalties(n, p)[0]
+    no_ranks = (np.zeros(0, np.intp), np.zeros((0, n), np.intp))
+    design = spline._WhitenedDesign(spline._coordinate_bases(z, None), z, no_ranks)
+    scores = design.scores(2, 3, y - np.mean(y))
+    # With lam = 0 the prox is the weighted-norm shrinkage alone, whose norm
+    # decides the Euclidean stage.
+    vnorm = np.linalg.norm(two_penalty_prox(scores, design.eig[2], rho, 0.0))
+    assert np.linalg.norm(scores) < 1.4 * vnorm  # the shrinkage keeps most of it
+    penalties = (rho, 2 * vnorm / margin)
+    fit = fit_doubly_penalized(z, y, penalties)
+    active, sweeps, trace = reference_backfit(z, y, penalties)
+    assert fit.active_set == active == (2,)
+    assert fit.sweeps == sweeps
+    np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-12, atol=0)
+
+
 def test_fit_coordinate_with_few_distinct_values():
     # Three distinct values leave a cubic basis's Gram matrix singular;
     # that coordinate is retried alone with a growing ridge.
