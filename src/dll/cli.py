@@ -5,7 +5,7 @@ CSV format: UTF-8 (a leading byte-order mark, as Excel writes, is
 accepted), comma-separated, dot decimal, header required with columns
 ``y, x1, x2_1 .. x2_p`` (p may be 0). Every data row has p + 2
 cells; a cell is a number, optionally in double quotes and with spaces
-or tabs around it, and lines end in LF or CRLF. Blank lines, comments
+or tabs around it, and lines end in LF, CRLF or CR. Blank lines, comments
 (``#`` is a non-numeric cell), digit separators (``1_0``), empty cells,
 text outside a cell's quotes (``"2"5``), an unterminated quote and NaN
 or infinite values are data errors naming the line number and column. The file is parsed as it is read, so loading holds only the
@@ -235,6 +235,19 @@ def _config_flags(argv: list[str]) -> list[str]:
 _OPTION_FIELDS = {f.name for f in dataclasses.fields(PipelineOptions)}
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Each ``--flag -value`` as ``--flag=-value``: argparse takes ``-1e-3`` for a
+    flag unless it fits a negative-number pattern that varies by Python version."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and arg[:1] == "-" and arg[1:2] != "-":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and check a CLI run before any input is read.
 
@@ -242,6 +255,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     Adds ``options`` (fit, bandwidth), ``sim`` (simulate) or ``jobs``
     (coverage) to the namespace.
     """
+    argv = _join_dash_values(argv)
     ns = _build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
     try:
         if ns.output is not None:
@@ -257,7 +271,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             })
         elif ns.subcommand == "simulate":
             # SimConfig checks these ranges too, but names its own fields.
-            for flag, least in (("n", 1), ("p", 0), ("sigma1", 0), ("sigma2", 0)):
+            for flag, least in (("n", 1), ("p", 0), ("sigma1", 0), ("sigma2", 0), ("seed", 0)):
                 value = getattr(ns, flag)
                 if not least <= value < math.inf:  # also rejects NaN
                     raise ValueError(f"--{flag} must be finite and >= {least}, got {value}")

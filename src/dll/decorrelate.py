@@ -33,7 +33,6 @@ class SwapPlan:
 
     fold_a: np.ndarray
     fold_b: np.ndarray
-    seed: int
 
 
 def swap_split(n: int, seed: int) -> SwapPlan:
@@ -46,11 +45,7 @@ def swap_split(n: int, seed: int) -> SwapPlan:
         raise ValueError(f"need n >= 4 to split, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     half = (n + 1) // 2
-    return SwapPlan(
-        fold_a=np.sort(perm[:half]),
-        fold_b=np.sort(perm[half:]),
-        seed=seed,
-    )
+    return SwapPlan(np.sort(perm[:half]), np.sort(perm[half:]))
 
 
 def _phi(t: np.ndarray) -> np.ndarray:
@@ -155,11 +150,13 @@ def window_shifts(
 
 @dataclass(frozen=True)
 class DecorrelationWeights:
-    """Raw and centered decorrelation weights with the centering shift."""
+    """Centered decorrelation weights with their kernel window: its ``spec``
+    and each observation's ``offset`` ``x1 - x0`` and ``kernel`` weight."""
 
-    raw: np.ndarray
+    spec: KernelSpec
+    offset: np.ndarray
+    kernel: np.ndarray
     centered: np.ndarray
-    centering_shift: float
 
 
 def build_weights(
@@ -178,21 +175,20 @@ def build_weights(
     total = float(np.sum(kh))
     if total == 0.0:
         raise InsufficientLocalDataError("no observations inside the kernel window")
-    raw = (x1 - spec.x0) - shifts
+    offset = x1 - spec.x0
+    raw = offset - shifts
     centering = float(np.sum(raw * kh) / total)
-    return DecorrelationWeights(raw=raw, centered=raw - centering, centering_shift=centering)
+    return DecorrelationWeights(spec, offset, kh, raw - centering)
 
 
 def weight_estimation_error(
-    weights: DecorrelationWeights,
-    oracle: DecorrelationWeights,
-    x1: np.ndarray,
-    spec: KernelSpec,
+    weights: DecorrelationWeights, oracle: DecorrelationWeights
 ) -> float:
-    """Kernel-weighted RMS distance from the oracle centered weights."""
-    kh = kernel_weight(np.asarray(x1, dtype=float), spec)
+    """Kernel-weighted RMS distance from the oracle weights on the same window."""
+    if weights.spec != oracle.spec:
+        raise ValueError("weights and oracle must share their kernel window")
     diff = weights.centered - oracle.centered
-    return float(np.sqrt(np.mean(diff**2 * kh)))
+    return float(np.sqrt(np.mean(diff**2 * weights.kernel)))
 
 
 def window_tail_ratio(

@@ -38,7 +38,7 @@ from .errors import (
     SampleTooSmallError,
     SingularDesignError,
 )
-from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, kernel_weight
+from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, valid_bandwidth
 from .linear import ProjectionFit, _row_blocks, noise_sd_estimate, ols_projection, scaled_lasso
 from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, count_outside, fit_empirical, ndtr
 
@@ -127,11 +127,13 @@ class PipelineOptions:
                 )
         if self.mode == "general_density" and self.error_density is None:
             raise ValueError("mode 'general_density' requires error_density")
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0 < self.alpha < 1 and 1 - self.alpha / 2 < 1):  # a finite normal quantile
+            raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.h is not None and not valid_bandwidth(self.h):
+            raise ValueError(f"h must be > 0 with h**2 finite when given, got {self.h}")
         # Chained comparisons with math.inf also reject NaN.
-        if self.h is not None and not (0 < self.h < math.inf):
-            raise ValueError(f"h must be finite and > 0 when given, got {self.h}")
         if not (0 < self.bandwidth_const < math.inf):
             raise ValueError(
                 f"bandwidth_const must be finite and > 0, got {self.bandwidth_const}"
@@ -196,52 +198,28 @@ class CrossFit:
     projection_rows: np.ndarray | None = None
 
 
-def slope_normalizer(
-    weights: DecorrelationWeights, x1: np.ndarray, spec: KernelSpec
-) -> float:
+def slope_normalizer(weights: DecorrelationWeights) -> float:
     """Normalizing sum: mean of weight * offset * kernel weight."""
-    x1 = np.asarray(x1, dtype=float)
-    kh = kernel_weight(x1, spec)
-    if not np.any(kh > 0):
-        raise InsufficientLocalDataError("no observations inside the kernel window")
-    value = float(np.mean(weights.centered * (x1 - spec.x0) * kh))
-    if abs(value) < 1e-12 * spec.h**2:
+    value = float(np.mean(weights.centered * weights.offset * weights.kernel))
+    if abs(value) < 1e-12 * weights.spec.h**2:
         raise SingularDesignError(f"normalizing sum {value:.3e} is numerically zero")
     return value
 
 
-def dll_point(
-    weights: DecorrelationWeights,
-    residuals: np.ndarray,
-    x1: np.ndarray,
-    spec: KernelSpec,
-) -> float:
+def dll_point(weights: DecorrelationWeights, residuals: np.ndarray) -> float:
     """Decorrelated local linear estimate of the derivative at x0."""
     residuals = np.asarray(residuals, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    s_n = slope_normalizer(weights, x1, spec)
-    kh = kernel_weight(x1, spec)
-    return float(np.mean(weights.centered * residuals * kh) / s_n)
+    s_n = slope_normalizer(weights)
+    return float(np.mean(weights.centered * residuals * weights.kernel) / s_n)
 
 
-def variance_estimate(
-    weights: DecorrelationWeights,
-    x1: np.ndarray,
-    spec: KernelSpec,
-    sigma1: float,
-    s_n: float,
-) -> float:
-    """Variance of the weighted local slope estimator.
-
-    ``sigma1^2 / (n S_n)^2`` times the sum of squared centered weights
-    times squared kernel weights.
-    """
+def variance_estimate(weights: DecorrelationWeights, sigma1: float, s_n: float) -> float:
+    """Variance of the estimator: ``sigma1^2 / (n S_n)^2`` times the sum of
+    squared centered weights times squared kernel weights."""
     if s_n == 0:
         raise SingularDesignError("normalizing sum is zero")
-    x1 = np.asarray(x1, dtype=float)
-    n = x1.shape[0]
-    kh = kernel_weight(x1, spec)
-    total = float(np.sum(weights.centered**2 * kh**2))
+    n = weights.centered.shape[0]
+    total = float(np.sum(weights.centered**2 * weights.kernel**2))
     # numpy's power overflows to inf where Python's raises OverflowError;
     # both call the C pow, so finite results agree bit for bit. The caller
     # reports an infinite variance as a NumericalError, so numpy's overflow
@@ -498,13 +476,12 @@ def _weights(
     cf: CrossFit, spec: KernelSpec, options: PipelineOptions
 ) -> tuple[DecorrelationWeights, int]:
     """Decorrelated weights and the count of window-mass underflows."""
-    x1 = cf.dataset.x1
     if cf.projection_rows is None:
-        return build_weights(x1, np.zeros(cf.dataset.n), spec), 0
+        return build_weights(cf.dataset.x1, np.zeros(cf.dataset.n), spec), 0
     shifts, underflow = window_shifts(
         cf.projection_rows, cf.sigma2, spec, options.mode, options.error_density
     )
-    return build_weights(x1, shifts, spec), underflow
+    return build_weights(cf.dataset.x1, shifts, spec), underflow
 
 
 def oracle_view(
@@ -526,17 +503,16 @@ def evaluate(cf: CrossFit, x0: float, options: PipelineOptions = PipelineOptions
     Other weights come from a ``dataclasses.replace`` variant of the
     cross-fit: ``oracle_view``'s, or with ``projection_rows=None`` the
     plug-in ones."""
-    x1 = cf.dataset.x1
-    spec = _kernel_window(x1, x0, options)
+    spec = _kernel_window(cf.dataset.x1, x0, options)
     weights, underflow = _weights(cf, spec, options)
     diagnostics = {
         "weight_error": None,
         "window_tail_ratio": window_tail_ratio(x0, spec.h, cf.gamma, cf.sigma2, cf.dataset.n),
         "flags": {"h": spec.h, **cf.flags, "shift_underflow": underflow},
     }
-    s_n = slope_normalizer(weights, x1, spec)
-    estimate = dll_point(weights, cf.residuals, x1, spec)
-    variance = variance_estimate(weights, x1, spec, cf.sigma1, s_n)
+    s_n = slope_normalizer(weights)
+    estimate = dll_point(weights, cf.residuals)
+    variance = variance_estimate(weights, cf.sigma1, s_n)
     if not (math.isfinite(estimate) and math.isfinite(variance)):
         raise NumericalError(f"non-finite estimate {estimate} or variance {variance}")
     ci_low, ci_high = confidence_interval(estimate, variance, options.alpha)
@@ -549,7 +525,7 @@ def evaluate(cf: CrossFit, x0: float, options: PipelineOptions = PipelineOptions
         ci_high=ci_high,
         alpha=options.alpha,
         reject_zero=test_zero(estimate, variance, options.alpha),
-        n_effective=effective_sample_size(x1, spec),
+        n_effective=int(np.count_nonzero(weights.kernel)),
         diagnostics=diagnostics,
         weights=weights,
     )
@@ -574,9 +550,8 @@ def dll_pipeline(
     fit = evaluate(cf, x0, options)
     if true_projection is None:
         return fit
-    spec = KernelSpec(x0, options.h)
     view, view_options = oracle_view(cf, true_projection, options)
-    oracle, _ = _weights(view, spec, view_options)
-    error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
+    oracle, _ = _weights(view, fit.weights.spec, view_options)
+    error = weight_estimation_error(fit.weights, oracle)
     return replace(fit, diagnostics={**fit.diagnostics, "weight_error": error})
 

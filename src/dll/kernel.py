@@ -28,8 +28,13 @@ class KernelSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.h > 0):
-            raise InvalidBandwidthError(f"bandwidth must be > 0, got {self.h}")
+        if not valid_bandwidth(self.h):
+            raise InvalidBandwidthError(f"bandwidth h must be > 0 with h**2 finite, got {self.h}")
+
+
+def valid_bandwidth(h: float) -> bool:
+    """``h > 0`` with a finite ``h**2`` (a float product overflows to inf, not an error)."""
+    return 0 < float(h) and float(h) * float(h) < np.inf
 
 
 def kernel_weight(x, spec: KernelSpec):

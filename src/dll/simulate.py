@@ -29,7 +29,6 @@ from .estimator import (
     evaluate,
     oracle_view,
 )
-from .kernel import KernelSpec
 from .spline import nuisance_fit_error
 from .transforms import GaussianCDF
 
@@ -88,6 +87,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.p < 0:
             raise ValueError(f"need n >= 1 and p >= 0, got n={self.n}, p={self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma1_true", "sigma2_true"):
             # A chained comparison with math.inf also rejects NaN.
             if not 0 <= getattr(self, name) < math.inf:
@@ -291,14 +292,12 @@ def run_replication(
             fits.append(exc)
     oracle = next((fit.weights for arm, fit in zip(arms, fits)
                    if arm.weights == "oracle" and isinstance(fit, DLLFit)), None)
-    spec, truth, records = KernelSpec(cfg.x0, options.h), cfg.target, []
+    truth, records = cfg.target, []
     for arm, fit in zip(arms, fits):
         if isinstance(fit, DLLError):
             records.append(_failure(arm, seed, fit))
             continue
-        weight_error = math.nan
-        if oracle is not None:
-            weight_error = weight_estimation_error(fit.weights, oracle, dataset.x1, spec)
+        weight_error = math.nan if oracle is None else weight_estimation_error(fit.weights, oracle)
         records.append(RepRecord(
             arm.name, seed, fit.estimate, fit.ci_low, fit.ci_high, fit.ci_high - fit.ci_low,
             covered=bool(fit.ci_low <= truth <= fit.ci_high), rejected=fit.reject_zero,

@@ -6,9 +6,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dll.cli import (
     REFERENCE_CONFIGS,
@@ -55,6 +58,20 @@ def test_parse_rejects_bad_alpha_and_h():
         parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--alpha", "1.5"])
     with pytest.raises(SystemExit2):
         parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--h", "-1"])
+    # 1 - alpha/2 rounds to 1, whose normal quantile is infinite.
+    with pytest.raises(SystemExit2, match="alpha"):
+        parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--alpha", "1e-300"])
+    for h in ("1e300", "2e154"):  # h**2 overflows
+        with pytest.raises(SystemExit2, match="h must"):
+            parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--h", h])
+    assert parse_args(["fit", "--input", "d.csv", "--x0", "0.5", "--h", "1e153"]).options.h == 1e153
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "bandwidth"])
+@pytest.mark.parametrize("x0", ["-1e-3", "-2.5E+1", "-.5"])
+def test_parse_accepts_any_negative_float_x0(subcommand, x0):
+    ns = parse_args([subcommand, "--input", "d.csv", "--x0", x0])
+    assert ns.x0 == float(x0)
 
 
 @pytest.mark.parametrize(
@@ -70,6 +87,9 @@ def test_parse_rejects_bad_alpha_and_h():
         ("--lam", "2"),  # no prefix matching (was --lambda-const)
         ("--x0", "nan"),
         ("--x0", "inf"),
+        ("--seed", "-1"),
+        ("--alpha", "1e-300"),
+        ("--h", "1e300"),
     ],
 )
 def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, value):
@@ -224,6 +244,7 @@ def test_bandwidth_rejects_removed_flags(tmp_path, capsys, flag, value):
         ["--n", "-1"],
         ["--n", "0"],
         ["--p", "-1"],
+        ["--seed", "-5"],
     ],
 )
 def test_bad_simulate_flag_is_usage_error(tmp_path, capsys, argv):
@@ -699,3 +720,45 @@ def test_default_commands_load_no_scipy(tmp_path):
         if name != "exact_gaussian":
             assert modules == [], name
     assert "scipy.special" in out["exact_gaussian"][1]
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    cfg = SimConfig(
+        n=200, p=2, gamma_true=(0.5, 0.0), nuisance_components=((0, "sine", (1.0, 1.0)),)
+    )
+    path = tmp_path_factory.mktemp("fit") / "d.csv"
+    write_csv_dataset(make_dataset(cfg, 3), str(path))
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "bandwidth"])
+def test_overflowing_bandwidth_is_numerical_failure(small_csv, capsys, subcommand):
+    # The plug-in h is about 1e300, whose square overflows.
+    argv = [subcommand, "--input", str(small_csv), "--x0", "0", "--bandwidth-const", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    assert "bandwidth h must be > 0 with h**2 finite" in capsys.readouterr().err
+
+
+def _flag(name, value):
+    return [] if value is None else [name, repr(value)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.none() | st.floats(),
+    h=st.none() | st.floats(),
+    const=st.none() | st.floats(),
+    seed=st.none() | st.integers(),
+    x0=st.floats(-1.0, 1.0) | st.floats(),
+)
+def test_fit_never_raises(small_csv, alpha, h, const, seed, x0):
+    # Any flag value is a usage error (2), a data error (3), a numerical
+    # failure (4) or a fit (0); no exception escapes.
+    argv = ["fit", "--input", str(small_csv), "--x0", repr(x0),
+            "--output", str(small_csv.with_suffix(".json"))]
+    argv += _flag("--alpha", alpha) + _flag("--h", h) + _flag("--bandwidth-const", const)
+    argv += _flag("--seed", seed)
+    assert main(argv) in (0, 2, 3, 4)

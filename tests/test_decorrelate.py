@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +154,7 @@ def test_build_weights_symmetric_design():
     x = np.concatenate([np.linspace(-0.9, -0.1, 9), np.linspace(0.1, 0.9, 9)])
     spec = KernelSpec(0.0, 1.0)
     w = build_weights(x, np.zeros_like(x), spec)
-    assert w.centering_shift == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(w.offset - w.centered, 0.0, atol=1e-15)  # no centering shift
     np.testing.assert_allclose(w.centered, x)
 
 
@@ -168,10 +170,22 @@ def test_build_weights_centering_identity(seed):
     if not np.any(kh > 0):
         return
     w = build_weights(x, shifts, spec)
+    raw = w.offset - shifts
     lhs = abs(np.sum(w.centered * kh))
-    scale = np.sum(np.abs(w.raw) * kh)
+    scale = np.sum(np.abs(raw) * kh)
     assert lhs <= 1e-10 * max(scale, 1e-30)
-    np.testing.assert_allclose(w.centered, w.raw - w.centering_shift)
+    np.testing.assert_allclose(w.centered, raw - np.sum(raw * kh) / np.sum(kh))
+
+
+def test_build_weights_carry_their_window():
+    x = np.array([-0.4, 0.1, 0.3, 2.0])
+    spec = KernelSpec(0.1, 0.5)
+    w = build_weights(x, np.full(4, 0.2), spec)
+    assert w.spec == spec
+    np.testing.assert_array_equal(w.offset, x - 0.1)
+    np.testing.assert_array_equal(w.kernel, kernel_weight(x, spec))
+    with pytest.raises(ValueError, match="window"):
+        weight_estimation_error(w, build_weights(x, np.full(4, 0.2), KernelSpec(0.1, 0.6)))
 
 
 def test_build_weights_empty_window():
@@ -232,7 +246,7 @@ def test_weight_error_zero_for_identical():
     x = rng.normal(size=500)
     spec = KernelSpec(0.0, 0.5)
     w = build_weights(x, np.zeros(500), spec)
-    assert weight_estimation_error(w, w, x, spec) == 0.0
+    assert weight_estimation_error(w, w) == 0.0
 
 
 def test_weight_error_constant_offset():
@@ -241,14 +255,10 @@ def test_weight_error_constant_offset():
     spec = KernelSpec(0.0, 0.5)
     oracle = build_weights(x, np.zeros(2000), spec)
     shifted = build_weights(x, np.zeros(2000), spec)
-    bumped = type(shifted)(
-        raw=shifted.raw,
-        centered=shifted.centered + 0.07,
-        centering_shift=shifted.centering_shift - 0.07,
-    )
+    bumped = replace(shifted, centered=shifted.centered + 0.07)
     kh = kernel_weight(x, spec)
     expected = 0.07 * np.sqrt(np.mean(kh))
-    assert weight_estimation_error(bumped, oracle, x, spec) == pytest.approx(expected)
+    assert weight_estimation_error(bumped, oracle) == pytest.approx(expected)
 
 
 def test_weight_error_lemma_shape_bound():
@@ -269,7 +279,7 @@ def test_weight_error_lemma_shape_bound():
         w = build_weights(x1, shifts, spec)
         oracle_shifts, _ = window_shifts(x2 @ gamma, 1.0, spec, "exact_gaussian")
         oracle = build_weights(x1, oracle_shifts, spec)
-        ratios.append(weight_estimation_error(w, oracle, x1, spec) / h**2 / shape)
+        ratios.append(weight_estimation_error(w, oracle) / h**2 / shape)
     assert max(ratios) <= 1.0
     assert np.median(ratios) <= 0.5
 

@@ -50,19 +50,18 @@ def test_slope_normalizer_symmetric_uniform():
     n = 100_000
     x = rng.uniform(-0.2, 0.2, n)
     spec = KernelSpec(0.0, 0.2)
-    s = slope_normalizer(zero_shift_weights(x, spec), x, spec)
+    s = slope_normalizer(zero_shift_weights(x, spec))
     # (2/3) h^2 density with density 1/(2h) on the window: h/3
     assert s == pytest.approx(spec.h / 3, rel=0.05)
 
 
 def test_slope_normalizer_errors():
     spec = KernelSpec(0.0, 0.1)
-    x = np.linspace(10, 11, 30)
     with pytest.raises(InsufficientLocalDataError):
-        slope_normalizer(zero_shift_weights(np.linspace(-0.05, 0.05, 30), spec), x, spec)
+        zero_shift_weights(np.linspace(10, 11, 30), spec)
     clustered = np.full(30, 1e-9)
     with pytest.raises(SingularDesignError):
-        slope_normalizer(zero_shift_weights(clustered, spec), clustered, spec)
+        slope_normalizer(zero_shift_weights(clustered, spec))
 
 
 def test_dll_point_exact_linear_residuals():
@@ -70,8 +69,8 @@ def test_dll_point_exact_linear_residuals():
     x = rng.uniform(-1, 1, 200)
     spec = KernelSpec(0.0, 0.6)
     w = zero_shift_weights(x, spec)
-    assert dll_point(w, 4.5 * x, x, spec) == pytest.approx(4.5, abs=1e-12)
-    assert dll_point(w, np.full(200, 3.3), x, spec) == pytest.approx(0.0, abs=1e-12)
+    assert dll_point(w, 4.5 * x) == pytest.approx(4.5, abs=1e-12)
+    assert dll_point(w, np.full(200, 3.3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dll_point_equals_local_linear_when_shifts_zero():
@@ -86,7 +85,7 @@ def test_dll_point_equals_local_linear_when_shifts_zero():
         mask = np.abs(x - spec.x0) <= spec.h
         design = np.column_stack([np.ones(mask.sum()), x[mask]])
         ols_slope = np.linalg.lstsq(design, r[mask], rcond=None)[0][1]
-        assert dll_point(w, r, x, spec) == pytest.approx(ols_slope, rel=1e-10)
+        assert dll_point(w, r) == pytest.approx(ols_slope, rel=1e-10)
 
 
 def test_dll_point_affine_residual_equivariance():
@@ -96,9 +95,9 @@ def test_dll_point_affine_residual_equivariance():
     spec = KernelSpec(0.1, 0.5)
     shifts = rng.normal(size=400) * 0.01
     w = build_weights(x, shifts, spec)
-    base = dll_point(w, r, x, spec)
+    base = dll_point(w, r)
     a, b = 2.7, -1.3
-    moved = dll_point(w, r + a + b * (x - spec.x0), x, spec)
+    moved = dll_point(w, r + a + b * (x - spec.x0))
     assert moved == pytest.approx(base + b, rel=1e-9, abs=1e-9)
 
 
@@ -109,7 +108,7 @@ def test_dll_point_univariate_sine_monte_carlo():
     y = np.sin(x) + rng.normal(0, 0.3, n)
     spec = KernelSpec(0.0, 0.1)
     w = zero_shift_weights(x, spec)
-    assert dll_point(w, y, x, spec) == pytest.approx(1.0, abs=0.05)
+    assert dll_point(w, y) == pytest.approx(1.0, abs=0.05)
 
 
 def test_noise_sd_estimate():
@@ -139,11 +138,11 @@ def test_variance_single_point_and_scaling():
     spec = KernelSpec(0.0, 0.1)
     w = build_weights(x, np.zeros(4), spec)
     s_n = 0.7
-    v = variance_estimate(w, x, spec, sigma1=0.5, s_n=s_n)
+    v = variance_estimate(w, sigma1=0.5, s_n=s_n)
     kh = kernel_weight(x, spec)
     expected = 0.25 * (w.centered[0] ** 2 * kh[0] ** 2) / (4 * s_n) ** 2
     assert v == pytest.approx(expected)
-    assert variance_estimate(w, x, spec, sigma1=1.0, s_n=s_n) == pytest.approx(4 * v)
+    assert variance_estimate(w, sigma1=1.0, s_n=s_n) == pytest.approx(4 * v)
 
 
 def test_variance_uniform_design_constant():
@@ -152,8 +151,8 @@ def test_variance_uniform_design_constant():
     x = rng.uniform(0, 1, n)
     spec = KernelSpec(0.5, 0.05)
     w = zero_shift_weights(x, spec)
-    s_n = slope_normalizer(w, x, spec)
-    v = variance_estimate(w, x, spec, sigma1=0.7, s_n=s_n)
+    s_n = slope_normalizer(w)
+    v = variance_estimate(w, sigma1=0.7, s_n=s_n)
     assert v * n * spec.h**3 * 1.0 == pytest.approx(1.5 * 0.7**2, rel=0.15)
 
 
@@ -501,7 +500,7 @@ def test_p0_cross_fit_is_the_local_linear_slope(transform, seed):
     opts = estimator.check_window(ds, 0.0, PipelineOptions(seed=seed, transform=transform))
     fit = evaluate(cross_fit(ds, opts, cfg.known_cdfs()), 0.0, opts)
     spec = KernelSpec(0.0, opts.h)
-    slope = dll_point(zero_shift_weights(ds.x1, spec), ds.y, ds.x1, spec)
+    slope = dll_point(zero_shift_weights(ds.x1, spec), ds.y)
     assert fit.estimate == pytest.approx(slope, rel=1e-12, abs=0)
 
 
@@ -541,9 +540,12 @@ def test_pipeline_mode_recorded_and_shift_underflow_counted():
     "field, value",
     [
         ("alpha", 1.5),
+        ("alpha", 1e-300),  # 1 - alpha/2 rounds to 1
+        ("seed", -1),
         ("h", 0.0),
         ("h", math.inf),
         ("h", math.nan),
+        ("h", 2e154),  # h**2 overflows
         ("bandwidth_const", 0.0),
         ("bandwidth_const", -1.0),
         ("bandwidth_const", math.inf),

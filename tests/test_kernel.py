@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ UNIT = KernelSpec(0.0, 1.0)
 
 def plug_in_slope(x, y, spec):
     """The plug-in local linear slope: the DLL ratio with zero window shifts."""
-    return dll_point(build_weights(x, np.zeros_like(x), spec), y, x, spec)
+    return dll_point(build_weights(x, np.zeros_like(x), spec), y)
 
 
 def test_base_kernel_pointwise():
@@ -57,6 +59,14 @@ def test_invalid_bandwidth():
         KernelSpec(x0=0.0, h=0.0)
     with pytest.raises(InvalidBandwidthError):
         KernelSpec(x0=0.0, h=-1.0)
+    # Every window formula squares h, so h**2 must be finite too; the
+    # check itself warns of no overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1e300, np.float64(2e154), np.inf, np.nan):
+            with pytest.raises(InvalidBandwidthError):
+                KernelSpec(x0=0.0, h=h)
+    assert KernelSpec(x0=0.0, h=1e153).h == 1e153
 
 
 def test_local_linear_exact_line():

@@ -173,3 +173,29 @@ def test_bench_snapshot_summarizes_runs_per_metric(monkeypatch):
     assert out["host_probe_s"] == [[0.01, 0.02]] * 4
     single = bench_snapshot.summarize(runs[:1], specs)["metrics"]["fits_per_s"]
     assert (single["q1"], single["median"], single["q3"], single["iqr"]) == (2.0, 2.0, 2.0, 0.0)
+
+
+def run_script(name, *args):
+    src = str(Path(dll.__file__).resolve().parents[1])
+    env = {**os.environ, "DLL_JOBS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, str(SCRIPT.parent / name), *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_bandwidth_sweep_prints_one_line_per_bandwidth():
+    out = run_script("bandwidth_sweep.py", "400", "1")
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.startswith("true derivative")
+    assert len(rows) == 5 and all(row.startswith("h=") for row in rows)
+
+
+def test_decorrelation_benefit_prints_win_rates():
+    out = run_script("decorrelation_benefit.py", "4")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3
+    assert "wins" in lines[0]

@@ -62,7 +62,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("n", 0), ("n", -1), ("p", -1), ("sigma1_true", -0.5), ("sigma1_true", math.inf),
-     ("sigma2_true", -1.0), ("sigma2_true", math.nan),
+     ("sigma2_true", -1.0), ("sigma2_true", math.nan), ("seed", -1),
      # An unknown covariance failed only when data were drawn, and rho = 1
      # with LinAlgError; NaN ran.
      ("design_cov", "AR1"), ("ar1_rho", 1.0), ("ar1_rho", -1.0), ("ar1_rho", math.nan)],
@@ -196,17 +196,14 @@ def test_plugin_and_contaminated_arms_are_views_of_one_cross_fit():
     assert all(math.isnan(r.weight_error) for r in (plugin, projection, orthogonal))
     dataset = make_dataset(dataclasses.replace(cfg, seed=5), 5)
     cf = cross_fit(dataset, opts)
-    spec = KernelSpec(cfg.x0, opts.h)
-    zero_shift = build_weights(dataset.x1, np.zeros(cfg.n), spec)
-    assert plugin.estimate == dll_point(zero_shift, cf.residuals, dataset.x1, spec)
+    zero_shift = build_weights(dataset.x1, np.zeros(cfg.n), KernelSpec(cfg.x0, opts.h))
+    assert plugin.estimate == dll_point(zero_shift, cf.residuals)
     bumped = cf.residuals - 0.3 * (dataset.x2 @ np.asarray(cfg.gamma_true))
     assert projection.estimate == evaluate(
         dataclasses.replace(cf, residuals=bumped), cfg.x0, opts
     ).estimate
     noise = np.random.default_rng([5, 23]).standard_normal(cfg.n)
-    assert orthogonal.estimate == dll_point(
-        zero_shift, cf.residuals - 0.3 * noise, dataset.x1, spec
-    )
+    assert orthogonal.estimate == dll_point(zero_shift, cf.residuals - 0.3 * noise)
     with pytest.raises(ValueError, match="weights"):
         Arm("exact", "exact")
 
