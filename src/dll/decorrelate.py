@@ -76,7 +76,8 @@ def _exact_gaussian_shifts(
     # odd in the window center.
     amu = np.abs(mu)
     lo, hi = amu - half_width, amu + half_width
-    mass = ndtr(hi) - ndtr(lo)
+    upper, lower = ndtr(np.stack([hi, lo]))
+    mass = upper - lower
     underflow = mass < UNDERFLOW_MASS
     numer = _phi(lo) - _phi(hi) - amu * mass
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,6 +13,7 @@ residuals into the weighted local slope and its variance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Any, Callable
@@ -40,7 +41,9 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, valid_bandwidth
 from .linear import ProjectionFit, _row_blocks, noise_sd_estimate, ols_projection, scaled_lasso
-from .transforms import EmpiricalCDF, GaussianCDF, KnownCDF, count_outside, fit_empirical, ndtr
+from .transforms import (
+    EmpiricalCDF, KnownCDF, count_outside, fit_empirical, gaussian_scales, ndtr,
+)
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -52,6 +55,14 @@ def _real_array(name: str, value) -> np.ndarray:
         return array.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{name} must be an array of real numbers: {exc}") from None
+
+
+def check_seed(seed) -> None:
+    """A seed is an integer >= 0 (a numpy integer too, but not a bool),
+    checked at construction: numpy's generators reject others only when
+    a fit draws from them, with a TypeError, which is no DLLError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,7 @@ class PipelineOptions:
             raise ValueError("mode 'general_density' requires error_density")
         if not (0 < self.alpha < 1 and 1 - self.alpha / 2 < 1):  # a finite normal quantile
             raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.h is not None and not valid_bandwidth(self.h):
             raise ValueError(f"h must be > 0 with h**2 finite when given, got {self.h}")
         # Chained comparisons with math.inf also reject NaN.
@@ -316,8 +326,9 @@ def _transform_columns(
         return fit_empirical(x_cols)
     if known_cdfs is None or len(known_cdfs) != x_cols.shape[1]:
         raise ValueError("transform='known' requires one CDF per coordinate")
-    if all(isinstance(cdf, GaussianCDF) for cdf in known_cdfs):
-        return None, ndtr(x_cols / np.array([cdf.scale for cdf in known_cdfs])), None
+    scales = gaussian_scales(known_cdfs)
+    if scales is not None:
+        return None, ndtr(x_cols / scales), None
     z = np.column_stack([KnownCDF(cdf)(x_cols[:, j]) for j, cdf in enumerate(known_cdfs)])
     return None, z, None
 
@@ -334,10 +345,11 @@ def _fit_additive(
     The empirical transform reads the fold's columns one at a time, so
     no coordinate matrix is built; the known CDFs transform a fold matrix
     that lives only until its columns are transformed. The fit keeps a
-    transform only for each active coordinate (the others are None),
-    built after the fit: an empirical one from the column's fold values,
-    gathered in a rank column's sort order or sorted again where the
-    column has ties."""
+    transform only for each active coordinate (the others are None): its
+    known CDF as given (Gaussian ones then share one ``ndtr`` call in
+    prediction), or an empirical one built after the fit from the
+    column's fold values, gathered in a rank column's sort order or
+    sorted again where the column has ties."""
     if options.transform == "empirical":
         x_cols = _FoldColumns(x1, x2, idx)
     else:
@@ -354,7 +366,7 @@ def _fit_additive(
     for j in fit.active_set:
         column = x2[:, j - 1] if j else x1
         if ranked is None:
-            transforms[j] = KnownCDF(known_cdfs[j])
+            transforms[j] = known_cdfs[j]
         elif j in orders:
             transforms[j] = EmpiricalCDF(column[idx[orders[j]]])
         else:

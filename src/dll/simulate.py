@@ -24,6 +24,7 @@ from .estimator import (
     Dataset,
     DLLFit,
     PipelineOptions,
+    check_seed,
     check_window,
     cross_fit,
     evaluate,
@@ -87,8 +88,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.p < 0:
             raise ValueError(f"need n >= 1 and p >= 0, got n={self.n}, p={self.p}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         for name in ("sigma1_true", "sigma2_true"):
             # A chained comparison with math.inf also rejects NaN.
             if not 0 <= getattr(self, name) < math.inf:

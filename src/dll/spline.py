@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficientError
-from .transforms import rank_grid
+from .transforms import gaussian_scales, ndtr, rank_grid
 
 DEGREE = 3
 SMOOTHNESS_ORDER = 2
@@ -456,19 +456,30 @@ class AdditiveFit:
         """Evaluate the j-th fitted component on transformed inputs."""
         return self.bases[j].design(z) @ self.coef_blocks[j]
 
-    def _component_blocks(self, j: int, x: np.ndarray):
-        """``(rows, component j of x[rows])`` over row blocks of the raw
-        inputs ``x``, each block's design below GATHER_INDEX_BYTES; a
-        component's values at a row do not depend on the other rows."""
-        size = max(1, GATHER_INDEX_BYTES // (8 * self.bases[j].size))
-        for start in range(0, len(x), size):
-            rows = slice(start, start + size)
-            yield rows, self.component(j, self._to_unit(j, x[rows]))
+    def _component_blocks(self, cols: list[int], columns: list[np.ndarray]):
+        """``(j, rows, component j of x[rows])`` for each coordinate j of
+        ``cols`` in turn, x its raw inputs in ``columns``, over row blocks,
+        each block's design below GATHER_INDEX_BYTES; a component's values
+        at a row do not depend on the other rows. Known Gaussian CDFs map
+        all the columns in one ``ndtr`` call, whose cost on columns of a
+        few hundred rows is mostly fixed; other transforms map a block at
+        a time."""
+        scales = None if self.transforms is None else gaussian_scales(
+            [self.transforms[j] for j in cols]
+        )
+        if scales is not None:
+            columns = ndtr(np.array(columns) / scales[:, None])
+        for j, x in zip(cols, columns):
+            size = max(1, GATHER_INDEX_BYTES // (8 * self.bases[j].size))
+            for start in range(0, len(x), size):
+                rows = slice(start, start + size)
+                z = x[rows] if scales is not None else self._to_unit(j, x[rows])
+                yield j, rows, self.component(j, np.clip(z, 0.0, 1.0))
 
     def _to_unit(self, j: int, x):
         if self.transforms is None:
-            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return np.clip(self.transforms[j](x), 0.0, 1.0)
+            return np.asarray(x, dtype=float)
+        return self.transforms[j](x)
 
     def predict_sum(self, x_matrix: np.ndarray, exclude: int | None = None) -> np.ndarray:
         """Intercept plus the sum of components over the given columns.
@@ -483,10 +494,12 @@ class AdditiveFit:
                 f"expected {len(cols)} columns, got {x_matrix.shape[1]}"
             )
         out = np.full(x_matrix.shape[0], self.intercept)
-        for pos, j in enumerate(cols):
-            if j in self.active_set:
-                for rows, values in self._component_blocks(j, x_matrix[:, pos]):
-                    out[rows] += values
+        active = [pos for pos, j in enumerate(cols) if j in self.active_set]
+        blocks = self._component_blocks(
+            [cols[pos] for pos in active], [x_matrix[:, pos] for pos in active]
+        )
+        for _, rows, values in blocks:
+            out[rows] += values
         return out
 
     def predict_sums(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,11 +510,12 @@ class AdditiveFit:
             raise ValueError(f"expected {self.n_coordinates - 1} columns, got {x2.shape[1]}")
         nuisance = np.full(len(x1), self.intercept)
         full = nuisance.copy()
-        for j in self.active_set:
-            for rows, values in self._component_blocks(j, x2[:, j - 1] if j else x1):
-                full[rows] += values
-                if j:
-                    nuisance[rows] += values
+        cols = list(self.active_set)
+        columns = [x2[:, j - 1] if j else x1 for j in cols]
+        for j, rows, values in self._component_blocks(cols, columns):
+            full[rows] += values
+            if j:
+                nuisance[rows] += values
         return nuisance, full
 
 

@@ -7,7 +7,8 @@ degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
 ``fit_empirical`` transforms the training columns of a matrix, or of a
 sequence of columns, and returns a column without ties, a permutation of
 that grid, as its sort order.
-``ndtr``, the standard normal CDF, is the package's one route to scipy.
+``ndtr``, the standard normal CDF, is scipy's Cephes ``ndtr`` evaluated
+in numpy, so no path of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -18,16 +19,100 @@ from typing import Callable
 import numpy as np
 
 
+# Cephes' rational approximations of erf and erfc (S. L. Moshier, Methods
+# and Programs for Mathematical Functions, 1989; file ndtr.c), which scipy
+# evaluates for ``scipy.special.ndtr``: numerators, and denominators
+# without their leading 1, highest degree first.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_ERF_NUM = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_DEN = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_NUM = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_DEN = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+             9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+             1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_FAR_NUM = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+                 6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_FAR_DEN = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+                 1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _scaled_ratio(scale, x: np.ndarray, num, den) -> np.ndarray:
+    """``scale * num(x) / den(x)`` in Cephes' order of operations: Horner's
+    rule (its ``polevl``, and ``p1evl`` for the monic ``den``)."""
+    p = num[0] * x
+    p += num[1]
+    for c in num[2:]:
+        p *= x
+        p += c
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    p *= scale
+    p /= q
+    return p
+
+
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """Cephes' erfc at ``z >= 1``. The argument is clamped: erfc is 0 once
+    ``z * z`` exceeds ``_MAXLOG`` (z ~ 26.6), and the polynomials must not
+    overflow."""
+    z = np.minimum(z, 27.0)
+    arg = -z * z
+    exp = np.exp(arg.astype(complex)).real  # the C library's exp; see ndtr
+    out = _scaled_ratio(exp, z, _ERFC_NUM, _ERFC_DEN)
+    far = np.flatnonzero(z >= 8.0)
+    if far.size:
+        out[far] = _scaled_ratio(exp[far], z[far], _ERFC_FAR_NUM, _ERFC_FAR_DEN)
+    out[arg < -_MAXLOG] = 0.0
+    return out
+
+
 def ndtr(x):
-    """Standard normal CDF, elementwise: ``scipy.special.ndtr``.
+    """Standard normal CDF, elementwise, in float64: ``scipy.special.ndtr``
+    bit for bit, without scipy.
 
-    scipy is imported on the first call, so only the paths that evaluate
-    a Gaussian CDF (known-CDF transforms, exact Gaussian window shifts)
-    load it; ``dll fit`` with the default options does not.
+    It evaluates Cephes' ``ndtr`` (see the tables above): at |x| < 1,
+    ``0.5 + 0.5 erf(x / sqrt 2)``; beyond, ``0.5 erfc(|x| / sqrt 2)``, or one
+    minus it at x > 0; a NaN gives the canonical NaN. Every step is one
+    correctly rounded operation in the C code's order, so numpy reproduces
+    it, except ``exp(-z^2)`` in erfc. scipy takes that from the C library,
+    and numpy's float64 ``np.exp`` uses its own SIMD kernel, which differs
+    from it by 1-3 ulp on about 1% of arguments. numpy evaluates a complex
+    exponential through the C library instead (``cexp``, whose real part at
+    a zero imaginary part is ``exp``): the bits ``math.exp`` gives one
+    element at a time, at about a fifth of its cost.
     """
-    from scipy.special import ndtr as scipy_ndtr
-
-    return scipy_ndtr(x)
+    a = np.asarray(x, dtype=float)
+    flat = a.ravel()
+    z = np.abs(flat)
+    z *= _SQRT1_2  # Cephes' |x * _SQRT1_2|: rounding is symmetric in sign
+    far = np.flatnonzero(z >= _SQRT1_2)
+    zf = z[far]
+    np.minimum(z, 1.0, out=z)  # erf's domain; the other entries stay finite
+    out = _scaled_ratio(z, z * z, _ERF_NUM, _ERF_DEN)
+    erfc = 1.0 - out[far]
+    out *= 0.5
+    np.copysign(out, flat, out=out)
+    out += 0.5
+    if far.size:
+        tail = np.flatnonzero(zf >= 1.0)
+        if tail.size:
+            erfc[tail] = _erfc_tail(zf[tail])
+        erfc *= 0.5
+        pos = np.flatnonzero(flat[far] > 0)  # cheaper than a masked ufunc
+        erfc[pos] = 1.0 - erfc[pos]
+        out[far] = erfc
+    nan = np.isnan(flat)
+    if nan.any():
+        out[nan] = np.nan
+    out = out.reshape(a.shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def rank_grid(n: int) -> np.ndarray:
@@ -132,3 +217,12 @@ class GaussianCDF:
 
     def __call__(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.scale)
+
+
+def gaussian_scales(cdfs) -> np.ndarray | None:
+    """The scales of ``cdfs`` when there is at least one and every one is
+    a ``GaussianCDF``, so that one ``ndtr`` call maps all their columns;
+    None otherwise."""
+    if not cdfs or not all(isinstance(cdf, GaussianCDF) for cdf in cdfs):
+        return None
+    return np.array([cdf.scale for cdf in cdfs])

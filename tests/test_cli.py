@@ -679,13 +679,13 @@ def test_reference_registry_names():
 
 
 def test_default_commands_load_no_scipy(tmp_path):
-    # Only a Gaussian CDF needs scipy, and it is imported on first use:
-    # `import dll` and the default fit, bandwidth and simulate commands
-    # load no scipy module; an --mode exact_gaussian fit loads
-    # scipy.special, and never scipy.stats. Folds of 100 rows and p = 2
-    # take the OLS projection, folds of 60 rows and p = 40 the Lasso. The
-    # worker pool's modules load only for studies with workers, so those
-    # commands load no concurrent.futures either (scipy itself imports it).
+    # No path of the package imports scipy: `import dll`, the default fit,
+    # bandwidth and simulate commands, an --mode exact_gaussian fit and a
+    # study through known Gaussian CDFs load no scipy module (the normal
+    # CDF is a numpy port). Folds of 100 rows and p = 2 take the OLS
+    # projection, folds of 60 rows and p = 40 the Lasso. The worker pool's
+    # modules load only for studies with workers, so these commands load
+    # no concurrent.futures either.
     ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
     steps = [
         ("import", []),
@@ -695,6 +695,7 @@ def test_default_commands_load_no_scipy(tmp_path):
         ("fit-lasso", [["fit", "--input", lasso, "--x0", "0"]]),
         ("bandwidth", [["bandwidth", "--input", ols, "--x0", "0"]]),
         ("exact_gaussian", [["fit", "--input", ols, "--x0", "0", "--mode", "exact_gaussian"]]),
+        ("known-cdf", [["coverage", "--name", "univariate-oracle", "--b", "1"]]),
     ]
     code = textwrap.dedent(f"""
         import contextlib, io, json, sys
@@ -716,10 +717,7 @@ def test_default_commands_load_no_scipy(tmp_path):
     assert list(out) == [name for name, _ in steps]
     for name, (codes, modules) in out.items():
         assert not any(codes), name
-        assert "scipy.stats" not in modules, name
-        if name != "exact_gaussian":
-            assert modules == [], name
-    assert "scipy.special" in out["exact_gaussian"][1]
+        assert modules == [], name
 
 
 @pytest.fixture(scope="module")

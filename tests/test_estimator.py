@@ -572,6 +572,20 @@ def test_pipeline_options_accept_boundary_values():
     PipelineOptions(rho_const=0.0, lambda_const=0.0, num_interior_knots=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", np.float64(1.0), -1, np.int64(-2)])
+def test_pipeline_options_reject_a_seed_that_is_no_integer(seed):
+    # A float seed used to construct and fail later, in swap_split, with
+    # numpy's TypeError.
+    with pytest.raises(ValueError, match="seed"):
+        PipelineOptions(seed=seed)
+
+
+def test_pipeline_options_accept_numpy_integer_seeds():
+    for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+        options = PipelineOptions(seed=seed)
+        assert np.array_equal(swap_split(40, options.seed).fold_a, swap_split(40, 7).fold_a)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

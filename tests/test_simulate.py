@@ -72,6 +72,19 @@ def test_config_rejects_out_of_range(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, False, "2", np.float64(2.0)])
+def test_config_rejects_a_seed_that_is_no_integer(seed):
+    # A float seed used to construct and fail later, in make_dataset, with
+    # numpy's TypeError.
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n=200, p=0, seed=seed)
+
+
+def test_config_accepts_numpy_integer_seeds():
+    ds = make_dataset(SimConfig(n=200, p=0, seed=np.int64(2)))
+    assert np.array_equal(ds.y, make_dataset(SimConfig(n=200, p=0, seed=2)).y)
+
+
 def test_config_accepts_noiseless_draws():
     assert small_config(sigma1_true=0.0, sigma2_true=0.0).sigma1_true == 0.0
 

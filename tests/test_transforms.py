@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,9 +133,31 @@ def test_count_outside_sums_the_per_column_counts():
 
 
 def test_ndtr_is_scipy_ndtr_bit_for_bit():
-    grid = np.linspace(-40, 40, 160_001)
-    np.testing.assert_array_equal(transforms.ndtr(grid).view(np.int64),
-                                  ndtr(grid).view(np.int64))
+    # A grid, normal draws at three scales, and each branch edge of Cephes'
+    # ndtr (|x| = 1, sqrt 2, 8 sqrt 2 and sqrt(2 MAXLOG)) with its two
+    # neighbouring doubles, besides infinities, signed zeros, subnormals,
+    # huge values and NaNs of either sign, which come back as the
+    # canonical NaN. No step may warn, even where erfc underflows.
+    rng = np.random.default_rng(3)
+    edges = np.array([1.0, np.sqrt(2), 8 * np.sqrt(2), np.sqrt(2 * transforms._MAXLOG)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    special = [np.inf, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+               np.finfo(float).max]
+    x = np.concatenate([
+        np.linspace(-40, 40, 160_001),
+        rng.normal(0, 1, 20_000), rng.normal(0, 3, 20_000), rng.normal(0, 30, 20_000),
+        edges, -edges, special, np.negative(special), [np.nan, -np.nan],
+    ])
+    inputs = [x, x[-49:].reshape(7, 7).T, np.empty((0, 3))]  # a transposed 2-D view
+    scalars = [-1.5, 0.25, 9.0, -np.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = [transforms.ndtr(v) for v in inputs + scalars]
+    for got, v in zip(ours, inputs + scalars):
+        want = ndtr(v)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64))
 
 
 def test_empirical_transform_ks_against_uniform():
