@@ -19,6 +19,11 @@ from typing import Callable
 import numpy as np
 
 
+# ndtr maps its input in blocks of this many entries, whose temporaries
+# stay in cache: a 200 x 301 fold matrix maps ~20% faster than whole
+# (4096-entry blocks gain nothing: each block pays ~100 fixed-cost calls).
+_BLOCK = 8192
+
 # Cephes' rational approximations of erf and erfc (S. L. Moshier, Methods
 # and Programs for Mathematical Functions, 1989; file ndtr.c), which scipy
 # evaluates for ``scipy.special.ndtr``: numerators, and denominators
@@ -90,6 +95,16 @@ def ndtr(x):
     """
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        out[rows] = _ndtr_block(flat[rows])
+    out = out.reshape(a.shape)
+    return out[()] if out.ndim == 0 else out
+
+
+def _ndtr_block(flat: np.ndarray) -> np.ndarray:
+    """``ndtr`` of a 1-D block of inputs."""
     z = np.abs(flat)
     z *= _SQRT1_2  # Cephes' |x * _SQRT1_2|: rounding is symmetric in sign
     far = np.flatnonzero(z >= _SQRT1_2)
@@ -111,8 +126,7 @@ def ndtr(x):
     nan = np.isnan(flat)
     if nan.any():
         out[nan] = np.nan
-    out = out.reshape(a.shape)
-    return out[()] if out.ndim == 0 else out
+    return out
 
 
 def rank_grid(n: int) -> np.ndarray:
