@@ -41,9 +41,7 @@ from .errors import (
 )
 from .kernel import MIN_WINDOW_POINTS, KernelSpec, effective_sample_size, valid_bandwidth
 from .linear import ProjectionFit, _row_blocks, noise_sd_estimate, ols_projection, scaled_lasso
-from .transforms import (
-    EmpiricalCDF, KnownCDF, count_outside, fit_empirical, gaussian_scales, ndtr,
-)
+from .transforms import EmpiricalCDF, count_outside, fit_empirical, map_columns
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -159,10 +157,11 @@ class PipelineOptions:
             raise ValueError(
                 f"sigma1_override must be finite and > 0 when given, got {self.sigma1_override}"
             )
-        if self.num_interior_knots is not None and self.num_interior_knots < 0:
-            raise ValueError(
-                f"num_interior_knots must be >= 0 when given, got {self.num_interior_knots}"
-            )
+        k = self.num_interior_knots
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0):
+            raise ValueError(f"num_interior_knots must be an integer >= 0 when given, got {k!r}")
+        if self.error_density is not None and not callable(self.error_density):
+            raise ValueError(f"error_density must be callable, got {self.error_density!r}")
 
 
 @dataclass(frozen=True)
@@ -315,24 +314,6 @@ def _fold_matrix(x1: np.ndarray, x2: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x_cols
 
 
-def _transform_columns(
-    x_cols, options: PipelineOptions, known_cdfs
-) -> tuple[np.ndarray | None, np.ndarray, tuple | None]:
-    """``(ranges, z, ranked)`` of the training columns as ``fit_empirical``
-    returns them, or ``(None, z, None)`` through the known CDFs.
-    ``x_cols`` is the (n, c) matrix of the columns, or for the empirical
-    transform any sequence of them."""
-    if options.transform == "empirical":
-        return fit_empirical(x_cols)
-    if known_cdfs is None or len(known_cdfs) != x_cols.shape[1]:
-        raise ValueError("transform='known' requires one CDF per coordinate")
-    scales = gaussian_scales(known_cdfs)
-    if scales is not None:
-        return None, ndtr(x_cols / scales), None
-    z = np.column_stack([KnownCDF(cdf)(x_cols[:, j]) for j, cdf in enumerate(known_cdfs)])
-    return None, z, None
-
-
 def _fit_additive(
     x1: np.ndarray, x2: np.ndarray, idx: np.ndarray, y: np.ndarray,
     options: PipelineOptions, known_cdfs,
@@ -343,19 +324,18 @@ def _fit_additive(
     training ranges (see ``fit_empirical``; none for known CDFs).
 
     The empirical transform reads the fold's columns one at a time, so
-    no coordinate matrix is built; the known CDFs transform a fold matrix
-    that lives only until its columns are transformed. The fit keeps a
-    transform only for each active coordinate (the others are None): its
-    known CDF as given (Gaussian ones then share one ``ndtr`` call in
-    prediction), or an empirical one built after the fit from the
-    column's fold values, gathered in a rank column's sort order or
-    sorted again where the column has ties."""
+    no coordinate matrix is built; the known CDFs map a fold matrix (see
+    ``map_columns``) that lives only until its columns are mapped. The
+    fit keeps a transform only for each active coordinate (the others are
+    None): its known CDF as given, or an empirical one built after the
+    fit from the column's fold values, gathered in a rank column's sort
+    order or sorted again where the column has ties."""
     if options.transform == "empirical":
-        x_cols = _FoldColumns(x1, x2, idx)
+        ranges, z, ranked = fit_empirical(_FoldColumns(x1, x2, idx))
+    elif known_cdfs is None:
+        raise ValueError("transform='known' requires one CDF per coordinate")
     else:
-        x_cols = _fold_matrix(x1, x2, idx)
-    ranges, z, ranked = _transform_columns(x_cols, options, known_cdfs)
-    del x_cols  # the fit holds the most; a fold matrix is freed before it
+        ranges, z, ranked = None, map_columns(known_cdfs, _fold_matrix(x1, x2, idx)), None
     n, n_coords = len(idx), x2.shape[1] + 1
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
@@ -388,9 +368,18 @@ def _fit_projection(
     return scaled_lasso(x2, x1, options.lasso_const)
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, options: PipelineOptions) -> None:
+    """n >= 40, and no more spline basis functions than the smaller fold has
+    rows: such a fit fails only after building a Gram matrix of about k x k
+    per coordinate."""
     if n < 40:
         raise SampleTooSmallError(f"pipeline needs n >= 40, got {n}")
+    k = options.num_interior_knots
+    if k is not None and k + spline.DEGREE + 1 > n // 2:
+        raise SampleTooSmallError(
+            f"{k} interior knots give {k + spline.DEGREE + 1} basis functions, more than "
+            f"the smaller fold's {n // 2} rows"
+        )
 
 
 def _kernel_window(x1: np.ndarray, x0: float, options: PipelineOptions) -> KernelSpec:
@@ -413,7 +402,7 @@ def check_window(dataset: Dataset, x0: float, options: PipelineOptions) -> Pipel
     """``options`` with the bandwidth at x0 fixed, after checking the sample
     size and that the window holds enough points. Call it before
     ``cross_fit``, so that a bad x0 or h fails before any fit is paid for."""
-    _check_size(dataset.n)
+    _check_size(dataset.n, options)
     return replace(options, h=_kernel_window(dataset.x1, x0, options).h)
 
 
@@ -432,12 +421,13 @@ def cross_fit(
     the empirical transforms one column at a time (only known CDFs
     transform a fold matrix, freed before the additive fit), the spline
     fit scores its rank columns over tiles of the sample, and each fit
-    evaluates each of its active components once, in row blocks, for
-    both the nuisance and the full prediction.
+    maps each of its active columns once and evaluates each active
+    component once, in row blocks, for both the nuisance and the full
+    prediction.
     """
     y, x1, x2 = dataset.y, dataset.x1, dataset.x2
     n = dataset.n
-    _check_size(n)
+    _check_size(n, options)
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
     proj = [_fit_projection(x2, x1, options, i) for i in folds]
@@ -516,15 +506,19 @@ def evaluate(cf: CrossFit, x0: float, options: PipelineOptions = PipelineOptions
     cross-fit: ``oracle_view``'s, or with ``projection_rows=None`` the
     plug-in ones."""
     spec = _kernel_window(cf.dataset.x1, x0, options)
-    weights, underflow = _weights(cf, spec, options)
+    try:  # a window far wider than the data overflows the weights' products
+        with np.errstate(over="raise"):
+            weights, underflow = _weights(cf, spec, options)
+            s_n = slope_normalizer(weights)
+            estimate = dll_point(weights, cf.residuals)
+            variance = variance_estimate(weights, cf.sigma1, s_n)
+    except FloatingPointError as exc:
+        raise NumericalError(f"the window at x0={x0}, h={spec.h} overflows: {exc}") from None
     diagnostics = {
         "weight_error": None,
         "window_tail_ratio": window_tail_ratio(x0, spec.h, cf.gamma, cf.sigma2, cf.dataset.n),
         "flags": {"h": spec.h, **cf.flags, "shift_underflow": underflow},
     }
-    s_n = slope_normalizer(weights)
-    estimate = dll_point(weights, cf.residuals)
-    variance = variance_estimate(weights, cf.sigma1, s_n)
     if not (math.isfinite(estimate) and math.isfinite(variance)):
         raise NumericalError(f"non-finite estimate {estimate} or variance {variance}")
     ci_low, ci_high = confidence_interval(estimate, variance, options.alpha)

@@ -61,7 +61,17 @@ def _catalog_entry(fid: str, params: tuple):
 
 
 FUNCTION_IDS = ("linear", "quadratic", "sine", "zero")
+_PARAM_COUNTS = dict(zip(FUNCTION_IDS, (1, 1, 2, 0)))
 DESIGN_COVS = ("identity", "ar1")
+
+
+def _check_component(fid: str, params) -> None:
+    """A registered function id and its parameter count, which a replication
+    would unpack only when drawing data, with a ValueError that aborts a study."""
+    if fid not in FUNCTION_IDS:
+        raise ValueError(f"unknown function id {fid!r}")
+    if not isinstance(params, (tuple, list)) or len(params) != _PARAM_COUNTS[fid]:
+        raise ValueError(f"function {fid!r} takes {_PARAM_COUNTS[fid]} parameters, got {params!r}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,11 @@ class SimConfig:
             raise ValueError(f"ar1_rho must lie in (-1, 1), got {self.ar1_rho}")
         if len(self.gamma_true) != self.p:
             raise ValueError("gamma_true must have one entry per nuisance column")
-        for j, fid, _ in self.nuisance_components:
+        for j, fid, params in self.nuisance_components:
             if not 0 <= j < self.p:
                 raise ValueError(f"nuisance column {j} outside 0..{self.p - 1}")
-            if fid not in FUNCTION_IDS:
-                raise ValueError(f"unknown function id {fid!r}")
-        if self.f1[0] not in FUNCTION_IDS:
-            raise ValueError(f"unknown function id {self.f1[0]!r}")
+            _check_component(fid, params)
+        _check_component(*self.f1)
 
     @property
     def target(self) -> float:

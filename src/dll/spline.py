@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficientError
-from .transforms import gaussian_scales, ndtr, rank_grid
+from .transforms import map_columns, rank_grid
 
 DEGREE = 3
 SMOOTHNESS_ORDER = 2
@@ -456,66 +456,51 @@ class AdditiveFit:
         """Evaluate the j-th fitted component on transformed inputs."""
         return self.bases[j].design(z) @ self.coef_blocks[j]
 
-    def _component_blocks(self, cols: list[int], columns: list[np.ndarray]):
-        """``(j, rows, component j of x[rows])`` for each coordinate j of
-        ``cols`` in turn, x its raw inputs in ``columns``, over row blocks,
-        each block's design below GATHER_INDEX_BYTES; a component's values
-        at a row do not depend on the other rows. Known Gaussian CDFs map
-        all the columns in one ``ndtr`` call, whose cost on columns of a
-        few hundred rows is mostly fixed; other transforms map a block at
-        a time."""
-        scales = None if self.transforms is None else gaussian_scales(
-            [self.transforms[j] for j in cols]
-        )
-        if scales is not None:
-            columns = ndtr(np.array(columns) / scales[:, None])
-        for j, x in zip(cols, columns):
-            size = max(1, GATHER_INDEX_BYTES // (8 * self.bases[j].size))
-            for start in range(0, len(x), size):
-                rows = slice(start, start + size)
-                z = x[rows] if scales is not None else self._to_unit(j, x[rows])
-                yield j, rows, self.component(j, np.clip(z, 0.0, 1.0))
-
-    def _to_unit(self, j: int, x):
-        if self.transforms is None:
-            return np.asarray(x, dtype=float)
-        return self.transforms[j](x)
-
     def predict_sum(self, x_matrix: np.ndarray, exclude: int | None = None) -> np.ndarray:
-        """Intercept plus the sum of components over the given columns.
-
-        ``x_matrix`` columns align with the fit's coordinates, skipping
-        ``exclude`` when given (so it has one fewer column).
-        """
+        """Intercept plus the sum of components over the given columns:
+        ``predict_sums``' full sum, one column per coordinate, or with
+        ``exclude=0`` its nuisance sum, the columns of coordinates 1.. only.
+        ``exclude`` takes no other value."""
+        if exclude not in (None, 0):
+            raise ValueError(f"exclude must be None or 0, got {exclude!r}")
         x_matrix = np.atleast_2d(np.asarray(x_matrix, dtype=float))
-        cols = [j for j in range(self.n_coordinates) if j != exclude]
-        if x_matrix.shape[1] != len(cols):
-            raise ValueError(
-                f"expected {len(cols)} columns, got {x_matrix.shape[1]}"
-            )
-        out = np.full(x_matrix.shape[0], self.intercept)
-        active = [pos for pos, j in enumerate(cols) if j in self.active_set]
-        blocks = self._component_blocks(
-            [cols[pos] for pos in active], [x_matrix[:, pos] for pos in active]
-        )
-        for _, rows, values in blocks:
-            out[rows] += values
-        return out
+        if exclude == 0:
+            return self.predict_sums(None, x_matrix)[0]
+        if x_matrix.shape[1] != self.n_coordinates:
+            raise ValueError(f"expected {self.n_coordinates} columns, got {x_matrix.shape[1]}")
+        return self.predict_sums(x_matrix[:, 0], x_matrix[:, 1:])[1]
 
-    def predict_sums(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(predict_sum(x2, exclude=0), predict_sum(column_stack([x1, x2])))``
-        bit for bit, without the stacked copy, each active component
-        evaluated once and added to both sums in ``predict_sum``'s order."""
+    def predict_sums(
+        self, x1: np.ndarray | None, x2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(nuisance, full)``: the intercept plus the components of
+        coordinates 1.. on the columns of ``x2``, and that plus component 0
+        on ``x1`` (left out when ``x1`` is None).
+
+        Each active column is mapped to [0, 1] once, through the fit's
+        transforms when present (``transforms.map_columns``), and each
+        component is evaluated once and added to both sums, in row blocks
+        whose designs stay below GATHER_INDEX_BYTES: a component's value at
+        a row does not depend on the other rows."""
         if x2.shape[1] != self.n_coordinates - 1:
             raise ValueError(f"expected {self.n_coordinates - 1} columns, got {x2.shape[1]}")
-        nuisance = np.full(len(x1), self.intercept)
+        nuisance = np.full(len(x2), self.intercept)
         full = nuisance.copy()
-        cols = list(self.active_set)
+        cols = [j for j in self.active_set if j or x1 is not None]
+        if not cols:
+            return nuisance, full
         columns = [x2[:, j - 1] if j else x1 for j in cols]
-        for j, rows, values in self._component_blocks(cols, columns):
-            full[rows] += values
-            if j:
-                nuisance[rows] += values
+        unit = np.column_stack(columns) if self.transforms is None else map_columns(
+            [self.transforms[j] for j in cols], columns
+        )
+        for i, j in enumerate(cols):
+            size = max(1, GATHER_INDEX_BYTES // (8 * self.bases[j].size))
+            for start in range(0, len(unit), size):
+                rows = slice(start, start + size)
+                values = self.component(j, np.clip(unit[rows, i], 0.0, 1.0))
+                full[rows] += values
+                if j:
+                    nuisance[rows] += values
         return nuisance, full
 
 

@@ -6,7 +6,8 @@ rank of their group (strictly inside (0,1), where spline bases do not
 degenerate), and a user-supplied exact CDF (such as a ``GaussianCDF``).
 ``fit_empirical`` transforms the training columns of a matrix, or of a
 sequence of columns, and returns a column without ties, a permutation of
-that grid, as its sort order.
+that grid, as its sort order. ``map_columns`` maps any columns through
+exact CDFs or fitted transforms, one per column.
 ``ndtr``, the standard normal CDF, is scipy's Cephes ``ndtr`` evaluated
 in numpy, so no path of the package imports scipy.
 """
@@ -223,8 +224,9 @@ class KnownCDF:
 class GaussianCDF:
     """CDF of a centered normal law with standard deviation ``scale``.
 
-    A frozen value rather than a closure, so it pickles, and a fit whose
-    CDFs are all Gaussian transforms its columns with one ``ndtr`` call.
+    A frozen value rather than a closure, so it pickles, and
+    ``map_columns`` maps columns whose CDFs are all Gaussian with one
+    ``ndtr`` call.
     """
 
     scale: float
@@ -233,10 +235,16 @@ class GaussianCDF:
         return ndtr(np.asarray(x, dtype=float) / self.scale)
 
 
-def gaussian_scales(cdfs) -> np.ndarray | None:
-    """The scales of ``cdfs`` when there is at least one and every one is
-    a ``GaussianCDF``, so that one ``ndtr`` call maps all their columns;
-    None otherwise."""
-    if not cdfs or not all(isinstance(cdf, GaussianCDF) for cdf in cdfs):
-        return None
-    return np.array([cdf.scale for cdf in cdfs])
+def map_columns(cdfs, x_cols) -> np.ndarray:
+    """Column j of ``x_cols`` mapped through ``cdfs[j]``, an exact CDF or a
+    fitted transform, as an (n, c) matrix like ``fit_empirical``'s ``z``.
+
+    ``x_cols`` is an (n, c) matrix or a sequence of its c columns. When
+    every map is a ``GaussianCDF``, one ``ndtr`` call maps all the
+    columns: its cost on columns of a few hundred rows is mostly fixed."""
+    x = np.asarray(x_cols if isinstance(x_cols, np.ndarray) else np.column_stack(x_cols), float)
+    if len(cdfs) != x.shape[1]:
+        raise ValueError(f"need one CDF per column, got {len(cdfs)} for {x.shape[1]} columns")
+    if all(isinstance(cdf, GaussianCDF) for cdf in cdfs):
+        return ndtr(x / np.array([cdf.scale for cdf in cdfs]))
+    return np.column_stack([np.asarray(cdf(x[:, j]), dtype=float) for j, cdf in enumerate(cdfs)])

@@ -466,6 +466,21 @@ def test_fit_accepts_a_byte_order_mark(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_with_more_knots_than_a_fold_has_rows_exits_4_before_any_fit(
+    tmp_path, capsys, monkeypatch
+):
+    data = tmp_path / "data.csv"
+    cfg = SimConfig(n=200, p=2, gamma_true=(0.4, 0.0), seed=4)
+    write_csv_dataset(make_dataset(cfg), str(data))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold fit ran")
+
+    monkeypatch.setattr(spline, "fit_doubly_penalized", no_fit)
+    assert main(["fit", "--input", str(data), "--x0", "0", "--knots", "99"]) == 4
+    assert "interior knots" in capsys.readouterr().err
+
+
 def test_write_csv_dataset_golden(tmp_path):
     ds = Dataset(
         y=np.array([0.1, -2.5e-7]),
@@ -738,6 +753,17 @@ def test_overflowing_bandwidth_is_numerical_failure(small_csv, capsys, subcomman
         warnings.simplefilter("error")
         assert main(argv) == 4
     assert "bandwidth h must be > 0 with h**2 finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, x0", [("1e60", "-1e60"), ("1e84", "-1e84"), ("5.6e102", "5.6e102")])
+def test_window_far_wider_than_the_data_is_numerical_failure(small_csv, capsys, h, x0):
+    # Examples test_fit_never_raises found: the shifts or the weights'
+    # products overflow, which used to warn and then fail or report.
+    argv = ["fit", "--input", str(small_csv), "--x0", x0, "--h", h]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    assert "overflows" in capsys.readouterr().err
 
 
 def _flag(name, value):

@@ -572,6 +572,45 @@ def test_pipeline_options_accept_boundary_values():
     PipelineOptions(rho_const=0.0, lambda_const=0.0, num_interior_knots=0)
 
 
+@pytest.mark.parametrize("knots", [2.5, 4.0, True, "3", np.float64(4.0)])
+def test_pipeline_options_reject_knots_that_are_no_integer(knots):
+    # 2.5 used to construct and place knots at the quantiles k / 3.5.
+    with pytest.raises(ValueError, match="num_interior_knots"):
+        PipelineOptions(num_interior_knots=knots)
+    PipelineOptions(num_interior_knots=np.int64(4))
+
+
+@pytest.mark.parametrize("density", [5, "laplace", np.float64(0.5)])
+def test_pipeline_options_reject_an_error_density_that_is_not_callable(density):
+    # error_density=5 used to construct and fail in the first evaluate with
+    # a TypeError, which is no DLLError.
+    with pytest.raises(ValueError, match="error_density"):
+        PipelineOptions(mode="general_density", error_density=density)
+
+
+def test_too_many_knots_for_a_fold_fail_before_any_fit(monkeypatch):
+    # n = 200 splits into folds of 100 rows. 99 interior knots give cubic
+    # bases of 103 functions: the fits used to run and the noise scale
+    # then failed. The check now fails first, and no fit is paid for.
+    ds = make_dataset(replace(PROPERTY_CONFIG, n=200), 2)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold fit ran")
+
+    monkeypatch.setattr(spline, "fit_doubly_penalized", no_fit)
+    for k in (97, 99, 10**5):
+        options = PipelineOptions(num_interior_knots=k)
+        with pytest.raises(SampleTooSmallError, match="interior knots"):
+            estimator.check_window(ds, 0.0, options)
+        with pytest.raises(SampleTooSmallError, match="interior knots"):
+            cross_fit(ds, options)
+        with pytest.raises(SampleTooSmallError, match="interior knots"):
+            dll_pipeline(ds, 0.0, options)
+    # 96 knots give 100 functions, as many as the fold has rows.
+    options = PipelineOptions(num_interior_knots=96)
+    assert estimator.check_window(ds, 0.0, options).num_interior_knots == 96
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", np.float64(1.0), -1, np.int64(-2)])
 def test_pipeline_options_reject_a_seed_that_is_no_integer(seed):
     # A float seed used to construct and fail later, in swap_split, with

@@ -10,7 +10,6 @@ from scipy.special import ndtr
 from dll.decorrelate import build_weights
 from dll.estimator import (
     PipelineOptions,
-    _transform_columns,
     cross_fit,
     dll_pipeline,
     dll_point,
@@ -32,6 +31,7 @@ from dll.simulate import (
     run_replication,
     win_rate,
 )
+from dll.transforms import map_columns
 
 
 def small_config(**kw):
@@ -57,6 +57,20 @@ def test_config_validation():
         small_config(nuisance_components=((7, "sine", (1.0, 1.0)),))
     with pytest.raises(ValueError):
         small_config(f1=("cubic", (1.0,)))
+
+
+@pytest.mark.parametrize(
+    "component",
+    [{"f1": ("sine", (1.0,))}, {"f1": ("zero", (1.0,))}, {"f1": ("linear", 2.0)},
+     {"nuisance_components": ((0, "quadratic", (0.3, 0.1)),)},
+     {"nuisance_components": ((1, "sine", ()),)}],
+)
+def test_config_rejects_a_wrong_parameter_count(component):
+    # SimConfig(f1=("sine", (1.0,))) used to construct; target and every
+    # replication then raised a bare ValueError from tuple unpacking, which
+    # aborted a whole study.
+    with pytest.raises(ValueError, match="parameters"):
+        small_config(**component)
 
 
 @pytest.mark.parametrize(
@@ -368,12 +382,13 @@ def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
     want = np.column_stack(
         [ndtr(np.asarray(x_cols[:, j], float) / s) for j, s in enumerate(sds)]
     )
-    opts = PipelineOptions(transform="known")
-    ranges, z, ranked = _transform_columns(x_cols, opts, cdfs)
-    np.testing.assert_array_equal(z, want)
-    assert ranges is None and ranked is None  # known CDFs clamp nothing, rank nothing
+    np.testing.assert_array_equal(map_columns(cdfs, x_cols), want)
+    # A sequence of the columns maps to the same matrix.
+    np.testing.assert_array_equal(map_columns(cdfs, list(x_cols.T)), want)
     for j, cdf in enumerate(cdfs):
         np.testing.assert_array_equal(cdf(x_cols[:, j]), want[:, j])
     # Any other callable keeps the per-column path, with the same values.
     other = cdfs[:-1] + [lambda x, s=sds[-1]: ndtr(np.asarray(x, float) / s)]
-    np.testing.assert_array_equal(_transform_columns(x_cols, opts, other)[1], want)
+    np.testing.assert_array_equal(map_columns(other, x_cols), want)
+    with pytest.raises(ValueError, match="one CDF per column"):
+        map_columns(cdfs[:-1], x_cols)

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from dll import spline
 
 from dll.errors import RankDeficientError
-from dll.transforms import EmpiricalCDF, fit_empirical, rank_grid
+from dll.transforms import EmpiricalCDF, GaussianCDF, fit_empirical, rank_grid
 from dll.spline import (
     CoordinateBasis,
     default_penalties,
@@ -589,37 +589,58 @@ def test_predict_nuisance_excludes_component():
 
 
 def test_predict_sums_match_predict_sum_bit_for_bit():
-    # One pass over the components gives both sums cross_fit needs, with
-    # the bytes of the two predict_sum calls it replaces. Both evaluate each
-    # component in row blocks; a component's value at a row does not depend
-    # on the other rows, so over a sample of several blocks both equal the
-    # sums of the whole-sample designs times the coefficients, bit for bit.
+    # predict_sums is the fit's one prediction loop and predict_sum a view
+    # of it, so each is checked against an explicit sum of
+    # component(j, clip(transform(x))) over the whole sample, in the fit's
+    # order. Both evaluate each component in row blocks; a component's
+    # value at a row does not depend on the other rows, so over a sample of
+    # several blocks the sums agree bit for bit, with Gaussian CDFs (mapped
+    # in one ndtr call) and with empirical transforms alike.
     rng = np.random.default_rng(10)
     x = rng.normal(size=(300, 4))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 2] ** 2 + rng.normal(0, 0.1, 300)
     _, z, ranked = fit_empirical(x)
-    fit = replace(
+    empirical = replace(
         fit_doubly_penalized(z, y, default_penalties(300, 4), ranked=ranked),
         transforms=tuple(EmpiricalCDF.fit(col) for col in x.T),
     )
-    assert 0 in fit.active_set and len(fit.active_set) > 1
-    block = spline.GATHER_INDEX_BYTES // (8 * min(b.size for b in fit.bases))
-    new = 1.2 * rng.normal(size=(2 * block + 123, 4))
-    nuisance, full = fit.predict_sums(new[:, 0], new[:, 1:])
-    assert nuisance.tobytes() == fit.predict_sum(new[:, 1:], exclude=0).tobytes()
-    assert full.tobytes() == fit.predict_sum(new).tobytes()
-    want_nuisance = np.full(len(new), fit.intercept)
-    want_full = want_nuisance.copy()
-    for j in fit.active_set:
-        unit = np.clip(fit.transforms[j](new[:, j]), 0.0, 1.0)
-        values = fit.bases[j].design(unit) @ fit.coef_blocks[j]
-        want_full += values
-        if j:
-            want_nuisance += values
-    assert nuisance.tobytes() == want_nuisance.tobytes()
-    assert full.tobytes() == want_full.tobytes()
+    gaussian = (GaussianCDF(1.0),) * 4
+    z = np.column_stack([cdf(col) for cdf, col in zip(gaussian, x.T)])
+    gaussian = replace(
+        fit_doubly_penalized(z, y, default_penalties(300, 4)), transforms=gaussian
+    )
+    for fit in (empirical, gaussian):
+        assert 0 in fit.active_set and len(fit.active_set) > 1
+        block = spline.GATHER_INDEX_BYTES // (8 * min(b.size for b in fit.bases))
+        new = 1.2 * rng.normal(size=(2 * block + 123, 4))
+        want_nuisance = np.full(len(new), fit.intercept)
+        want_full = want_nuisance.copy()
+        for j in fit.active_set:
+            values = fit.component(j, np.clip(fit.transforms[j](new[:, j]), 0.0, 1.0))
+            want_full += values
+            if j:
+                want_nuisance += values
+        nuisance, full = fit.predict_sums(new[:, 0], new[:, 1:])
+        assert nuisance.tobytes() == want_nuisance.tobytes()
+        assert full.tobytes() == want_full.tobytes()
+        assert fit.predict_sum(new[:, 1:], exclude=0).tobytes() == want_nuisance.tobytes()
+        assert fit.predict_sum(new).tobytes() == want_full.tobytes()
+        assert fit.predict_sums(None, new[:, 1:])[0].tobytes() == want_nuisance.tobytes()
     with pytest.raises(ValueError, match="expected 3 columns"):
         fit.predict_sums(new[:, 0], new)
+    with pytest.raises(ValueError, match="expected 4 columns"):
+        fit.predict_sum(new[:, 1:])
+
+
+def test_predict_sum_excludes_only_coordinate_zero():
+    # Every caller leaves out coordinate 0 (x1) or nothing; any other
+    # exclude is an error, not a silently misaligned sum.
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0, 1, (100, 3))
+    fit = fit_doubly_penalized(z, z[:, 1] + rng.normal(0, 0.1, 100), default_penalties(100, 3))
+    for exclude in (1, 2, -1):
+        with pytest.raises(ValueError, match="exclude must be None or 0"):
+            fit.predict_sum(np.delete(z, exclude, axis=1), exclude=exclude)
 
 
 def test_predict_all_blocks_zero_returns_intercept():
