@@ -55,11 +55,16 @@ def _real_array(name: str, value) -> np.ndarray:
         raise DataError(f"{name} must be an array of real numbers: {exc}") from None
 
 
+def _is_integer(value) -> bool:
+    """An integer, a numpy integer too, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
-    """A seed is an integer >= 0 (a numpy integer too, but not a bool),
-    checked at construction: numpy's generators reject others only when
-    a fit draws from them, with a TypeError, which is no DLLError."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    """A seed is an integer >= 0 (``_is_integer``), checked at construction:
+    numpy's generators reject others only when a fit draws from them, with
+    a TypeError, which is no DLLError."""
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
@@ -158,7 +163,7 @@ class PipelineOptions:
                 f"sigma1_override must be finite and > 0 when given, got {self.sigma1_override}"
             )
         k = self.num_interior_knots
-        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0):
+        if k is not None and (not _is_integer(k) or k < 0):
             raise ValueError(f"num_interior_knots must be an integer >= 0 when given, got {k!r}")
         if self.error_density is not None and not callable(self.error_density):
             raise ValueError(f"error_density must be callable, got {self.error_density!r}")
@@ -234,7 +239,7 @@ def variance_estimate(weights: DecorrelationWeights, sigma1: float, s_n: float) 
     # reports an infinite variance as a NumericalError, so numpy's overflow
     # warning would only repeat it.
     with np.errstate(over="ignore"):
-        return float(np.float64(sigma1) ** 2 * total / (n * s_n) ** 2)
+        return float(np.float64(sigma1) ** 2 * total / np.float64(n * s_n) ** 2)
 
 
 def _half_width(variance: float, alpha: float) -> float:

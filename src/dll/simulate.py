@@ -11,6 +11,7 @@ never finite-differenced.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -24,18 +25,18 @@ from .estimator import (
     Dataset,
     DLLFit,
     PipelineOptions,
+    _is_integer,
     check_seed,
     check_window,
     cross_fit,
     evaluate,
     oracle_view,
 )
-from .spline import nuisance_fit_error
 from .transforms import GaussianCDF
 
-# Sub-seed offsets so design, noise, fresh and contamination draws are
+# Sub-seed offsets so design, noise and contamination draws are
 # independent streams derived from one replication seed.
-_DESIGN, _NOISE, _FRESH, _CONTAMINATION = 11, 13, 17, 23
+_DESIGN, _NOISE, _CONTAMINATION = 11, 13, 23
 
 
 def _catalog_entry(fid: str, params: tuple):
@@ -65,6 +66,13 @@ _PARAM_COUNTS = dict(zip(FUNCTION_IDS, (1, 1, 2, 0)))
 DESIGN_COVS = ("identity", "ar1")
 
 
+def _check_finite(name: str, values) -> None:
+    """Every entry a finite real number: a NaN or infinite value would fail
+    every replication, and then the study, rather than the construction."""
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {values!r}")
+
+
 def _check_component(fid: str, params) -> None:
     """A registered function id and its parameter count, which a replication
     would unpack only when drawing data, with a ValueError that aborts a study."""
@@ -72,6 +80,7 @@ def _check_component(fid: str, params) -> None:
         raise ValueError(f"unknown function id {fid!r}")
     if not isinstance(params, (tuple, list)) or len(params) != _PARAM_COUNTS[fid]:
         raise ValueError(f"function {fid!r} takes {_PARAM_COUNTS[fid]} parameters, got {params!r}")
+    _check_finite(f"the parameters of function {fid!r}", params)
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "p"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.p < 0:
             raise ValueError(f"need n >= 1 and p >= 0, got n={self.n}, p={self.p}")
         check_seed(self.seed)
@@ -109,9 +121,11 @@ class SimConfig:
             raise ValueError(f"ar1_rho must lie in (-1, 1), got {self.ar1_rho}")
         if len(self.gamma_true) != self.p:
             raise ValueError("gamma_true must have one entry per nuisance column")
+        _check_finite("gamma_true", self.gamma_true)
+        _check_finite("x0", (self.x0,))
         for j, fid, params in self.nuisance_components:
-            if not 0 <= j < self.p:
-                raise ValueError(f"nuisance column {j} outside 0..{self.p - 1}")
+            if not (_is_integer(j) and 0 <= j < self.p):
+                raise ValueError(f"nuisance column {j!r} is no integer in 0..{self.p - 1}")
             _check_component(fid, params)
         _check_component(*self.f1)
 
@@ -123,10 +137,11 @@ class SimConfig:
 
     def x1_marginal_sd(self) -> float:
         gamma = np.asarray(self.gamma_true, dtype=float)
-        if self.p == 0:
-            return self.sigma2_true
         cov = self._cov()
-        return float(np.sqrt(gamma @ cov @ gamma + self.sigma2_true**2))
+        # numpy's power overflows to inf where Python's raises OverflowError,
+        # which no replication records; finite results agree bit for bit.
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(gamma @ cov @ gamma + np.float64(self.sigma2_true) ** 2))
 
     def _cov(self) -> np.ndarray:
         if self.design_cov == "identity":
@@ -134,31 +149,22 @@ class SimConfig:
         idx = np.arange(self.p)
         return self.ar1_rho ** np.abs(idx[:, None] - idx[None, :])
 
-    def _nuisance_draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n rows of the Gaussian nuisance design: standard normal draws,
-        correlated by the Cholesky factor of ``_cov()``. With the identity
-        covariance the draws are returned as they are, which is what the
-        product with the identity factor gives, bit for bit."""
-        z = rng.standard_normal((n, self.p))
-        if self.design_cov == "identity":
-            return z
-        return z @ np.linalg.cholesky(self._cov()).T
-
     def known_cdfs(self) -> list[GaussianCDF]:
         """Exact marginal CDFs for [x1, nuisance columns]."""
-        diag = np.sqrt(np.diag(self._cov())) if self.p else np.empty(0)
+        diag = np.sqrt(np.diag(self._cov()))
         return [GaussianCDF(self.x1_marginal_sd())] + [GaussianCDF(float(s)) for s in diag]
 
 
 def gen_design(config: SimConfig, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x1, x2): Gaussian nuisance matrix and projected variable."""
+    """Draw (x1, x2): Gaussian nuisance matrix and projected variable. The
+    nuisance rows are standard normal draws, correlated by the Cholesky
+    factor of the covariance unless it is the identity (the product with the
+    identity factor would give the same bits); with p = 0 they take no draws."""
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng([seed, _DESIGN])
-    if config.p == 0:
-        x2 = np.empty((config.n, 0))
-        x1 = rng.normal(0.0, config.sigma2_true, size=config.n)
-        return x1, x2
-    x2 = config._nuisance_draws(rng, config.n)
+    x2 = rng.standard_normal((config.n, config.p))
+    if config.design_cov != "identity":
+        x2 = x2 @ np.linalg.cholesky(config._cov()).T
     delta = rng.normal(0.0, config.sigma2_true, size=config.n)
     x1 = x2 @ np.asarray(config.gamma_true, dtype=float) + delta
     return x1, x2
@@ -211,14 +217,17 @@ class Arm:
     def __post_init__(self) -> None:
         if self.weights not in ("estimated", "oracle", "plugin"):
             raise ValueError(f"unknown arm weights {self.weights!r}")
+        _check_finite("contamination", (self.contamination,))
 
 
 @dataclass(frozen=True)
 class RepRecord:
     """Outcome of one arm of a single Monte Carlo replication. With p > 0,
-    ``nuisance_error`` is the cross-fit's error on fresh rows. When the
-    study runs an oracle arm and it succeeds, ``weight_error`` is the
-    distance of this arm's weights from that arm's (exact-law) weights."""
+    ``nuisance_error`` is the worse fold's RMSE of the level-free nuisance
+    fit on the rows it never saw: the larger over the two folds of the sd of
+    ``y - residuals - nuisance_truth``. When the study runs an oracle arm
+    and it succeeds, ``weight_error`` is the distance of this arm's weights
+    from that arm's (exact-law) weights."""
 
     arm: str
     seed: int
@@ -290,8 +299,8 @@ def run_replication(
 
     nuisance_error = math.nan
     if cfg.p > 0:
-        fresh = cfg._nuisance_draws(np.random.default_rng([seed, _FRESH]), 500)
-        nuisance_error = nuisance_fit_error(*cf.additive, partial(nuisance_truth, cfg), fresh)
+        gap = dataset.y - cf.residuals - nuisance_truth(cfg, dataset.x2)
+        nuisance_error = max(float(np.std(gap[f])) for f in (cf.plan.fold_a, cf.plan.fold_b))
     fits = []
     for arm in arms:
         try:
@@ -414,12 +423,14 @@ def monte_carlo_records(
     guard. Records are always reduced in seed order, so the reports are
     identical regardless of scheduling.
     """
-    if b < 1:
-        raise ValueError("need at least one replication")
+    if not _is_integer(b) or b < 1:
+        raise ValueError(f"b must be an integer >= 1, got {b!r}")
     names = [arm.name for arm in arms]
     if not names or len(set(names)) < len(names):
         raise ValueError(f"need one or more arms with distinct names, got {names}")
     n_jobs = default_jobs() if n_jobs is None else n_jobs
+    if not _is_integer(n_jobs) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     replicate = partial(run_replication, config, options, arms=arms)
     seeds = [config.seed + r for r in range(1, b + 1)]
     if n_jobs > 1 and b > 1:

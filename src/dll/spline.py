@@ -504,30 +504,6 @@ class AdditiveFit:
         return nuisance, full
 
 
-def nuisance_fit_error(
-    fit_a: AdditiveFit,
-    fit_b: AdditiveFit,
-    truth: Callable[[np.ndarray], np.ndarray],
-    fresh_x2: np.ndarray,
-) -> float:
-    """Worst-fold RMSE of the nuisance fit against the truth on fresh draws.
-
-    ``fresh_x2`` holds nuisance rows, without the fits' coordinate 0. Only
-    the component sums are compared, both sides net of their level, which
-    separates shape error from the arbitrary constant split between
-    components and intercept.
-    """
-    fresh_x2 = np.atleast_2d(np.asarray(fresh_x2, dtype=float))
-    target = np.asarray(truth(fresh_x2), dtype=float)
-    target = target - float(np.mean(target))
-    errs = []
-    for fit in (fit_a, fit_b):
-        pred = fit.predict_sum(fresh_x2, exclude=0) - fit.intercept
-        pred = pred - float(np.mean(pred))
-        errs.append(float(np.sqrt(np.mean((pred - target) ** 2))))
-    return max(errs)
-
-
 def _whiten(columns: np.ndarray, knots: np.ndarray, first: int) -> tuple:
     """Penalty eigenvalues, eigenvector maps, transposed whitened designs,
     their column means and the coefficients of the constant 1, for a batch

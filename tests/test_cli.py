@@ -375,7 +375,6 @@ def test_load_csv_errors(tmp_path):
         ("y,x2\n1,2\n", "header"),
     ],
 )
-@pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
 def test_load_csv_reports_row_and_column(tmp_path, text, message):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())

@@ -31,7 +31,7 @@ from dll.simulate import (
     run_replication,
     win_rate,
 )
-from dll.transforms import map_columns
+from dll.transforms import GaussianCDF, map_columns
 
 
 def small_config(**kw):
@@ -79,11 +79,51 @@ def test_config_rejects_a_wrong_parameter_count(component):
      ("sigma2_true", -1.0), ("sigma2_true", math.nan), ("seed", -1),
      # An unknown covariance failed only when data were drawn, and rho = 1
      # with LinAlgError; NaN ran.
-     ("design_cov", "AR1"), ("ar1_rho", 1.0), ("ar1_rho", -1.0), ("ar1_rho", math.nan)],
+     ("design_cov", "AR1"), ("ar1_rho", 1.0), ("ar1_rho", -1.0), ("ar1_rho", math.nan),
+     # A float or bool size failed with a TypeError when data were drawn;
+     # a NaN or infinite value failed every replication ("y holds NaN"),
+     # and then the study ("all replications of arm ... failed").
+     ("n", 200.5), ("n", True), ("p", 3.0), ("p", np.float64(3)),
+     ("gamma_true", (math.nan, -0.5, 0.0)), ("gamma_true", (0.5, -math.inf, 0.0)),
+     ("x0", math.inf), ("x0", math.nan)],
 )
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "component, match",
+    # A float column index failed with an IndexError that aborted the
+    # study; a NaN or infinite parameter failed every replication.
+    [({"nuisance_components": ((0.5, "sine", (0.8, 1.0)),)}, "nuisance column"),
+     ({"nuisance_components": ((False, "sine", (0.8, 1.0)),)}, "nuisance column"),
+     ({"nuisance_components": ((0, "linear", (math.inf,)),)}, "parameters"),
+     ({"f1": ("sine", (math.nan, 1.0))}, "parameters")],
+)
+def test_config_rejects_a_float_column_or_a_non_finite_parameter(component, match):
+    with pytest.raises(ValueError, match=match):
+        small_config(**component)
+
+
+def test_config_accepts_numpy_integer_sizes_and_columns():
+    cfg = small_config(n=np.int64(120), nuisance_components=((np.int32(2), "linear", (1.0,)),))
+    assert make_dataset(cfg).n == 120
+
+
+def test_study_arguments_are_checked_at_the_boundary():
+    # n_jobs = -2 ran serially, b = 2.5 failed with a TypeError, and
+    # Arm(contamination=nan) constructed, and then every replication of the
+    # arm failed.
+    for n_jobs in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="n_jobs"):
+            monte_carlo_records(small_config(), 1, n_jobs=n_jobs)
+    for b in (0, 2.5, True):
+        with pytest.raises(ValueError, match="b must be"):
+            monte_carlo_records(small_config(), b)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="contamination"):
+            Arm("dll", contamination=c)
 
 
 @pytest.mark.parametrize("seed", [2.5, 2.0, False, "2", np.float64(2.0)])
@@ -144,6 +184,32 @@ def test_gen_design_residual_scale():
     x1, x2 = gen_design(cfg)
     resid = x1 - x2 @ np.asarray(cfg.gamma_true)
     assert np.std(resid) == pytest.approx(0.8, rel=0.02)
+
+
+def test_gen_design_draws_of_p0_and_ar1_designs():
+    # p = 0 draws only the projection error; the empty nuisance matrix
+    # takes no draws from the design stream.
+    cfg = SimConfig(n=50, p=0, sigma2_true=0.7, seed=4)
+    x1, x2 = gen_design(cfg)
+    assert x2.shape == (50, 0)
+    np.testing.assert_array_equal(x1, np.random.default_rng([4, 11]).normal(0.0, 0.7, 50))
+    assert cfg.known_cdfs() == [GaussianCDF(0.7)]
+    # A scale whose square overflows is infinite, not an OverflowError, with
+    # or without nuisance columns.
+    for p in (0, 2):
+        huge = SimConfig(n=50, p=p, gamma_true=(0.5,) * p, sigma2_true=1e200)
+        assert huge.x1_marginal_sd() == math.inf
+    # AR(1): standard normal rows times the transposed Cholesky factor.
+    cfg = small_config(n=60, design_cov="ar1", ar1_rho=0.6)
+    x1, x2 = gen_design(cfg, 9)
+    rng = np.random.default_rng([9, 11])
+    idx = np.arange(3)
+    cov = 0.6 ** np.abs(idx[:, None] - idx[None, :])
+    want = rng.standard_normal((60, 3)) @ np.linalg.cholesky(cov).T
+    np.testing.assert_array_equal(x2, want)
+    np.testing.assert_array_equal(
+        x1, want @ np.asarray(cfg.gamma_true) + rng.normal(0.0, 1.0, 60)
+    )
 
 
 def test_gen_response_zero_case_and_determinism():
@@ -362,6 +428,58 @@ def test_nuisance_error_decreases_with_sample_size():
         means.append(np.mean(errs))
     assert means[2] < means[0]  # monotone within noise across a 4x range
     assert means[1] < means[0] * 1.1
+
+
+def test_nuisance_error_is_the_worse_folds_held_out_sd():
+    cfg = small_config()
+    [rec] = run_replication(cfg, seed=8)
+    seeded = dataclasses.replace(cfg, seed=8)
+    data = make_dataset(seeded, 8)
+    cf = cross_fit(data, PipelineOptions(transform="known", seed=8), seeded.known_cdfs())
+    truth = nuisance_truth(cfg, data.x2)
+    gap = data.y - cf.residuals - truth
+    folds = (cf.plan.fold_a, cf.plan.fold_b)
+    assert rec.nuisance_error == max(float(np.std(gap[fold])) for fold in folds)
+    # Each fold's rows are scored against the fit of the other fold, which
+    # never saw them; the level alignment drops out of the sd.
+    for fold, fit in zip(folds, reversed(cf.additive)):
+        held_out, _ = fit.predict_sums(data.x1, data.x2)
+        assert np.std((held_out - truth)[fold]) == pytest.approx(np.std(gap[fold]), rel=1e-12)
+    univariate = SimConfig(n=200, p=0, f1=("linear", (2.0,)), seed=7)
+    assert math.isnan(run_replication(univariate, PipelineOptions(h=0.5))[0].nuisance_error)
+
+
+def test_nuisance_error_examples(monkeypatch):
+    import dll.simulate as simulate
+
+    cfg = small_config(nuisance_components=((0, "sine", (0.8, 1.0)), (2, "quadratic", (0.3,))))
+    fits = []
+
+    def error_with(residuals):
+        def fit(dataset, options, known):
+            fits.append(cross_fit(dataset, options, known))
+            return dataclasses.replace(fits[-1], residuals=residuals(fits[-1]))
+
+        monkeypatch.setattr(simulate, "cross_fit", fit)
+        [rec] = run_replication(cfg, PipelineOptions(h=0.6), seed=3)
+        return rec.nuisance_error
+
+    def truth(cf):
+        return nuisance_truth(cfg, cf.dataset.x2)
+
+    # the truth itself: zero error
+    assert error_with(lambda cf: cf.dataset.y - truth(cf)) == pytest.approx(0.0, abs=1e-12)
+    # the error is net of level: a constant offset per fold is no error,
+    # while doubled components miss the truth by its own spread
+    def offset(cf):
+        in_a = np.isin(np.arange(cf.dataset.n), cf.plan.fold_a)
+        return cf.dataset.y - truth(cf) - np.where(in_a, 0.1, -0.3)
+
+    assert error_with(offset) == pytest.approx(0.0, abs=1e-12)
+    doubled = error_with(lambda cf: cf.dataset.y - 2 * truth(cf))
+    cf = fits[-1]
+    spread = max(float(np.std(truth(cf)[fold])) for fold in (cf.plan.fold_a, cf.plan.fold_b))
+    assert doubled == pytest.approx(spread, rel=1e-12)
 
 
 def test_harness_defaults_to_known_transforms():

@@ -18,7 +18,6 @@ from dll.spline import (
     CoordinateBasis,
     default_penalties,
     fit_doubly_penalized,
-    nuisance_fit_error,
     sobolev_penalty_matrix,
     two_penalty_prox,
 )
@@ -709,24 +708,6 @@ def test_default_penalty_constants_near_cv_choice():
         cv_scores.append(np.mean(errs))
     best = grid[int(np.argmin(cv_scores))]
     assert fresh_mse(*best) <= fresh_mse(0.05, 1.5) * 1.10 + 1e-12
-
-
-def test_nuisance_fit_error_examples():
-    rng = np.random.default_rng(11)
-    z = rng.uniform(0, 1, (200, 2))
-    y = 2 * (z[:, 1] - 0.5) + rng.normal(0, 0.05, 200)
-    fit = fit_doubly_penalized(z, y, (1e-8, 1e-8))
-    truth = lambda rows: fit.predict_sum(rows, exclude=0)
-    fresh = rng.uniform(0, 1, (500, 1))
-    # fit against itself: zero error
-    assert nuisance_fit_error(fit, fit, truth, fresh) == pytest.approx(0.0, abs=1e-12)
-    # the error is net of level: a constant offset is no error, while
-    # doubled components miss the truth by its own spread
-    shifted = replace(fit, intercept=fit.intercept + 0.1)
-    assert nuisance_fit_error(fit, shifted, truth, fresh) == pytest.approx(0.0, abs=1e-12)
-    doubled = replace(fit, coef_blocks=tuple(2 * beta for beta in fit.coef_blocks))
-    spread = float(np.std(truth(fresh)))
-    assert nuisance_fit_error(fit, doubled, truth, fresh) == pytest.approx(spread, rel=1e-12)
 
 
 def unique_knot_reference(k, n, columns):
