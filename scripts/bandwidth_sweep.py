@@ -21,9 +21,9 @@ def main() -> int:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     cfg = replace(REFERENCE_CONFIGS["lowdim"]["config"], n=n, seed=seed)
     ds = make_dataset(cfg)
-    h0 = default_bandwidth(ds.x1, cfg.x0, 0.5)
-    print(f"true derivative {cfg.target:.4f}; plug-in default h = {h0:.4f}")
     options = PipelineOptions(seed=seed)
+    h0 = default_bandwidth(ds.x1, cfg.x0, options.bandwidth_const)
+    print(f"true derivative {cfg.target:.4f}; plug-in default h = {h0:.4f}")
     cf = cross_fit(ds, options)  # the nuisance fits do not depend on h
     for mult in (0.5, 0.75, 1.0, 1.5, 2.0):
         h = mult * h0

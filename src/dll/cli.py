@@ -20,8 +20,8 @@ file plus a footer file beside it with one aggregate row per arm, so
 Flags of each subcommand (exact names; prefixes are not accepted):
 
 - ``fit``: --input, --x0 (required), --output, --format, --seed, --h,
-  --alpha, --mode, --bandwidth-const, --lasso-const, --rho-const,
-  --lambda-const, --knots;
+  --alpha, --bandwidth-const, --lasso-const, --rho-const, --lambda-const,
+  --knots;
 - ``simulate``: --output (required), --n, --p, --sigma1, --sigma2, --seed;
 - ``coverage``: --name (required), --b, --output, --format;
 - ``bandwidth``: --input, --x0 (required), --output, --bandwidth-const.
@@ -95,7 +95,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             x0=0.25,
             seed=2024,
         ),
-        options=PipelineOptions(transform="known"),
+        options=PipelineOptions(),
         b=300,
         arms=ESTIMATED_AND_ORACLE,
     ),
@@ -115,7 +115,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             x0=0.0,
             seed=2025,
         ),
-        options=PipelineOptions(transform="known"),
+        options=PipelineOptions(),
         b=200,
         arms=ESTIMATED_AND_ORACLE,
     ),
@@ -130,7 +130,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             x0=0.0,
             seed=2026,
         ),
-        options=PipelineOptions(transform="known", sigma1_override=0.5),
+        options=PipelineOptions(sigma1_override=0.5),
         b=500,
         arms=(Arm("estimated"),),
     ),
@@ -144,7 +144,7 @@ REFERENCE_CONFIGS: dict[str, dict[str, Any]] = {
             nuisance_components=((0, "sine", (0.5, 1.0)), (1, "sine", (0.4, 0.7))),
             sigma1_true=0.1, x0=0.0, seed=42,
         ),
-        options=PipelineOptions(transform="known", h=0.4),
+        options=PipelineOptions(h=0.4),
         b=200,
         arms=(
             Arm("dll-projection", contamination=0.3),
@@ -185,7 +185,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--seed", type=int)
     fit.add_argument("--h", type=float)
     fit.add_argument("--alpha", type=float)
-    fit.add_argument("--mode", choices=["linear", "exact_gaussian"])
     fit.add_argument("--bandwidth-const", type=float)
     fit.add_argument("--lasso-const", type=float)
     fit.add_argument("--rho-const", type=float)

@@ -24,7 +24,7 @@ UNDERFLOW_MASS = 1e-300
 SIMPSON_TOL = 1e-10
 SIMPSON_DEPTH = 20
 
-SHIFT_MODES = ("linear", "exact_gaussian", "general_density")
+SHIFT_MODES = ("exact_gaussian", "general_density")
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,6 @@ def window_shifts(
     and projection-error scales (one, or one each), and the underflow count.
     """
     proj = np.asarray(proj, dtype=float)
-    if mode == "linear":
-        return shift_linear(proj, sigma2, spec), 0
     if mode == "exact_gaussian":
         shifts, underflow = _exact_gaussian_shifts(proj, sigma2, spec)
         return shifts, int(np.sum(underflow))

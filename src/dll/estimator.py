@@ -122,7 +122,7 @@ class PipelineOptions:
 
     h: float | None = None
     alpha: float = 0.05
-    mode: str = "linear"  # one of decorrelate.SHIFT_MODES
+    mode: str = "exact_gaussian"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
     bandwidth_const: float = 0.5
     lasso_const: float = linear.DEFAULT_PENALTY_CONST

@@ -280,7 +280,7 @@ def _failure(arm: Arm, seed: int, exc: DLLError) -> RepRecord:
 
 def run_replication(
     config: SimConfig,
-    options: PipelineOptions = PipelineOptions(transform="known"),
+    options: PipelineOptions = PipelineOptions(),
     seed: int | None = None,
     arms: tuple[Arm, ...] = (Arm("estimated"),),
 ) -> list[RepRecord]:
@@ -292,8 +292,7 @@ def run_replication(
     try:
         dataset = make_dataset(cfg, seed)
         options = check_window(dataset, cfg.x0, replace(options, seed=seed))
-        known = cfg.known_cdfs() if options.transform == "known" else None
-        cf = cross_fit(dataset, options, known)
+        cf = cross_fit(dataset, options)
     except DLLError as exc:
         return [_failure(arm, seed, exc) for arm in arms]
 
@@ -409,7 +408,7 @@ def _map_in_workers(fn, tasks: list, n_jobs: int) -> list:
 def monte_carlo_records(
     config: SimConfig,
     b: int,
-    options: PipelineOptions = PipelineOptions(transform="known"),
+    options: PipelineOptions = PipelineOptions(),
     n_jobs: int | None = None,
     arms: tuple[Arm, ...] = (Arm("estimated"),),
 ) -> tuple[list[MCReport], list[RepRecord]]:

@@ -35,7 +35,7 @@ def test_parse_fit_defaults():
     assert cfg.input == "d.csv"
     assert cfg.x0 == 0.5
     assert cfg.options.alpha == 0.05
-    assert cfg.options.mode == "linear"
+    assert cfg.options.mode == "exact_gaussian"
 
 
 def test_parse_fit_options_match_library_defaults():
@@ -106,6 +106,7 @@ def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, va
     [
         ("mode", "bogus"),
         ("mode", "general_density"),
+        ("mode", "exact_gaussian"),  # the default and the only rule: no flag
         ("format", "xml"),
         ("knots", 2.5),
         ("seed", 1.5),
@@ -154,7 +155,7 @@ _FIT_FLAGS = [
     if a.dest not in ("help", "input", "x0", "output", "format", "config")
 ]
 _FIT_VALUES = {
-    "seed": 3, "h": 0.4, "alpha": 0.1, "mode": "exact_gaussian", "bandwidth_const": 0.7,
+    "seed": 3, "h": 0.4, "alpha": 0.1, "bandwidth_const": 0.7,
     "lasso_const": 1.5, "rho_const": 0.2, "lambda_const": 2.0, "num_interior_knots": 4,
 }
 
@@ -693,13 +694,14 @@ def test_reference_registry_names():
 
 
 def test_default_commands_load_no_scipy(tmp_path):
-    # No path of the package imports scipy: `import dll`, the default fit,
-    # bandwidth and simulate commands, an --mode exact_gaussian fit and a
-    # study through known Gaussian CDFs load no scipy module (the normal
-    # CDF is a numpy port). Folds of 100 rows and p = 2 take the OLS
-    # projection, folds of 60 rows and p = 40 the Lasso. The worker pool's
-    # modules load only for studies with workers, so these commands load
-    # no concurrent.futures either.
+    # No path of the package imports scipy: `import dll`, the default fit
+    # (exact Gaussian shifts), the bandwidth, simulate and coverage
+    # commands and a fit through known Gaussian CDFs load no scipy module
+    # (the normal CDF is a numpy port). Folds of 100 rows and p = 2 take
+    # the OLS projection, folds of 60 rows and p = 40 the Lasso. The worker
+    # pool's modules load only for studies with workers, so these commands
+    # load no concurrent.futures either. A step without argv lists is the
+    # known-CDF fit, which no command makes.
     ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
     steps = [
         ("import", []),
@@ -708,17 +710,23 @@ def test_default_commands_load_no_scipy(tmp_path):
         ("fit-ols", [["fit", "--input", ols, "--x0", "0"]]),
         ("fit-lasso", [["fit", "--input", lasso, "--x0", "0"]]),
         ("bandwidth", [["bandwidth", "--input", ols, "--x0", "0"]]),
-        ("exact_gaussian", [["fit", "--input", ols, "--x0", "0", "--mode", "exact_gaussian"]]),
-        ("known-cdf", [["coverage", "--name", "univariate-oracle", "--b", "1"]]),
+        ("coverage", [["coverage", "--name", "univariate-oracle", "--b", "1"]]),
+        ("known-cdf", None),
     ]
     code = textwrap.dedent(f"""
         import contextlib, io, json, sys
         import dll, dll.cli
 
+        def known_cdf_fit():
+            cfg = dll.SimConfig(n=200, p=2, gamma_true=(0.5, 0.0))
+            options = dll.PipelineOptions(transform="known")
+            dll.dll_pipeline(dll.simulate.make_dataset(cfg), 0.0, options, cfg.known_cdfs())
+            return 0
+
         out = {{}}
         for name, runs in {steps!r}:
             with contextlib.redirect_stdout(io.StringIO()):
-                codes = [dll.cli.main(argv) for argv in runs]
+                codes = [known_cdf_fit()] if runs is None else [dll.cli.main(a) for a in runs]
             out[name] = codes, sorted(
                 m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")
             )
@@ -754,15 +762,26 @@ def test_overflowing_bandwidth_is_numerical_failure(small_csv, capsys, subcomman
     assert "bandwidth h must be > 0 with h**2 finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h, x0", [("1e60", "-1e60"), ("1e84", "-1e84"), ("5.6e102", "5.6e102")])
-def test_window_far_wider_than_the_data_is_numerical_failure(small_csv, capsys, h, x0):
-    # Examples test_fit_never_raises found: the shifts or the weights'
-    # products overflow, which used to warn and then fail or report.
+@pytest.mark.parametrize(
+    "h, x0, message",
+    [
+        ("1e60", "-1e60", "numerically zero"),
+        ("1e84", "-1e84", "numerically zero"),
+        ("5.6e102", "5.6e102", "numerically zero"),
+        ("1e120", "1e120", "overflows"),
+        ("1e150", "1e150", "overflows"),
+        ("1e153", "-1e153", "overflows"),
+    ],
+)
+def test_window_far_wider_than_the_data_is_numerical_failure(small_csv, capsys, h, x0, message):
+    # Examples test_fit_never_raises found, which used to warn and then fail
+    # or report: the exact shifts of a window this wide leave weights whose
+    # normalizing sum is zero, or the weights' products overflow.
     argv = ["fit", "--input", str(small_csv), "--x0", x0, "--h", h]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 4
-    assert "overflows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _flag(name, value):

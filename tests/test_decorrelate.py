@@ -199,7 +199,6 @@ def test_window_shifts_match_the_scalar_shifts():
     sigma2 = rng.uniform(0.5, 2.0, size=40)
     spec = KernelSpec(0.2, 0.3)
     for mode, scalar in (
-        ("linear", lambda v, s: shift_linear(v, s, spec)),
         ("exact_gaussian", lambda v, s: window_shifts(
             np.array([v]), s, spec, "exact_gaussian")[0][0]),
         ("general_density", lambda v, s: shift_general(

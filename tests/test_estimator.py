@@ -664,9 +664,9 @@ PARITY_GOLDEN = {
         1.7684180919674615, 0.015395484608831948,
         1.525228618203776, 2.011607565731146,
     ),
-    "linear": (
-        0.897700078387643, 0.35141122244649775,
-        -0.26416555074423065, 2.059565707519517,
+    "default": (
+        0.898270389197032, 0.3513906123669539,
+        -0.2635611680375548, 2.060101946431619,
     ),
     "exact_gaussian": (
         1.3435353659336395, 0.036959969041795035,
@@ -681,7 +681,7 @@ PARITY_GOLDEN = {
         0.9444011531413128, 1.6986752076539167,
     ),
 }
-PARITY_WEIGHT_ERROR = 0.0034913977727000917
+PARITY_WEIGHT_ERROR = 0.0034876769734130675
 
 
 def std_normal_pdf(t):
@@ -705,7 +705,7 @@ def parity_fit(path):
     if path == "p0":
         return dll_pipeline(parity_dataset(0), 0.1, PipelineOptions(h=0.5))
     ds = parity_dataset(2)
-    if path == "linear":  # plug-in bandwidth
+    if path == "default":  # plug-in bandwidth
         return dll_pipeline(
             ds, 0.0, PipelineOptions(seed=3), true_projection=(PARITY_GAMMA, 1.0)
         )
@@ -722,7 +722,7 @@ def test_pipeline_matches_golden_values(path):
     fit = parity_fit(path)
     got = (fit.estimate, fit.variance, fit.ci_low, fit.ci_high)
     np.testing.assert_allclose(got, PARITY_GOLDEN[path], rtol=1e-12, atol=0)
-    if path == "linear":
+    if path == "default":
         assert fit.diagnostics["weight_error"] == pytest.approx(
             PARITY_WEIGHT_ERROR, rel=1e-12
         )
@@ -732,8 +732,8 @@ def test_one_cross_fit_serves_every_evaluation():
     ds = parity_dataset(2)
     opts = PipelineOptions(seed=3, h=0.5)
     cf = cross_fit(ds, opts)
-    for mode in ("linear", "exact_gaussian"):
-        mode_opts = replace(opts, mode=mode)
+    for mode in ("exact_gaussian", "general_density"):
+        mode_opts = replace(opts, mode=mode, error_density=std_normal_pdf)
         assert evaluate(cf, 0.0, mode_opts) == dll_pipeline(ds, 0.0, mode_opts)
     oracle = oracle_fit(cf, 0.0, opts, (PARITY_GAMMA, 1.0))
     assert oracle == oracle_fit(cross_fit(ds, opts), 0.0, opts, (PARITY_GAMMA, 1.0))

@@ -253,21 +253,18 @@ def test_run_replication_deterministic():
 def test_run_replication_oracle_arm_matches_oracle_view():
     cfg = small_config()
     arms = (Arm("estimated"), Arm("oracle", "oracle"))
-    opts = PipelineOptions(transform="known")
-    rec, oracle_rec = run_replication(cfg, opts, seed=77, arms=arms)
+    rec, oracle_rec = run_replication(cfg, seed=77, arms=arms)
     assert [(r.arm, r.seed) for r in (rec, oracle_rec)] == [("estimated", 77), ("oracle", 77)]
-    seeded = dataclasses.replace(cfg, seed=77)
-    dataset = make_dataset(seeded, 77)
-    opts = PipelineOptions(transform="known", seed=77)
-    known = seeded.known_cdfs()
+    dataset = make_dataset(dataclasses.replace(cfg, seed=77), 77)
+    opts = PipelineOptions(seed=77)
     law = (np.asarray(cfg.gamma_true), cfg.sigma2_true)
-    view, view_opts = oracle_view(cross_fit(dataset, opts, known), law, opts)
+    view, view_opts = oracle_view(cross_fit(dataset, opts), law, opts)
     orc = evaluate(view, cfg.x0, view_opts)
     assert (oracle_rec.estimate, oracle_rec.ci_low, oracle_rec.ci_high) == (
         orc.estimate, orc.ci_low, orc.ci_high
     )
     assert oracle_rec.covered == (orc.ci_low <= cfg.target <= orc.ci_high)
-    est = dll_pipeline(dataset, cfg.x0, opts, known, true_projection=law)
+    est = dll_pipeline(dataset, cfg.x0, opts, true_projection=law)
     assert (rec.estimate, rec.ci_low, rec.ci_high) == (
         est.estimate, est.ci_low, est.ci_high
     )
@@ -422,7 +419,7 @@ def test_nuisance_error_decreases_with_sample_size():
         errs = []
         for s in range(10):
             cfg = small_config(n=n, seed=9000 + s)
-            [rec] = run_replication(cfg, PipelineOptions(transform="known"))
+            [rec] = run_replication(cfg)
             if not rec.failed:
                 errs.append(rec.nuisance_error)
         means.append(np.mean(errs))
@@ -433,9 +430,8 @@ def test_nuisance_error_decreases_with_sample_size():
 def test_nuisance_error_is_the_worse_folds_held_out_sd():
     cfg = small_config()
     [rec] = run_replication(cfg, seed=8)
-    seeded = dataclasses.replace(cfg, seed=8)
-    data = make_dataset(seeded, 8)
-    cf = cross_fit(data, PipelineOptions(transform="known", seed=8), seeded.known_cdfs())
+    data = make_dataset(dataclasses.replace(cfg, seed=8), 8)
+    cf = cross_fit(data, PipelineOptions(seed=8))
     truth = nuisance_truth(cfg, data.x2)
     gap = data.y - cf.residuals - truth
     folds = (cf.plan.fold_a, cf.plan.fold_b)
@@ -456,8 +452,8 @@ def test_nuisance_error_examples(monkeypatch):
     fits = []
 
     def error_with(residuals):
-        def fit(dataset, options, known):
-            fits.append(cross_fit(dataset, options, known))
+        def fit(dataset, options):
+            fits.append(cross_fit(dataset, options))
             return dataclasses.replace(fits[-1], residuals=residuals(fits[-1]))
 
         monkeypatch.setattr(simulate, "cross_fit", fit)
@@ -482,11 +478,12 @@ def test_nuisance_error_examples(monkeypatch):
     assert doubled == pytest.approx(spread, rel=1e-12)
 
 
-def test_harness_defaults_to_known_transforms():
+def test_harness_defaults_to_the_fit_options():
+    # A study replication runs what `dll fit` runs: the library defaults.
     import inspect
 
-    sig = inspect.signature(run_replication)
-    assert sig.parameters["options"].default.transform == "known"
+    for harness in (run_replication, monte_carlo_records):
+        assert inspect.signature(harness).parameters["options"].default == PipelineOptions()
 
 
 def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
