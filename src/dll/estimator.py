@@ -268,7 +268,9 @@ def kde_density(x1: np.ndarray, x0: float) -> float:
     """Gaussian kernel density estimate at a point, Silverman bandwidth."""
     x1 = np.asarray(x1, dtype=float)
     n = x1.size
-    sd = float(np.std(x1, ddof=1))
+    # Past |x1| ~ 1e154 the squares overflow and sd is inf: the IQR sets the spread.
+    with np.errstate(over="ignore"):
+        sd = float(np.std(x1, ddof=1))
     q75, q25 = np.percentile(x1, [75, 25])
     spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
     if spread <= 0:
@@ -461,11 +463,12 @@ def cross_fit(
             if ranges[other] is not None:
                 clamped += count_outside(ranges[other][1:], block)
 
+    # Both scales come from out-of-fold residuals, whose mean square already
+    # carries the fits' error, so no degrees of freedom are taken off.
     sigma2 = noise_sd_estimate(x1, rows, 0)
     sigma1 = options.sigma1_override
     if sigma1 is None:
-        df = round((additive[0].active_dimension + additive[1].active_dimension) / 2) + 1
-        sigma1 = noise_sd_estimate(y, full, df)
+        sigma1 = noise_sd_estimate(y, full, 0)
     flags = {
         "projection_method": proj[0].method,
         "projection_converged": proj[0].converged and proj[1].converged,

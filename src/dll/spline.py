@@ -448,10 +448,6 @@ class AdditiveFit:
     def n_coordinates(self) -> int:
         return len(self.coef_blocks)
 
-    @property
-    def active_dimension(self) -> int:
-        return sum(self.bases[j].size for j in self.active_set)
-
     def component(self, j: int, z) -> np.ndarray:
         """Evaluate the j-th fitted component on transformed inputs."""
         return self.bases[j].design(z) @ self.coef_blocks[j]

@@ -26,7 +26,7 @@ from dll.cli import (
 from dll import linear, spline
 from dll.errors import DataError
 from dll.estimator import Dataset, DLLFit, PipelineOptions
-from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset
+from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset, run_replication
 
 
 def test_parse_fit_defaults():
@@ -693,6 +693,35 @@ def test_reference_registry_names():
     assert entry["config"].p == 300
 
 
+def test_reference_studies_use_the_fit_options():
+    # A study may fix h (a `dll fit` flag) and sigma1 (a known noise scale);
+    # every other option, the transform and the shift rule among them, is
+    # the library default that `dll fit` uses.
+    for entry in REFERENCE_CONFIGS.values():
+        options = dataclasses.replace(entry["options"], h=None, sigma1_override=None)
+        assert options == PipelineOptions()
+
+
+@pytest.mark.parametrize("name", ["lowdim", "highdim", "decorrelation-benefit"])
+def test_study_replication_is_a_fit_of_its_csv(tmp_path, capsys, name):
+    # The estimated record of a study's first replication is, bit for bit,
+    # the report of `dll fit` on that replication's dataset written as CSV.
+    entry = REFERENCE_CONFIGS[name]
+    cfg, options = entry["config"], entry["options"]
+    seed = cfg.seed + 1
+    [rec] = run_replication(cfg, options, seed)
+    data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+    write_csv_dataset(make_dataset(dataclasses.replace(cfg, seed=seed), seed), str(data))
+    argv = ["fit", "--input", str(data), "--x0", repr(cfg.x0), "--seed", str(seed),
+            "--output", str(out)] + ([] if options.h is None else ["--h", repr(options.h)])
+    assert main(argv) == 0, capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert not rec.failed
+    assert (rec.estimate, rec.ci_low, rec.ci_high) == (
+        report["estimate"], report["ci_low"], report["ci_high"]
+    )
+
+
 def test_default_commands_load_no_scipy(tmp_path):
     # No path of the package imports scipy: `import dll`, the default fit
     # (exact Gaussian shifts), the bandwidth, simulate and coverage
@@ -760,6 +789,18 @@ def test_overflowing_bandwidth_is_numerical_failure(small_csv, capsys, subcomman
         warnings.simplefilter("error")
         assert main(argv) == 4
     assert "bandwidth h must be > 0 with h**2 finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "bandwidth"])
+def test_spread_past_the_square_root_of_the_largest_float_asks_for_h(tmp_path, capsys, subcommand):
+    # The sample sd of x1 overflows; the interquartile range sets the
+    # plug-in density's bandwidth, and that density is far below the floor.
+    data = tmp_path / "d.csv"
+    write_csv_dataset(make_dataset(SimConfig(n=200, p=0, sigma2_true=1e200), 1), str(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([subcommand, "--input", str(data), "--x0", "0"]) == 4
+    assert "supply h manually" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -655,30 +655,31 @@ def test_general_density_mode_requires_a_density():
 
 
 # Golden (estimate, variance, ci_low, ci_high) of each pipeline path on
-# fixed inputs, taken before the pipeline was split into cross_fit and
-# evaluate, except the p0 variance and CI ends: they follow the
-# cross-fitted sigma1, which p == 0 shares with p > 0.
+# fixed inputs. The estimates of the p > 0 paths but the default one were
+# taken before the pipeline was split into cross_fit and evaluate; every
+# variance and CI end follows the cross-fitted sigma1, the root mean square
+# of the out-of-fold residuals.
 PARITY_GAMMA = np.array([0.5, -0.3])
 PARITY_GOLDEN = {
     "p0": (
-        1.7684180919674615, 0.015395484608831948,
-        1.525228618203776, 2.011607565731146,
+        1.7684180919674615, 0.01462571037839867,
+        1.5313863132076986, 2.005449870727224,
     ),
     "default": (
-        0.898270389197032, 0.3513906123669539,
-        -0.2635611680375548, 2.060101946431619,
+        0.898270389197032, 0.3096629771483781,
+        -0.19239801825274838, 1.9889387966468122,
     ),
     "exact_gaussian": (
-        1.3435353659336395, 0.036959969041795035,
-        0.9667327663032955, 1.7203379655639837,
+        1.3435353659336395, 0.03257097271808162,
+        0.9898122391148384, 1.69725849275242,
     ),
     "general_density": (
-        1.3435353659342157, 0.03695996904178001,
-        0.9667327663039482, 1.7203379655644833,
+        1.3435353659342157, 0.032570972718068386,
+        0.9898122391154867, 1.6972584927529244,
     ),
     "oracle": (
-        1.3215381803976147, 0.03702560510645283,
-        0.9444011531413128, 1.6986752076539167,
+        1.3215381803976147, 0.032628814500061304,
+        0.9675011099232631, 1.6755752508719433,
     ),
 }
 PARITY_WEIGHT_ERROR = 0.0034876769734130675

@@ -507,3 +507,15 @@ def test_known_cdfs_pickle_and_transform_a_fold_in_one_call():
     np.testing.assert_array_equal(map_columns(other, x_cols), want)
     with pytest.raises(ValueError, match="one CDF per column"):
         map_columns(cdfs[:-1], x_cols)
+
+
+def test_highdim_with_a_quadratic_component_of_interest_never_fails():
+    # The out-of-fold noise scale takes no degrees of freedom off n. With
+    # the active basis size as df, this design's df passed n = 400 on 7 to
+    # 10 of seeds 1-20, and each such fit raised SampleTooSmallError.
+    from dll.cli import REFERENCE_CONFIGS
+
+    entry = REFERENCE_CONFIGS["highdim"]
+    cfg = dataclasses.replace(entry["config"], f1=("quadratic", (1.0,)), seed=0)
+    [report], records = monte_carlo_records(cfg, 20, entry["options"], n_jobs=1)
+    assert report.failures == 0, [r.message for r in records if r.failed]
