@@ -710,13 +710,13 @@ def test_study_replication_is_a_fit_of_its_csv(tmp_path, capsys, name):
     cfg, options = entry["config"], entry["options"]
     seed = cfg.seed + 1
     [rec] = run_replication(cfg, options, seed)
+    assert not rec.failed
     data, out = tmp_path / "d.csv", tmp_path / "fit.json"
     write_csv_dataset(make_dataset(dataclasses.replace(cfg, seed=seed), seed), str(data))
     argv = ["fit", "--input", str(data), "--x0", repr(cfg.x0), "--seed", str(seed),
             "--output", str(out)] + ([] if options.h is None else ["--h", repr(options.h)])
     assert main(argv) == 0, capsys.readouterr().err
     report = json.loads(out.read_text())
-    assert not rec.failed
     assert (rec.estimate, rec.ci_low, rec.ci_high) == (
         report["estimate"], report["ci_low"], report["ci_high"]
     )
@@ -803,16 +803,18 @@ def test_spread_past_the_square_root_of_the_largest_float_asks_for_h(tmp_path, c
     assert "supply h manually" in capsys.readouterr().err
 
 
+_WIDE_WINDOWS = [
+    ("1e60", "-1e60", "numerically zero"),
+    ("1e84", "-1e84", "numerically zero"),
+    ("5.6e102", "5.6e102", "numerically zero"),
+    ("1e120", "1e120", "overflows"),
+    ("1e150", "1e150", "overflows"),
+    ("1e153", "-1e153", "overflows"),
+]
+
+
 @pytest.mark.parametrize(
-    "h, x0, message",
-    [
-        ("1e60", "-1e60", "numerically zero"),
-        ("1e84", "-1e84", "numerically zero"),
-        ("5.6e102", "5.6e102", "numerically zero"),
-        ("1e120", "1e120", "overflows"),
-        ("1e150", "1e150", "overflows"),
-        ("1e153", "-1e153", "overflows"),
-    ],
+    "h, x0, message", _WIDE_WINDOWS, ids=[f"{h}-{x0}" for h, x0, _ in _WIDE_WINDOWS]
 )
 def test_window_far_wider_than_the_data_is_numerical_failure(small_csv, capsys, h, x0, message):
     # Examples test_fit_never_raises found, which used to warn and then fail

@@ -655,10 +655,8 @@ def test_general_density_mode_requires_a_density():
 
 
 # Golden (estimate, variance, ci_low, ci_high) of each pipeline path on
-# fixed inputs. The estimates of the p > 0 paths but the default one were
-# taken before the pipeline was split into cross_fit and evaluate; every
-# variance and CI end follows the cross-fitted sigma1, the root mean square
-# of the out-of-fold residuals.
+# fixed inputs. Every variance and CI end follows the cross-fitted sigma1,
+# the root mean square of the out-of-fold residuals.
 PARITY_GAMMA = np.array([0.5, -0.3])
 PARITY_GOLDEN = {
     "p0": (

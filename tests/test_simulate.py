@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from dll.cli import REFERENCE_CONFIGS
 from dll.decorrelate import build_weights
 from dll.estimator import (
     PipelineOptions,
@@ -513,8 +514,6 @@ def test_highdim_with_a_quadratic_component_of_interest_never_fails():
     # The out-of-fold noise scale takes no degrees of freedom off n. With
     # the active basis size as df, this design's df passed n = 400 on 7 to
     # 10 of seeds 1-20, and each such fit raised SampleTooSmallError.
-    from dll.cli import REFERENCE_CONFIGS
-
     entry = REFERENCE_CONFIGS["highdim"]
     cfg = dataclasses.replace(entry["config"], f1=("quadratic", (1.0,)), seed=0)
     [report], records = monte_carlo_records(cfg, 20, entry["options"], n_jobs=1)
