@@ -22,7 +22,7 @@ def main() -> int:
     cfg = replace(REFERENCE_CONFIGS["lowdim"]["config"], n=n, seed=seed)
     ds = make_dataset(cfg)
     options = PipelineOptions(seed=seed)
-    h0 = default_bandwidth(ds.x1, cfg.x0, options.bandwidth_const)
+    h0 = default_bandwidth(ds.x1, cfg.x0)
     print(f"true derivative {cfg.target:.4f}; plug-in default h = {h0:.4f}")
     cf = cross_fit(ds, options)  # the nuisance fits do not depend on h
     for mult in (0.5, 0.75, 1.0, 1.5, 2.0):

@@ -20,14 +20,13 @@ file plus a footer file beside it with one aggregate row per arm, so
 Flags of each subcommand (exact names; prefixes are not accepted):
 
 - ``fit``: --input, --x0 (required), --output, --format, --seed, --h,
-  --alpha, --bandwidth-const, --lasso-const, --rho-const, --lambda-const,
-  --knots;
+  --alpha, --rho-const, --lambda-const;
 - ``simulate``: --output (required), --n, --p, --sigma1, --sigma2, --seed;
 - ``coverage``: --name (required), --b, --output, --format;
-- ``bandwidth``: --input, --x0 (required), --output, --bandwidth-const.
+- ``bandwidth``: --input, --x0 (required), --output.
 
 Each also takes ``--config FILE``, a JSON object whose keys are that
-subcommand's flag names (``bandwidth_const`` or ``bandwidth-const``); a
+subcommand's flag names (``rho_const`` or ``rho-const``); a
 ``null`` value leaves the flag unset. Its entries are parsed as flags
 placed before the command line's own, so explicit flags win and a bad
 key or value is the same usage error as the flag. Every check, among
@@ -185,11 +184,8 @@ def _build_parser() -> _Parser:
     fit.add_argument("--seed", type=int)
     fit.add_argument("--h", type=float)
     fit.add_argument("--alpha", type=float)
-    fit.add_argument("--bandwidth-const", type=float)
-    fit.add_argument("--lasso-const", type=float)
     fit.add_argument("--rho-const", type=float)
     fit.add_argument("--lambda-const", type=float)
-    fit.add_argument("--knots", dest="num_interior_knots", type=int)
 
     sim = command("simulate", "generate a synthetic dataset CSV", "dataset CSV path")
     sim.add_argument("--n", type=int, default=200)
@@ -206,7 +202,6 @@ def _build_parser() -> _Parser:
     bw = command("bandwidth", "pre-flight bandwidth diagnostics")
     bw.add_argument("--input", required=True)
     bw.add_argument("--x0", type=float, required=True)
-    bw.add_argument("--bandwidth-const", type=float)
     return parser
 
 
@@ -251,8 +246,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and check a CLI run before any input is read.
 
     Config-file flags go before the command line's, so explicit flags win.
-    Adds ``options`` (fit, bandwidth), ``sim`` (simulate) or ``jobs``
-    (coverage) to the namespace.
+    Adds ``options`` (fit), ``sim`` (simulate) or ``jobs`` (coverage) to
+    the namespace.
     """
     argv = _join_dash_values(argv)
     ns = _build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
@@ -262,9 +257,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                 raise ValueError(f"--output {ns.output} is a directory")
             if not os.path.isdir(os.path.dirname(ns.output) or "."):
                 raise ValueError(f"--output {ns.output}: no such directory")
-        if ns.subcommand in ("fit", "bandwidth"):
-            if not math.isfinite(ns.x0):
-                raise ValueError(f"--x0 must be finite, got {ns.x0}")
+        if ns.subcommand in ("fit", "bandwidth") and not math.isfinite(ns.x0):
+            raise ValueError(f"--x0 must be finite, got {ns.x0}")
+        if ns.subcommand == "fit":
             ns.options = PipelineOptions(**{
                 k: v for k, v in vars(ns).items() if k in _OPTION_FIELDS and v is not None
             })
@@ -504,8 +499,8 @@ def _cmd_coverage(ns: argparse.Namespace) -> None:
 
 def _cmd_bandwidth(ns: argparse.Namespace) -> None:
     dataset = load_csv(ns.input)
-    h = default_bandwidth(dataset.x1, ns.x0, ns.options.bandwidth_const)
-    proj = _fit_projection(dataset.x2, dataset.x1, ns.options)
+    h = default_bandwidth(dataset.x1, ns.x0)
+    proj = _fit_projection(dataset.x2, dataset.x1)
     _write_json({
         "h_default": h,
         "density_at_x0": kde_density(dataset.x1, ns.x0),

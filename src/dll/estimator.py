@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import linear, spline
+from . import spline
 from .decorrelate import (
     SHIFT_MODES,
     DecorrelationWeights,
@@ -124,9 +124,6 @@ class PipelineOptions:
     alpha: float = 0.05
     mode: str = "exact_gaussian"  # one of decorrelate.SHIFT_MODES
     seed: int = 0
-    bandwidth_const: float = 0.5
-    lasso_const: float = linear.DEFAULT_PENALTY_CONST
-    num_interior_knots: int | None = None
     rho_const: float = spline.DEFAULT_RHO_CONST
     lambda_const: float = spline.DEFAULT_LAMBDA_CONST
     transform: str = "empirical"  # | known (requires known_cdfs)
@@ -147,12 +144,6 @@ class PipelineOptions:
         if self.h is not None and not valid_bandwidth(self.h):
             raise ValueError(f"h must be > 0 with h**2 finite when given, got {self.h}")
         # Chained comparisons with math.inf also reject NaN.
-        if not (0 < self.bandwidth_const < math.inf):
-            raise ValueError(
-                f"bandwidth_const must be finite and > 0, got {self.bandwidth_const}"
-            )
-        if not (1 < self.lasso_const < math.inf):
-            raise ValueError(f"lasso_const must be finite and exceed 1, got {self.lasso_const}")
         if not (0 <= self.rho_const < math.inf and 0 <= self.lambda_const < math.inf):
             raise ValueError(
                 f"rho_const and lambda_const must be finite and >= 0, got {self.rho_const}, "
@@ -162,9 +153,6 @@ class PipelineOptions:
             raise ValueError(
                 f"sigma1_override must be finite and > 0 when given, got {self.sigma1_override}"
             )
-        k = self.num_interior_knots
-        if k is not None and (not _is_integer(k) or k < 0):
-            raise ValueError(f"num_interior_knots must be an integer >= 0 when given, got {k!r}")
         if self.error_density is not None and not callable(self.error_density):
             raise ValueError(f"error_density must be callable, got {self.error_density!r}")
 
@@ -213,9 +201,13 @@ class CrossFit:
 
 
 def slope_normalizer(weights: DecorrelationWeights) -> float:
-    """Normalizing sum: mean of weight * offset * kernel weight."""
+    """Normalizing sum: mean of weight * offset * kernel weight. It counts
+    as zero at or below 1e-12 times ``h * mean(|offset| * kernel weight)``,
+    a sum in its units where nothing cancels, so the test holds at any
+    scale of x1."""
     value = float(np.mean(weights.centered * weights.offset * weights.kernel))
-    if abs(value) < 1e-12 * weights.spec.h**2:
+    scale = weights.spec.h * float(np.mean(np.abs(weights.offset) * weights.kernel))
+    if abs(value) <= 1e-12 * scale:
         raise SingularDesignError(f"normalizing sum {value:.3e} is numerically zero")
     return value
 
@@ -347,7 +339,7 @@ def _fit_additive(
     penalties = spline.default_penalties(
         n, n_coords, rho_const=options.rho_const, lambda_const=options.lambda_const
     )
-    fit = spline.fit_doubly_penalized(z, y, penalties, options.num_interior_knots, ranked=ranked)
+    fit = spline.fit_doubly_penalized(z, y, penalties, ranked=ranked)
     transforms = [None] * n_coords
     orders = {} if ranked is None else dict(zip(ranked[0].tolist(), ranked[1]))
     for j in fit.active_set:
@@ -362,7 +354,7 @@ def _fit_additive(
 
 
 def _fit_projection(
-    x2: np.ndarray, x1: np.ndarray, options: PipelineOptions, rows: np.ndarray | None = None
+    x2: np.ndarray, x1: np.ndarray, rows: np.ndarray | None = None
 ) -> ProjectionFit:
     """The projection of ``x1[rows]`` on ``x2[rows]`` (all rows when None):
     least squares, which reads the rows in place, when the sample is
@@ -372,30 +364,19 @@ def _fit_projection(
         return ols_projection(x2, x1, rows)
     if rows is not None:
         x2, x1 = x2[rows], x1[rows]
-    return scaled_lasso(x2, x1, options.lasso_const)
+    return scaled_lasso(x2, x1)
 
 
-def _check_size(n: int, options: PipelineOptions) -> None:
-    """n >= 40, and no more spline basis functions than the smaller fold has
-    rows: such a fit fails only after building a Gram matrix of about k x k
-    per coordinate."""
+def _check_size(n: int) -> None:
     if n < 40:
         raise SampleTooSmallError(f"pipeline needs n >= 40, got {n}")
-    k = options.num_interior_knots
-    if k is not None and k + spline.DEGREE + 1 > n // 2:
-        raise SampleTooSmallError(
-            f"{k} interior knots give {k + spline.DEGREE + 1} basis functions, more than "
-            f"the smaller fold's {n // 2} rows"
-        )
 
 
 def _kernel_window(x1: np.ndarray, x0: float, options: PipelineOptions) -> KernelSpec:
     """Window at x0 (given or plug-in bandwidth), checked to hold enough points."""
     if not math.isfinite(x0):
         raise DataError(f"x0 must be finite, got {x0}")
-    h = options.h if options.h is not None else default_bandwidth(
-        x1, x0, options.bandwidth_const
-    )
+    h = options.h if options.h is not None else default_bandwidth(x1, x0)
     spec = KernelSpec(x0, h)
     in_window = effective_sample_size(x1, spec)
     if in_window < MIN_WINDOW_POINTS:
@@ -409,7 +390,7 @@ def check_window(dataset: Dataset, x0: float, options: PipelineOptions) -> Pipel
     """``options`` with the bandwidth at x0 fixed, after checking the sample
     size and that the window holds enough points. Call it before
     ``cross_fit``, so that a bad x0 or h fails before any fit is paid for."""
-    _check_size(dataset.n, options)
+    _check_size(dataset.n)
     return replace(options, h=_kernel_window(dataset.x1, x0, options).h)
 
 
@@ -434,10 +415,10 @@ def cross_fit(
     """
     y, x1, x2 = dataset.y, dataset.x1, dataset.x2
     n = dataset.n
-    _check_size(n, options)
+    _check_size(n)
     plan = swap_split(n, options.seed)
     folds = (plan.fold_a, plan.fold_b)
-    proj = [_fit_projection(x2, x1, options, i) for i in folds]
+    proj = [_fit_projection(x2, x1, i) for i in folds]
     additive, ranges = zip(*(_fit_additive(x1, x2, i, y[i], options, known_cdfs) for i in folds))
 
     # Cross-application: each observation is evaluated with the fits from

@@ -4,13 +4,12 @@ Each component is represented in a clamped B-spline basis of degree
 DEGREE (cubic) on [0,1] and penalized by both a smoothness seminorm
 (integrated squared derivative of order SMOOTHNESS_ORDER, a quadratic
 form in the coefficients) and its empirical L2 norm (group penalty that
-produces exact zeros). The number of interior knots is the one setting
-of the basis; by default it is ceil(n^(1/5)) + 2. The fit is block
-coordinate descent; after a change of coordinates that whitens the
-empirical Gram matrix and diagonalizes the smoothness form, each block
-update is an exact proximal step for the sum of the two penalties: a
-closed form up to one scalar shrinkage root, which Newton and chord
-steps bracket to rounding.
+produces exact zeros). Each basis has ``default_interior_knots(n)``,
+ceil(n^(1/5)) + 2, interior knots. The fit is block coordinate descent;
+after a change of coordinates that whitens the empirical Gram matrix
+and diagonalizes the smoothness form, each block update is an exact
+proximal step for the sum of the two penalties: a closed form up to one
+scalar shrinkage root, which Newton and chord steps bracket to rounding.
 
 In a sparse fit most blocks are zero and stay zero, and a block that
 stays zero leaves the residual untouched. The sweep therefore screens:
@@ -676,7 +675,6 @@ def fit_doubly_penalized(
     z_matrix: np.ndarray,
     y: np.ndarray,
     penalties: tuple[float, float],
-    num_interior_knots: int | None = None,
     ranked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AdditiveFit:
     """Backfitting solver for the doubly penalized additive objective.
@@ -684,11 +682,11 @@ def fit_doubly_penalized(
     Minimizes ``mean((y - intercept - sum_j g_j(z_j))^2)
     + sum_j (rho * smoothness_norm(g_j) + lam * empirical_norm(g_j))``
     for ``penalties = (rho, lam)``, each component in a cubic basis with
-    ``num_interior_knots`` quantile knots (default ceil(n^(1/5)) + 2),
-    by block coordinate descent with exact block proximal updates;
-    components are re-centered every sweep so their training means stay
-    at zero. Negative penalties are rejected; a fully unpenalized fit is
-    only well posed for a single coordinate.
+    ``default_interior_knots(n)`` quantile knots, by block coordinate
+    descent with exact block proximal updates; components are re-centered
+    every sweep so their training means stay at zero. Negative penalties
+    are rejected; a fully unpenalized fit is only well posed for a single
+    coordinate.
 
     Coordinate ``cols[i]`` of ``ranked = (cols, orders)`` (as returned by
     ``transforms.fit_empirical``) is ``rank_grid(n)[k]`` at row
@@ -721,13 +719,11 @@ def fit_doubly_penalized(
         raise RankDeficientError(
             "zero penalties with several coordinates leave the stacked basis singular"
         )
-    if num_interior_knots is not None and num_interior_knots < 0:
-        raise ValueError("num_interior_knots must be >= 0")
 
     # Rank columns sort to rank_grid(n) exactly, so they share its basis;
     # only the other columns are sorted for their knots.
-    shared = _coordinate_bases(rank_grid(n)[:, None], num_interior_knots)[0]
-    own = iter(_coordinate_bases(z_matrix, num_interior_knots))
+    shared = _coordinate_bases(rank_grid(n)[:, None], None)[0]
+    own = iter(_coordinate_bases(z_matrix, None))
     bases = [shared if j else next(own) for j in np.isin(np.arange(p), cols)]
     design = _WhitenedDesign(bases, z_matrix, (cols, orders))
     starts = design.starts

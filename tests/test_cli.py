@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from dll.cli import (
     parse_args,
     write_csv_dataset,
 )
-from dll import linear, spline
+from dll import cli, spline
 from dll.errors import DataError
 from dll.estimator import Dataset, DLLFit, PipelineOptions
 from dll.simulate import MCReport, RepRecord, SimConfig, make_dataset, run_replication
@@ -44,12 +46,11 @@ def test_parse_fit_options_match_library_defaults():
     # The penalty constants default to their modules' constants, not to
     # copies of their values.
     defaults = PipelineOptions()
-    assert defaults.lasso_const is linear.DEFAULT_PENALTY_CONST
     assert defaults.rho_const is spline.DEFAULT_RHO_CONST
     assert defaults.lambda_const is spline.DEFAULT_LAMBDA_CONST
-    flags = ["--rho-const", "0.2", "--lambda-const", "2", "--seed", "3", "--knots", "4"]
+    flags = ["--rho-const", "0.2", "--lambda-const", "2", "--seed", "3"]
     assert parse_args(argv + flags).options == PipelineOptions(
-        rho_const=0.2, lambda_const=2.0, seed=3, num_interior_knots=4
+        rho_const=0.2, lambda_const=2.0, seed=3
     )
 
 
@@ -154,10 +155,26 @@ _FIT_FLAGS = [
     a for a in _FIT_PARSER._actions
     if a.dest not in ("help", "input", "x0", "output", "format", "config")
 ]
-_FIT_VALUES = {
-    "seed": 3, "h": 0.4, "alpha": 0.1, "bandwidth_const": 0.7,
-    "lasso_const": 1.5, "rho_const": 0.2, "lambda_const": 2.0, "num_interior_knots": 4,
-}
+_FIT_VALUES = {"seed": 3, "h": 0.4, "alpha": 0.1, "rho_const": 0.2, "lambda_const": 2.0}
+
+
+def _listed_flags(text, heading, command):
+    """The flags that the ``command`` bullet under ``heading`` lists; a
+    bullet ends in a semicolon or a full stop at the end of a line."""
+    bullet = re.search(rf"^- `+{command}`+: (.*?)[;.]$", text.split(heading, 1)[1], re.M | re.S)
+    return sorted(re.findall(r"--[a-z0-9-]+", bullet.group(1)))
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "coverage", "bandwidth"])
+def test_documented_flag_lists_match_the_parser(command):
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    flags = sorted(
+        flag for action in sub.choices[command]._actions for flag in action.option_strings
+        if flag not in ("-h", "--help", "--config")
+    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _listed_flags(readme, "Flags are matched", command) == flags
+    assert _listed_flags(cli.__doc__, "Flags of each subcommand", command) == flags
 
 
 def test_fit_flags_are_pipeline_options_fields():
@@ -233,6 +250,19 @@ def test_bandwidth_rejects_removed_flags(tmp_path, capsys, flag, value):
     # `--h` was taken as `--help` (exit 0); the others changed nothing.
     missing = str(tmp_path / "missing.csv")
     assert _usage_error(capsys, ["bandwidth", "--input", missing, "--x0", "0", flag, value])
+
+
+@pytest.mark.parametrize("command", ["fit", "bandwidth"])
+@pytest.mark.parametrize("flag", ["--bandwidth-const", "--lasso-const", "--knots"])
+def test_retired_tuning_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # The plug-in bandwidth constant, the scaled Lasso's penalty constant and
+    # the knot count are fixed; every bandwidth stays reachable through --h.
+    missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
+    argv = [command, "--input", missing, "--x0", "0"]
+    assert _usage_error(capsys, argv + [flag, "2"])
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({flag[2:].replace("-", "_"): 2}))
+    assert _usage_error(capsys, argv + ["--config", str(cfg_file)])
 
 
 @pytest.mark.parametrize(
@@ -464,21 +494,6 @@ def test_fit_accepts_a_byte_order_mark(tmp_path, capsys):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     capsys.readouterr()
-
-
-def test_fit_with_more_knots_than_a_fold_has_rows_exits_4_before_any_fit(
-    tmp_path, capsys, monkeypatch
-):
-    data = tmp_path / "data.csv"
-    cfg = SimConfig(n=200, p=2, gamma_true=(0.4, 0.0), seed=4)
-    write_csv_dataset(make_dataset(cfg), str(data))
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a fold fit ran")
-
-    monkeypatch.setattr(spline, "fit_doubly_penalized", no_fit)
-    assert main(["fit", "--input", str(data), "--x0", "0", "--knots", "99"]) == 4
-    assert "interior knots" in capsys.readouterr().err
 
 
 def test_write_csv_dataset_golden(tmp_path):
@@ -782,16 +797,6 @@ def small_csv(tmp_path_factory):
 
 
 @pytest.mark.parametrize("subcommand", ["fit", "bandwidth"])
-def test_overflowing_bandwidth_is_numerical_failure(small_csv, capsys, subcommand):
-    # The plug-in h is about 1e300, whose square overflows.
-    argv = [subcommand, "--input", str(small_csv), "--x0", "0", "--bandwidth-const", "1e300"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 4
-    assert "bandwidth h must be > 0 with h**2 finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("subcommand", ["fit", "bandwidth"])
 def test_spread_past_the_square_root_of_the_largest_float_asks_for_h(tmp_path, capsys, subcommand):
     # The sample sd of x1 overflows; the interquartile range sets the
     # plug-in density's bandwidth, and that density is far below the floor.
@@ -835,15 +840,13 @@ def _flag(name, value):
 @given(
     alpha=st.none() | st.floats(),
     h=st.none() | st.floats(),
-    const=st.none() | st.floats(),
     seed=st.none() | st.integers(),
     x0=st.floats(-1.0, 1.0) | st.floats(),
 )
-def test_fit_never_raises(small_csv, alpha, h, const, seed, x0):
+def test_fit_never_raises(small_csv, alpha, h, seed, x0):
     # Any flag value is a usage error (2), a data error (3), a numerical
     # failure (4) or a fit (0); no exception escapes.
     argv = ["fit", "--input", str(small_csv), "--x0", repr(x0),
             "--output", str(small_csv.with_suffix(".json"))]
-    argv += _flag("--alpha", alpha) + _flag("--h", h) + _flag("--bandwidth-const", const)
-    argv += _flag("--seed", seed)
+    argv += _flag("--alpha", alpha) + _flag("--h", h) + _flag("--seed", seed)
     assert main(argv) in (0, 2, 3, 4)

@@ -64,6 +64,19 @@ def test_slope_normalizer_errors():
         slope_normalizer(zero_shift_weights(clustered, spec))
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1e12, 1e100])
+def test_estimate_scales_with_the_units_of_x1(scale):
+    # x1 * a with h * a gives the estimate / a and the variance / a^2. The
+    # singularity test used to compare the O(h) normalizing sum with h^2,
+    # so every fit with a >= 1e12 raised.
+    ds = make_dataset(replace(PROPERTY_CONFIG, n=200), 3)
+    base = dll_pipeline(ds, 0.0, PipelineOptions(h=0.5))
+    scaled = Dataset(y=ds.y, x1=ds.x1 * scale, x2=ds.x2)
+    fit = dll_pipeline(scaled, 0.0, PipelineOptions(h=0.5 * scale))
+    assert fit.estimate * scale == pytest.approx(base.estimate, rel=1e-15)
+    assert fit.variance * scale**2 == pytest.approx(base.variance, rel=1e-15)
+
+
 def test_dll_point_exact_linear_residuals():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, 200)
@@ -408,8 +421,8 @@ def test_pipeline_rejects_small_samples():
 
 
 def test_pipeline_noiseless_linear_nuisance():
-    # Bounded design with exact transforms: both components sit in the
-    # spline span, so recovery is limited only by solver tolerances.
+    # Bounded design with exact transforms: linear components sit in any
+    # cubic spline span, so recovery is limited only by solver tolerances.
     def unif_cdf(v):
         return np.clip((np.asarray(v, float) + 2) / 4, 0.0, 1.0)
 
@@ -421,8 +434,7 @@ def test_pipeline_noiseless_linear_nuisance():
         x1 = rng.uniform(-2, 2, n)
         y = 1.0 + 2.0 * x1 + x2 @ np.array([1.0, -0.5])
         opts = PipelineOptions(
-            seed=seed, rho_const=1e-3, lambda_const=1e-3,
-            num_interior_knots=0, transform="known",
+            seed=seed, rho_const=1e-3, lambda_const=1e-3, transform="known"
         )
         fit = dll_pipeline(
             Dataset(y=y, x1=x1, x2=x2), 0.0, opts, known_cdfs=[unif_cdf] * 3
@@ -556,17 +568,11 @@ def test_pipeline_mode_recorded_and_shift_underflow_counted():
         ("h", math.inf),
         ("h", math.nan),
         ("h", 2e154),  # h**2 overflows
-        ("bandwidth_const", 0.0),
-        ("bandwidth_const", -1.0),
-        ("bandwidth_const", math.inf),
-        ("lasso_const", 1.0),
-        ("lasso_const", math.inf),
         ("rho_const", -1.0),
         ("rho_const", math.inf),
         ("lambda_const", -2.0),
         ("lambda_const", float("nan")),
         ("lambda_const", math.inf),
-        ("num_interior_knots", -1),
         ("sigma1_override", 0.0),
         ("sigma1_override", -0.5),
         ("sigma1_override", math.inf),
@@ -579,15 +585,15 @@ def test_pipeline_options_reject_out_of_range(field, value):
 
 
 def test_pipeline_options_accept_boundary_values():
-    PipelineOptions(rho_const=0.0, lambda_const=0.0, num_interior_knots=0)
+    PipelineOptions(rho_const=0.0, lambda_const=0.0)
 
 
-@pytest.mark.parametrize("knots", [2.5, 4.0, True, "3", np.float64(4.0)])
-def test_pipeline_options_reject_knots_that_are_no_integer(knots):
-    # 2.5 used to construct and place knots at the quantiles k / 3.5.
-    with pytest.raises(ValueError, match="num_interior_knots"):
-        PipelineOptions(num_interior_knots=knots)
-    PipelineOptions(num_interior_knots=np.int64(4))
+@pytest.mark.parametrize("field", ["bandwidth_const", "lasso_const", "num_interior_knots"])
+def test_pipeline_options_have_no_retired_tuning_fields(field):
+    # The plug-in constant, the scaled Lasso's constant and the knot count
+    # are fixed: default_bandwidth, scaled_lasso and default_interior_knots.
+    with pytest.raises(TypeError):
+        PipelineOptions(**{field: 1.5})
 
 
 @pytest.mark.parametrize("density", [5, "laplace", np.float64(0.5)])
@@ -596,29 +602,6 @@ def test_pipeline_options_reject_an_error_density_that_is_not_callable(density):
     # a TypeError, which is no DLLError.
     with pytest.raises(ValueError, match="error_density"):
         PipelineOptions(mode="general_density", error_density=density)
-
-
-def test_too_many_knots_for_a_fold_fail_before_any_fit(monkeypatch):
-    # n = 200 splits into folds of 100 rows. 99 interior knots give cubic
-    # bases of 103 functions: the fits used to run and the noise scale
-    # then failed. The check now fails first, and no fit is paid for.
-    ds = make_dataset(replace(PROPERTY_CONFIG, n=200), 2)
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a fold fit ran")
-
-    monkeypatch.setattr(spline, "fit_doubly_penalized", no_fit)
-    for k in (97, 99, 10**5):
-        options = PipelineOptions(num_interior_knots=k)
-        with pytest.raises(SampleTooSmallError, match="interior knots"):
-            estimator.check_window(ds, 0.0, options)
-        with pytest.raises(SampleTooSmallError, match="interior knots"):
-            cross_fit(ds, options)
-        with pytest.raises(SampleTooSmallError, match="interior knots"):
-            dll_pipeline(ds, 0.0, options)
-    # 96 knots give 100 functions, as many as the fold has rows.
-    options = PipelineOptions(num_interior_knots=96)
-    assert estimator.check_window(ds, 0.0, options).num_interior_knots == 96
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", np.float64(1.0), -1, np.int64(-2)])
