@@ -6,8 +6,10 @@ exceeds the dimension, and the scaled Lasso (joint minimization over
 coefficients and noise level with an L1 penalty proportional to the noise
 estimate) in high dimension. Least squares reads the sample a block of
 GATHER_ROWS rows at a time and keeps only a small triangular factor, so
-it copies no fold out of the data. Both run on numpy alone, so neither
-loads scipy.
+it copies no fold out of the data. The scaled Lasso alternates Lasso
+steps with noise updates only until a step's support and signs hold at
+the noise level's fixed point, which it then solves in closed form on
+that pattern. Both run on numpy alone, so neither loads scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ KKT_TOL = 1e-8
 MAX_OUTER = 50
 MAX_SWEEPS = 10_000
 COEF_TOL = 1e-9
-# The scaled Lasso is converged once the noise level moves by less than
-# SIGMA_RTOL (relative), but keeps alternating until it moves by less than
-# SIGMA_POLISH_RTOL, or MAX_OUTER runs out, so that the reported solution
-# is stationary to well below the convergence test.
+# Where the closed-form fixed point is refused, the scaled Lasso is
+# converged once the noise level moves by less than SIGMA_RTOL (relative),
+# but keeps alternating until it moves by less than SIGMA_POLISH_RTOL, or
+# MAX_OUTER runs out, so that the reported solution is stationary to well
+# below the convergence test.
 SIGMA_RTOL = 1e-6
 SIGMA_POLISH_RTOL = 1e-12
 # The full sweep skips a zero coordinate only if its score is below the
@@ -257,6 +260,54 @@ def _scaled_lasso_objective(x, y, lam0, gamma, sig) -> float:
     return rss / (2 * n * sig) + sig / 2 + lam0 * float(np.abs(gamma).sum())
 
 
+def _noise_fixed_point(
+    xs: np.ndarray, x1: np.ndarray, beta: np.ndarray, lam0: float, floor: float
+) -> tuple[np.ndarray, float] | None:
+    """The scaled Lasso's fixed point on the sign pattern of ``beta``, in
+    closed form, or None where that pattern does not hold there (or
+    ``beta`` is zero).
+
+    On support S with signs s, the Lasso at penalty ``sig * lam0`` is
+    ``gamma_S = G^-1 (X_S' x1 / n - sig lam0 s)`` with ``G = X_S' X_S / n``,
+    and its residual is ``r0 + sig lam0 u``: the least squares residual
+    ``r0`` on S plus ``u = X_S G^-1 s``, which is orthogonal to it, with
+    ``u'u / n = s' G^-1 s``. The noise update ``sig^2 = ||r||^2 / n``
+    therefore has the fixed point ``sig^2 = (||r0||^2 / n) / (1 - lam0^2
+    s' G^-1 s)``. The candidate is refused when G is singular (its
+    smallest eigenvalue at most ``|S| eps`` times its largest), the
+    denominator is not positive, ``sig`` is not above ``floor``, a sign of
+    ``gamma_S`` differs from s, or the stationarity residual at penalty
+    ``sig * lam0`` exceeds ``KKT_TOL / 10``, the tolerance of the Lasso
+    steps.
+    """
+    n = xs.shape[0]
+    support = np.flatnonzero(beta)
+    if not support.size:
+        return None
+    signs = np.sign(beta[support])
+    x_s = xs[:, support]
+    gram = x_s.T @ x_s / n
+    eig = np.linalg.eigvalsh(gram)
+    if not eig[0] > len(support) * np.finfo(float).eps * eig[-1]:
+        return None
+    fit_ls, along = np.linalg.solve(gram, np.column_stack([x_s.T @ x1 / n, signs])).T
+    r0 = x1 - x_s @ fit_ls
+    shrink = 1 - lam0 * lam0 * float(signs @ along)
+    if not shrink > 0:
+        return None
+    sig = math.sqrt(float(r0 @ r0) / n / shrink)
+    if not sig > floor:
+        return None
+    gamma_s = fit_ls - sig * lam0 * along
+    if not np.array_equal(np.sign(gamma_s), signs):
+        return None
+    gamma = np.zeros_like(beta)
+    gamma[support] = gamma_s
+    if not kkt_check(xs, x1, sig * lam0, gamma) <= KKT_TOL / 10:
+        return None
+    return gamma, sig
+
+
 def scaled_lasso(
     x2: np.ndarray,
     x1: np.ndarray,
@@ -265,11 +316,19 @@ def scaled_lasso(
     """Joint estimate of projection coefficients and noise level.
 
     Minimizes ``RSS/(2 n sig) + sig/2 + sqrt(2 A log p / n) ||gamma||_1``
-    by alternating a Lasso step at fixed noise level (penalty
-    ``sig * lam0``) with the closed-form noise update ``sig = ||r||/sqrt(n)``.
-    Convergence is declared at a relative noise change below 1e-6; the
-    alternation keeps polishing toward the fixed point while iterations
-    remain so the reported solution satisfies stationarity tightly.
+    (Sun & Zhang, Biometrika 2012). Each outer iteration runs a Lasso step
+    at fixed noise level (penalty ``sig * lam0``), then tries the noise
+    level's fixed point on that step's support and signs in closed form
+    (``_noise_fixed_point``). An accepted candidate is a Lasso solution at
+    its own noise level, stationary to KKT_TOL / 10, and ends the fit.
+    A refused one (singular Gram matrix on the support, a sign that flips
+    on the way to the candidate, or a support that is not the Lasso's
+    there) leaves the alternation as it was: the noise update
+    ``sig = ||r||/sqrt(n)``, convergence declared at a relative noise
+    change below SIGMA_RTOL, and polishing until one below
+    SIGMA_POLISH_RTOL or MAX_OUTER iterations. ``iterations`` counts the
+    Lasso steps, and ``objective_trace`` holds one objective per step,
+    the last at the accepted fixed point when there is one.
 
     Columns are internally rescaled to unit root-mean-square (uncentered,
     so no implicit intercept); coefficients are reported on the original
@@ -297,6 +356,12 @@ def scaled_lasso(
     it = 0
     for it in range(1, MAX_OUTER + 1):
         beta, _, _ = _cd_lasso(xs, x1, sig * lam0, beta, stats, kkt_tol=KKT_TOL / 10)
+        fixed = _noise_fixed_point(xs, x1, beta, lam0, floor)
+        if fixed is not None:
+            beta, sig = fixed
+            trace.append(_scaled_lasso_objective(xs, x1, lam0, beta, sig))
+            converged = True
+            break
         sig_new = max(float(np.linalg.norm(x1 - xs @ beta) / np.sqrt(n)), floor)
         trace.append(_scaled_lasso_objective(xs, x1, lam0, beta, sig_new))
         rel = abs(sig_new - sig) / max(sig, floor)

@@ -13,13 +13,16 @@ scalar shrinkage root, which Newton and chord steps bracket to rounding.
 
 In a sparse fit most blocks are zero and stay zero, and a block that
 stays zero leaves the residual untouched. The sweep therefore screens:
-at a zero block it scores every zero block up to the next nonzero one
-against the same residual, tests them all with a vectorized form of the
-prox's zero test (exact: a block within a rounding margin of a threshold
-is passed to the prox itself), and jumps to the first block whose update
-is nonzero. The visiting order, the updates made and hence the iterates
-are those of the plain block-by-block sweep; only the work of the
-updates that change nothing is batched. The set-up is batched as well:
+it updates the nonzero blocks in order and scores each run of zero
+blocks, up to the next nonzero one, against the residual of its turn;
+then one call of a vectorized form of the prox's zero test (exact: a
+block within a rounding margin of a threshold is passed to the prox
+itself) tests the blocks of every run. Where one is nonzero, the sweep
+rolls back to the state its run saw, updates it from its scores and
+walks on from the next block. The visiting order, the updates kept and
+hence the iterates are those of the plain block-by-block sweep; only the
+work of the updates that change nothing is batched. The set-up is
+batched as well:
 quantile knots come from one sort of all columns, with numpy's "linear"
 quantile formula applied to the sorted values, and dense B-spline design
 matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
@@ -350,7 +353,8 @@ def _prox_zero_blocks(
     bracketed by Newton steps from below and chords from above on
     ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
     whose answer lies within SCREEN_MARGIN of a threshold, far beyond the
-    rounding of the prox's root, is passed to the prox itself.
+    rounding of the prox's root, is passed to the prox itself; a block of
+    zero scores is zero.
     """
     nb = len(starts) - 1
     owner = np.repeat(np.arange(nb), np.diff(starts))
@@ -696,12 +700,17 @@ def fit_doubly_penalized(
     is updated on its own. At a zero block, the scores of it and of every
     zero block before the next nonzero one come from one matrix-vector
     product per design chunk (for a run of rank columns, gathers and
-    matrix products summed over tiles of the sample), and
-    ``_prox_zero_blocks`` finds the first of them whose prox is nonzero;
-    the sweep jumps there. The skipped
-    blocks are exactly those the per-block update would have left at
-    zero, and a block that stays zero leaves the residual untouched, so
-    the scores stay valid across the jump: block order, sweep count,
+    matrix products summed over tiles of the sample); the run keeps them,
+    a copy of the residual, the intercept and its place in the list of
+    nonzero-block updates made since, and the walk goes on past it. At
+    the end of the walk one ``_prox_zero_blocks`` call, whose decisions
+    are per block, tests every run's blocks. If all stay zero, the sweep
+    is done. Otherwise the state the first nonzero block's run saw is
+    restored: its residual and intercept, and the coefficients of the
+    nonzero blocks updated after it. That block is updated from its kept
+    scores and the walk resumes at the next block. A block that stays
+    zero leaves the residual untouched, so the kept scores are those the
+    per-block sweep computes at the same point: block order, sweep count,
     objective trace and active set are those of the plain per-block
     sweep, up to rounding.
     """
@@ -762,26 +771,37 @@ def fit_doubly_penalized(
     for sweeps in range(1, MAX_SWEEPS + 1):
         j = 0
         while j < p:
-            if active[j]:
-                update(j)
-                j += 1
-                continue
-            later = np.flatnonzero(active[j + 1 :])
-            k = j + 1 + int(later[0]) if later.size else p
-            z_run = design.scores(j, k, resid)
-            zero = _prox_zero_blocks(
-                z_run,
-                design.eig_flat[starts[j] : starts[k]],
-                starts[j : k + 1] - starts[j],
-                rho,
-                lam,
-            )
-            hits = np.flatnonzero(~zero)
-            if not hits.size:
+            # Walk blocks j.. of the sweep: update the nonzero blocks, and
+            # score each run of zero blocks at its turn, keeping the state
+            # that turn saw; then screen every run at once. Blocks outside
+            # the runs keep zero scores, which the screen maps to zero.
+            scores = np.zeros(starts[-1])
+            runs = []  # (end block, resid, intercept, undo mark)
+            undo = []  # (block, its coefficients before the update)
+            while j < p:
+                if active[j]:
+                    undo.append((j, thetas[j]))
+                    update(j)
+                    j += 1
+                    continue
+                later = np.flatnonzero(active[j + 1 :])
+                k = j + 1 + int(later[0]) if later.size else p
+                scores[starts[j] : starts[k]] = design.scores(j, k, resid)
+                runs.append((k, resid.copy(), intercept, len(undo)))
                 j = k
-                continue
-            first = j + int(hits[0])
-            update(first, z_run[starts[first] - starts[j] : starts[first + 1] - starts[j]])
+            if not runs:
+                break
+            hits = np.flatnonzero(~_prox_zero_blocks(scores, design.eig_flat, starts, rho, lam))
+            if not hits.size:
+                break
+            # Roll back to the state the first hit's run saw, update the
+            # hit block from its scores and walk on from the next block.
+            first = int(hits[0])
+            _, resid, intercept, mark = next(run for run in runs if first < run[0])
+            for b, theta in reversed(undo[mark:]):
+                thetas[b] = theta
+                active[b] = True
+            update(first, scores[starts[first] : starts[first + 1]])
             j = first + 1
         delta = float(np.mean(resid)) if p else 0.0
         if delta != 0.0:

@@ -78,12 +78,13 @@ def test_parse_accepts_any_negative_float_x0(subcommand, x0):
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--knots", "-1"),
         ("--rho-const", "-1"),
+        ("--rho-const", "nan"),
         ("--lambda-const", "-2"),
-        ("--bandwidth-const", "-1"),
-        ("--bandwidth-const", "0"),
-        ("--lasso-const", "0.5"),
+        ("--lambda-const", "inf"),
+        ("--alpha", "0"),
+        ("--alpha", "1"),
+        ("--h", "0"),
         ("--h", "inf"),
         ("--lam", "2"),  # no prefix matching (was --lambda-const)
         ("--x0", "nan"),
@@ -97,7 +98,7 @@ def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, va
     missing = str(tmp_path / "missing.csv")  # reading it would be a data error (3)
     assert main(["fit", "--input", missing, "--x0", "0", flag, value]) == 2
     assert "error:" in capsys.readouterr().err
-    if flag in ("--bandwidth-const", "--x0"):
+    if flag == "--x0":
         assert main(["bandwidth", "--input", missing, "--x0", "0", flag, value]) == 2
         capsys.readouterr()
 
@@ -109,7 +110,8 @@ def test_bad_fit_option_is_usage_error_before_reading(tmp_path, capsys, flag, va
         ("mode", "general_density"),
         ("mode", "exact_gaussian"),  # the default and the only rule: no flag
         ("format", "xml"),
-        ("knots", 2.5),
+        ("alpha", 1.5),
+        ("h", -1),
         ("seed", 1.5),
     ],
 )

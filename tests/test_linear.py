@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dll import linear
 from dll.errors import RankDeficientError, SampleTooSmallError
 from dll.linear import (
     _cd_lasso,
@@ -29,15 +30,23 @@ def orthonormal_design(rng, n, p):
     return q * np.sqrt(n)
 
 
-def scaled_lasso_bisection_oracle(x, y, a_const):
-    """Independent scalar fixed point: soft-threshold solution at each
-    noise level, residual norm solved by bisection."""
+def scaled_lasso_bisection_oracle(x, y, a_const, lasso=None):
+    """Independent scalar fixed point: the Lasso solution at each noise
+    level, residual norm solved by bisection. The Lasso is a soft
+    threshold, for an orthonormal design, or ``lasso(x, y, penalty)``."""
     n, p = x.shape
     lam0 = np.sqrt(2 * a_const * np.log(p) / n)
     z = x.T @ y / n
 
+    def solve(sig):
+        if lasso is not None:
+            return lasso(x, y, sig * lam0)
+        return np.sign(z) * np.maximum(np.abs(z) - sig * lam0, 0)
+
     def resid_norm(sig):
-        g = np.sign(z) * np.maximum(np.abs(z) - sig * lam0, 0)
+        g = solve(sig)
+        if lasso is not None:
+            return np.linalg.norm(y - x @ g) / np.sqrt(n)
         rss = y @ y / n - 2 * g @ z + g @ g
         return np.sqrt(max(rss, 0.0))
 
@@ -49,8 +58,7 @@ def scaled_lasso_bisection_oracle(x, y, a_const):
         else:
             hi = mid
     sig = (lo + hi) / 2
-    gamma = np.sign(z) * np.maximum(np.abs(z) - sig * lam0, 0)
-    return gamma, sig
+    return solve(sig), sig
 
 
 def test_ols_exact_interpolation():
@@ -227,7 +235,85 @@ def test_scaled_lasso_sigma_fixed_point():
     fit = scaled_lasso(x, y)
     scale = np.sqrt(np.einsum("ij,ij->j", x, x) / 120)
     resid = y - (x / scale) @ (fit.gamma * scale)
-    assert fit.sigma2 == pytest.approx(np.linalg.norm(resid) / np.sqrt(120), rel=1e-8)
+    assert fit.sigma2 == pytest.approx(np.linalg.norm(resid) / np.sqrt(120), rel=1e-12)
+
+
+def spy_fixed_points(monkeypatch):
+    """Record ``(beta, result)`` of every closed-form step ``scaled_lasso``
+    tries."""
+    calls = []
+    real = linear._noise_fixed_point
+
+    def spy(xs, x1, beta, lam0, floor):
+        calls.append((beta.copy(), real(xs, x1, beta, lam0, floor)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linear, "_noise_fixed_point", spy)
+    return calls
+
+
+def test_scaled_lasso_refuses_a_singular_support(monkeypatch):
+    # Column 9 repeats column 0 of an orthonormal design. Any split of a
+    # coefficient between the two copies, with one sign, is a Lasso
+    # solution; every Lasso step here splits it evenly, so G is singular
+    # on each support and every closed-form step must be refused.
+    rng = np.random.default_rng(9)
+    q = orthonormal_design(rng, 150, 9)
+    y = q[:, :3] @ np.array([2.0, -1.5, 1.0]) + rng.normal(0, 1.0, 150)
+    x = np.column_stack([q, q[:, 0]])
+    cd_lasso_step = linear._cd_lasso
+
+    def split(*args, **kwargs):
+        beta, sweeps, ok = cd_lasso_step(*args, **kwargs)
+        beta[[0, 9]] = (beta[0] + beta[9]) / 2
+        return beta, sweeps, ok
+
+    monkeypatch.setattr(linear, "_cd_lasso", split)
+    calls = spy_fixed_points(monkeypatch)
+    fit = scaled_lasso(x, y, 1.01)
+    assert calls and all(result is None for _, result in calls)
+    assert all(beta[0] == beta[9] != 0 for beta, _ in calls)
+    assert fit.iterations == len(calls) > 2 and fit.converged
+    # The fit on q with coefficients 0 and 9 summed, at the penalty level
+    # of ten columns.
+    g_oracle, s_oracle = scaled_lasso_bisection_oracle(q, y, 1.01 * np.log(10) / np.log(9))
+    assert fit.sigma2 == pytest.approx(s_oracle, abs=1e-6)
+    folded = np.append(fit.gamma[0] + fit.gamma[9], fit.gamma[1:9])
+    np.testing.assert_allclose(folded, g_oracle, atol=1e-6)
+    assert fit.kkt_residual <= 1e-8
+
+
+def test_scaled_lasso_refuses_a_closed_form_whose_signs_flip(monkeypatch):
+    # Correlated columns: on the first Lasso step's support, a coefficient
+    # of the closed-form candidate has crossed zero at the candidate's
+    # noise level, so the pattern does not hold there.
+    rng = np.random.default_rng(167)
+    n, p = 100, 3
+    x = rng.normal(size=(n, p)) @ rng.normal(size=(p, p))
+    x /= np.sqrt(np.mean(x * x, axis=0))
+    y = x @ rng.normal(size=p) + rng.normal(0, 0.1, n)
+    calls = spy_fixed_points(monkeypatch)
+    fit = scaled_lasso(x, y, 1.01)
+    beta, result = calls[0]
+    assert result is None
+    support, signs = np.flatnonzero(beta), np.sign(beta[beta != 0])
+    x_s = x[:, support]
+    gram = x_s.T @ x_s / n
+    fit_ls, along = np.linalg.solve(gram, x_s.T @ y / n), np.linalg.solve(gram, signs)
+    lam0 = np.sqrt(2 * 1.01 * np.log(p) / n)
+    r0 = y - x_s @ fit_ls
+    sig = np.sqrt(r0 @ r0 / n / (1 - lam0**2 * signs @ along))
+    assert np.any(np.sign(fit_ls - sig * lam0 * along) != signs)
+    assert fit.converged and fit.kkt_residual <= 1e-8
+
+    def lasso(x, y, lam):
+        beta, _, converged = reference_cd_lasso(x, y, lam, None, tol=1e-13, kkt_tol=1e-13)
+        assert converged
+        return beta
+
+    g_oracle, s_oracle = scaled_lasso_bisection_oracle(x, y, 1.01, lasso)
+    assert fit.sigma2 == pytest.approx(s_oracle, abs=1e-6)
+    np.testing.assert_allclose(fit.gamma, g_oracle, atol=1e-6)
 
 
 def test_scaled_lasso_l1_monotone_in_penalty_constant():
@@ -343,18 +429,16 @@ def test_cd_lasso_matches_plain_sweep(seed, lam_mode, zero_cols, warm):
     assert got[1:] == want[1:]
 
 
-# A p > n problem (AR design, 3-sparse) solved by the parent commit of the
-# screened sweep; the screen must not move one iterate.
+# A p > n problem (AR design, 3-sparse). Support, values and sigma were
+# solved by the parent commit of the screened sweep, which alternated to a
+# 1e-12 noise change; the screen must not move one iterate, and the
+# closed-form noise step must land on the same fixed point. The trace is
+# the closed-form path's: the first Lasso step already has the fixed
+# point's support and signs, so one outer iteration ends the fit.
 GOLDEN_LASSO_SUPPORT = [4, 90, 211]
 GOLDEN_LASSO_VALUES = [0.781128035392877, -0.5993233095046011, 0.37558778506471435]
 GOLDEN_LASSO_SIGMA = 1.1006718758589273
-GOLDEN_LASSO_TRACE = [
-    1.6957527741531766, 1.64713440327181, 1.6442932756113913, 1.6441930654463721,
-    1.6441900218121666, 1.6441899320671187, 1.6441899294346465, 1.6441899293574977,
-    1.6441899293552371, 1.644189929355171, 1.6441899293551692, 1.6441899293551692,
-    1.6441899293551692, 1.644189929355169, 1.6441899293551692, 1.6441899293551692,
-    1.6441899293551692,
-]
+GOLDEN_LASSO_TRACE = [1.644189929355169]
 
 
 def test_scaled_lasso_golden_path():

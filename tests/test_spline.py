@@ -315,15 +315,17 @@ def reference_backfit(z_matrix, y, penalties, ranked=None):
 
 @pytest.mark.parametrize(
     "key",
-    sorted(GOLDEN_FITS) + [(600, 12, 43, "tied")],
-    ids=["p-heavy", "n-heavy", "n-heavy-ranks", "tied"],
+    sorted(GOLDEN_FITS) + [(600, 12, 43, "tied"), (200, 40, 35)],
+    ids=["p-heavy", "n-heavy", "n-heavy-ranks", "tied", "rollback"],
 )
 def test_screened_sweep_is_the_plain_sweep(key):
-    # The screen batches the prox's zero test over runs of zero blocks; the
-    # fit must take the path of the per-block sweep, up to the rounding of
-    # scores computed for several blocks at once. "tied" puts one tie in
-    # column 6 of the problem on ranks: that column keeps its own design
-    # between runs of rank columns.
+    # The screen batches the prox's zero test over the runs of zero blocks
+    # of a sweep; the fit must take the path of the per-block sweep, up to
+    # the rounding of scores computed for several blocks at once. "tied"
+    # puts one tie in column 6 of the problem on ranks: that column keeps
+    # its own design between runs of rank columns. In "rollback", block 2
+    # first turns nonzero in sweep 3, after blocks 0 and 1 were updated and
+    # block 3 too, so the sweep rolls back block 3's update to enter it.
     n, p, seed, *tags = key
     z, y = golden_problem(n, p, seed)
     if "tied" in tags:
