@@ -341,8 +341,24 @@ def two_penalty_prox(
     return v * (1 - lam / (2 * vnorm))
 
 
+def _screen_layout(d: np.ndarray, starts: np.ndarray) -> tuple:
+    """What ``_prox_zero_blocks`` needs of the blocks' eigenvalues ``d``
+    and extents ``starts`` alone: the block of each entry, the penalized
+    entries (``d > 0``), ``d`` with ones in place of the others, and the
+    blocks with a penalized entry. A fit builds it once for its screens."""
+    nb = len(starts) - 1
+    owner = np.repeat(np.arange(nb), np.diff(starts))
+    pos = d > 0
+    return owner, pos, np.where(pos, d, 1.0), np.bincount(owner, pos, nb) > 0
+
+
 def _prox_zero_blocks(
-    z: np.ndarray, d: np.ndarray, starts: np.ndarray, rho: float, lam: float
+    z: np.ndarray,
+    d: np.ndarray,
+    starts: np.ndarray,
+    rho: float,
+    lam: float,
+    layout: tuple | None = None,
 ) -> np.ndarray:
     """Which blocks ``two_penalty_prox`` maps to exactly zero, all at once.
 
@@ -354,22 +370,22 @@ def _prox_zero_blocks(
     ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
     whose answer lies within SCREEN_MARGIN of a threshold, far beyond the
     rounding of the prox's root, is passed to the prox itself; a block of
-    zero scores is zero.
+    zero scores is zero. ``layout`` is ``_screen_layout(d, starts)``,
+    built here when not given.
     """
     nb = len(starts) - 1
-    owner = np.repeat(np.arange(nb), np.diff(starts))
+    owner, pos, d_safe, penalized = layout or _screen_layout(d, starts)
     half = lam / 2
     zz = z * z
-    pos = d > 0
     znorm = np.sqrt(np.bincount(owner, zz, nb))
     null2 = np.bincount(owner, np.where(pos, 0.0, zz), nb)
     tol = SCREEN_MARGIN * znorm
     zero = znorm <= half - tol
     nonzero = np.zeros(nb, dtype=bool)
     live = ~zero & (znorm > half + tol) & (znorm > SCREEN_FLOOR)
-    shrunk = live & (rho > 0) & (np.bincount(owner, pos, nb) > 0)
+    shrunk = live & (rho > 0) & penalized
     nonzero |= live & ~shrunk
-    s1 = 2 * np.sqrt(np.bincount(owner, np.where(pos, zz / np.where(pos, d, 1.0), 0.0), nb))
+    s1 = 2 * np.sqrt(np.bincount(owner, np.where(pos, zz / d_safe, 0.0), nb))
     # Stage one zeroes the penalized part: what is left is the null part.
     flat = shrunk & (s1 <= rho * (1 - SCREEN_MARGIN))
     null = np.sqrt(null2)
@@ -736,6 +752,7 @@ def fit_doubly_penalized(
     bases = [shared if j else next(own) for j in np.isin(np.arange(p), cols)]
     design = _WhitenedDesign(bases, z_matrix, (cols, orders))
     starts = design.starts
+    layout = _screen_layout(design.eig_flat, starts)
     thetas = [np.zeros(b.size) for b in bases]
     active = np.zeros(p, dtype=bool)
     intercept = float(np.mean(y))
@@ -791,7 +808,8 @@ def fit_doubly_penalized(
                 j = k
             if not runs:
                 break
-            hits = np.flatnonzero(~_prox_zero_blocks(scores, design.eig_flat, starts, rho, lam))
+            zero = _prox_zero_blocks(scores, design.eig_flat, starts, rho, lam, layout)
+            hits = np.flatnonzero(~zero)
             if not hits.size:
                 break
             # Roll back to the state the first hit's run saw, update the
