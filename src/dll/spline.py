@@ -365,8 +365,9 @@ def _prox_zero_blocks(
     Block b has scores ``z_b = z[starts[b]:starts[b + 1]]`` and eigenvalues
     ``d_b`` over the same range; entry b of the result is
     ``not two_penalty_prox(z_b, d_b, rho, lam).any()``. The prox's
-    zero tests run in closed form, and its weighted-shrinkage root is
-    bracketed by Newton steps from below and chords from above on
+    zero tests run in closed form, a bound on the weighted shrinkage
+    settles most blocks that stay zero, and the shrinkage root of the
+    rest is bracketed by Newton steps from below and chords from above on
     ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
     whose answer lies within SCREEN_MARGIN of a threshold, far beyond the
     rounding of the prox's root, is passed to the prox itself; a block of
@@ -391,9 +392,16 @@ def _prox_zero_blocks(
     null = np.sqrt(null2)
     zero |= flat & (null <= half - tol)
     nonzero |= flat & (null > half + tol)
-    # Otherwise the penalized part is scaled by a / (a + rho d / 2) at the
-    # root a of G(a) = sum(z^2 d / (a + rho d / 2)^2) = 1.
-    ids = np.flatnonzero(shrunk & (s1 > rho * (1 + SCREEN_MARGIN)))
+    # Otherwise the penalized part z_p is scaled by a / (a + rho d / 2) at
+    # the root a of G(a) = sum(z^2 d / (a + rho d / 2)^2) = 1. That is
+    # z_p less its nearest point in the ellipsoid {d^(1/2) u : |u| <= rho
+    # / 2}, which holds (rho / s1) z_p, so its norm is at most (1 - rho /
+    # s1) |z_p|: most zero blocks are decided without the root.
+    rooted = shrunk & (s1 > rho * (1 + SCREEN_MARGIN))
+    pen2 = np.bincount(owner, np.where(pos, zz, 0.0), nb)
+    radial = np.sqrt(null2 + np.square(1 - rho / np.where(rooted, s1, 1.0)) * pen2)
+    zero |= rooted & (radial <= half - tol)
+    ids = np.flatnonzero(rooted & ~zero)
     if ids.size:
         remap = np.zeros(nb, dtype=np.intp)
         remap[ids] = np.arange(ids.size)
