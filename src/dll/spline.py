@@ -15,14 +15,15 @@ In a sparse fit most blocks are zero and stay zero, and a block that
 stays zero leaves the residual untouched. The sweep therefore screens:
 it updates the nonzero blocks in order and scores each run of zero
 blocks, up to the next nonzero one, against the residual of its turn;
-then one call of a vectorized form of the prox's zero test (exact: a
-block within a rounding margin of a threshold is passed to the prox
-itself) tests the blocks of every run. Where one is nonzero, the sweep
-rolls back to the state its run saw, updates it from its scores and
-walks on from the next block. The visiting order, the updates kept and
-hence the iterates are those of the plain block-by-block sweep; only the
-work of the updates that change nothing is batched. The set-up is
-batched as well:
+then one screen finds the first block of any run that the prox makes
+nonzero. It runs the prox's zero tests in closed form on every block at
+once, deciding only outside a rounding margin of each threshold, and
+passes the blocks they leave open before the first block they show
+entering to the prox itself, in order. The sweep rolls back to the state
+that block's run saw, updates it from its scores and walks on from the
+next block. The visiting order, the updates kept and hence the iterates
+are those of the plain block-by-block sweep; only the work of the
+updates that change nothing is batched. The set-up is batched as well:
 quantile knots come from one sort of all columns, with numpy's "linear"
 quantile formula applied to the sorted values, and dense B-spline design
 matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
@@ -59,8 +60,7 @@ EIG_SNAP = 1e-9
 # squares lose precision, go to the prox too.
 SCREEN_MARGIN = 1e-8
 SCREEN_FLOOR = 1e-150
-# Hard cap on the bracketing steps of the shrinkage root, in the prox and
-# in the screen.
+# Hard cap on the bracketing steps of the prox's shrinkage root.
 SCREEN_ROOT_CAP = 50
 # Chunks of the design store stay below this size (see _WhitenedDesign).
 STORE_CHUNK_BYTES = 1 << 20
@@ -254,15 +254,15 @@ def _shrinkage_root(target: np.ndarray, half_rdp: np.ndarray, top: float) -> flo
 
     ``top`` is ``sqrt(sum(target))``, so ``G(top) <= 1``; G is convex and
     decreasing, and the root is bracketed by Newton steps from below and
-    chords from above on ``G**-0.5 - 1``, which is concave and increasing
-    (the steps of ``_prox_zero_blocks``), with a bisection step wherever
-    one of them is not finite. The steps run on the problem divided by
-    ``top``, where G at the bracket's upper end is at most 1 and its sums
-    cannot overflow. Either sum carries a relative rounding error of about
-    (m + 5) eps for m terms, which moves the computed root by about
-    ``(m + 5) eps / |G'|``; the bracket's midpoint is returned once the
-    bracket is within four times that, with ``|G'|`` at the lower end,
-    its largest on the bracket, or after SCREEN_ROOT_CAP steps.
+    chords from above on ``G**-0.5 - 1``, which is concave and increasing,
+    with a bisection step wherever one of them is not finite. The steps
+    run on the problem divided by ``top``, where G at the bracket's upper
+    end is at most 1 and its sums cannot overflow. Either sum carries a
+    relative rounding error of about (m + 5) eps for m terms, which moves
+    the computed root by about ``(m + 5) eps / |G'|``; the bracket's
+    midpoint is returned once the bracket is within four times that, with
+    ``|G'|`` at the lower end, its largest on the bracket, or after
+    SCREEN_ROOT_CAP steps.
 
     The sums run in Python floats: a block has a few terms, for which
     numpy's per-call overhead costs more than the arithmetic.
@@ -342,7 +342,7 @@ def two_penalty_prox(
 
 
 def _screen_layout(d: np.ndarray, starts: np.ndarray) -> tuple:
-    """What ``_prox_zero_blocks`` needs of the blocks' eigenvalues ``d``
+    """What ``_first_entering_block`` needs of the blocks' eigenvalues ``d``
     and extents ``starts`` alone: the block of each entry, the penalized
     entries (``d > 0``), ``d`` with ones in place of the others, and the
     blocks with a penalized entry. A fit builds it once for its screens."""
@@ -352,27 +352,26 @@ def _screen_layout(d: np.ndarray, starts: np.ndarray) -> tuple:
     return owner, pos, np.where(pos, d, 1.0), np.bincount(owner, pos, nb) > 0
 
 
-def _prox_zero_blocks(
+def _first_entering_block(
     z: np.ndarray,
     d: np.ndarray,
     starts: np.ndarray,
     rho: float,
     lam: float,
     layout: tuple | None = None,
-) -> np.ndarray:
-    """Which blocks ``two_penalty_prox`` maps to exactly zero, all at once.
+) -> int | None:
+    """The first block that ``two_penalty_prox`` maps to a nonzero value,
+    or None when every block stays zero.
 
     Block b has scores ``z_b = z[starts[b]:starts[b + 1]]`` and eigenvalues
-    ``d_b`` over the same range; entry b of the result is
-    ``not two_penalty_prox(z_b, d_b, rho, lam).any()``. The prox's
-    zero tests run in closed form, a bound on the weighted shrinkage
-    settles most blocks that stay zero, and the shrinkage root of the
-    rest is bracketed by Newton steps from below and chords from above on
-    ``G(a)**-0.5 - 1``, which is concave and increasing in ``a``. A block
-    whose answer lies within SCREEN_MARGIN of a threshold, far beyond the
-    rounding of the prox's root, is passed to the prox itself; a block of
-    zero scores is zero. ``layout`` is ``_screen_layout(d, starts)``,
-    built here when not given.
+    ``d_b`` over the same range. The prox's zero tests run in closed form
+    on every block at once, and a bound on the weighted shrinkage settles
+    most blocks that stay zero; each test decides only outside SCREEN_MARGIN
+    of its threshold, far beyond rounding. A block of zero scores is zero.
+    The blocks these tests leave open before the first block they certify
+    as entering are passed to the prox itself, in order, so every decision
+    is the prox's. ``layout`` is ``_screen_layout(d, starts)``, built here
+    when not given.
     """
     nb = len(starts) - 1
     owner, pos, d_safe, penalized = layout or _screen_layout(d, starts)
@@ -382,16 +381,15 @@ def _prox_zero_blocks(
     null2 = np.bincount(owner, np.where(pos, 0.0, zz), nb)
     tol = SCREEN_MARGIN * znorm
     zero = znorm <= half - tol
-    nonzero = np.zeros(nb, dtype=bool)
     live = ~zero & (znorm > half + tol) & (znorm > SCREEN_FLOOR)
     shrunk = live & (rho > 0) & penalized
-    nonzero |= live & ~shrunk
+    enters = live & ~shrunk
     s1 = 2 * np.sqrt(np.bincount(owner, np.where(pos, zz / d_safe, 0.0), nb))
     # Stage one zeroes the penalized part: what is left is the null part.
     flat = shrunk & (s1 <= rho * (1 - SCREEN_MARGIN))
     null = np.sqrt(null2)
     zero |= flat & (null <= half - tol)
-    nonzero |= flat & (null > half + tol)
+    enters |= flat & (null > half + tol)
     # Otherwise the penalized part z_p is scaled by a / (a + rho d / 2) at
     # the root a of G(a) = sum(z^2 d / (a + rho d / 2)^2) = 1. That is
     # z_p less its nearest point in the ellipsoid {d^(1/2) u : |u| <= rho
@@ -401,52 +399,13 @@ def _prox_zero_blocks(
     pen2 = np.bincount(owner, np.where(pos, zz, 0.0), nb)
     radial = np.sqrt(null2 + np.square(1 - rho / np.where(rooted, s1, 1.0)) * pen2)
     zero |= rooted & (radial <= half - tol)
-    ids = np.flatnonzero(rooted & ~zero)
-    if ids.size:
-        remap = np.zeros(nb, dtype=np.intp)
-        remap[ids] = np.arange(ids.size)
-        picked = np.zeros(nb, dtype=bool)
-        picked[ids] = True
-        el = picked[owner] & pos
-        own = remap[owner[el]]
-        zz_el = zz[el]
-        c_el = zz_el * d[el]
-        e_el = rho * d[el] / 2
-        top = np.sqrt(np.bincount(own, c_el, ids.size))
-        lo, hi = np.zeros(ids.size), top
-
-        def psi(a):
-            den = a[own] + e_el
-            g = np.bincount(own, c_el / den**2, ids.size)
-            slope = np.bincount(own, c_el / den**3, ids.size)
-            return g**-0.5 - 1, g**-1.5 * slope
-
-        def vnorm(a):
-            shrink = a[own] / (a[own] + e_el)
-            return np.sqrt(null2[ids] + np.bincount(own, zz_el * shrink**2, ids.size))
-
-        # Step only the blocks still undecided whose bracket has not
-        # closed; the rest are decided or go to the prox.
-        for step in range(SCREEN_ROOT_CAP + 1):
-            zero[ids] |= vnorm(hi) <= half - tol[ids]
-            nonzero[ids] |= vnorm(lo) > half + tol[ids]
-            keep = ~zero[ids] & ~nonzero[ids] & (hi > lo)
-            if step == SCREEN_ROOT_CAP or not keep.any():
-                break
-            if not keep.all():
-                el_keep = keep[own]
-                own = (np.cumsum(keep) - 1)[own[el_keep]]
-                zz_el, c_el, e_el = zz_el[el_keep], c_el[el_keep], e_el[el_keep]
-                ids, lo, hi = ids[keep], lo[keep], hi[keep]
-            psi_lo, slope = psi(lo)
-            gap = psi(hi)[0] - psi_lo
-            chord = lo - psi_lo * (hi - lo) / np.where(gap > 0, gap, 1.0)
-            hi = np.where(gap > 0, np.minimum(hi, chord), hi)
-            lo = np.maximum(lo, lo - psi_lo / slope)
-    for b in np.flatnonzero(~zero & ~nonzero):
+    certain = np.flatnonzero(enters)
+    stop = int(certain[0]) if certain.size else nb
+    for b in np.flatnonzero(~zero[:stop]):
         block = slice(starts[b], starts[b + 1])
-        zero[b] = not two_penalty_prox(z[block], d[block], rho, lam).any()
-    return zero
+        if two_penalty_prox(z[block], d[block], rho, lam).any():
+            return int(b)
+    return stop if stop < nb else None
 
 
 @dataclass(frozen=True)
@@ -727,9 +686,9 @@ def fit_doubly_penalized(
     matrix products summed over tiles of the sample); the run keeps them,
     a copy of the residual, the intercept and its place in the list of
     nonzero-block updates made since, and the walk goes on past it. At
-    the end of the walk one ``_prox_zero_blocks`` call, whose decisions
-    are per block, tests every run's blocks. If all stay zero, the sweep
-    is done. Otherwise the state the first nonzero block's run saw is
+    the end of the walk one ``_first_entering_block`` call finds the
+    first block of any run that the prox makes nonzero. If there is
+    none, the sweep is done. Otherwise the state that block's run saw is
     restored: its residual and intercept, and the coefficients of the
     nonzero blocks updated after it. That block is updated from its kept
     scores and the walk resumes at the next block. A block that stays
@@ -816,13 +775,11 @@ def fit_doubly_penalized(
                 j = k
             if not runs:
                 break
-            zero = _prox_zero_blocks(scores, design.eig_flat, starts, rho, lam, layout)
-            hits = np.flatnonzero(~zero)
-            if not hits.size:
+            first = _first_entering_block(scores, design.eig_flat, starts, rho, lam, layout)
+            if first is None:
                 break
             # Roll back to the state the first hit's run saw, update the
             # hit block from its scores and walk on from the next block.
-            first = int(hits[0])
             _, resid, intercept, mark = next(run for run in runs if first < run[0])
             for b, theta in reversed(undo[mark:]):
                 thetas[b] = theta

@@ -187,10 +187,10 @@ def prox_zero_penalties(rng, z, d, rho_mode, lam_mode):
     st.sampled_from(["free", "zero", "edge"]),
     st.sampled_from(["free", "znorm", "vnorm"]),
 )
-# Eigenvalues spread over eight decades: one block needs four bracket steps,
-# the most among 3,000 random seeds.
+# Eigenvalues spread over eight decades: the closed-form tests leave the
+# entering block 2 open, and the prox, not a root bracket, decides it.
 @example(seed=3077348182, rho_mode="free", lam_mode="free")
-def test_prox_zero_blocks_agrees_with_prox(seed, rho_mode, lam_mode):
+def test_first_entering_block_agrees_with_prox(seed, rho_mode, lam_mode):
     rng = np.random.default_rng(seed)
     blocks = [prox_zero_block(rng) for _ in range(int(rng.integers(1, 12)))]
     # One penalty pair per call, as in a fit; the modes place it relative
@@ -201,11 +201,19 @@ def test_prox_zero_blocks_agrees_with_prox(seed, rho_mode, lam_mode):
     d = np.concatenate([b[1] for b in blocks])
     starts = np.cumsum([0] + [len(b[0]) for b in blocks])
     with mock.patch.object(spline, "two_penalty_prox", wraps=two_penalty_prox) as spy:
-        zero = spline._prox_zero_blocks(z, d, starts, rho, lam)
-    expected = [not two_penalty_prox(z_b, d_b, rho, lam).any() for z_b, d_b in blocks]
-    assert zero.tolist() == expected
-    if rho_mode != "edge" and lam_mode == "free":
-        assert spy.call_count == 0  # decided in closed form, away from thresholds
+        first = spline._first_entering_block(z, d, starts, rho, lam)
+    entering = [
+        b for b, (z_b, d_b) in enumerate(blocks) if two_penalty_prox(z_b, d_b, rho, lam).any()
+    ]
+    assert first == (entering[0] if entering else None)
+    # The prox is asked only about blocks up to the returned one, in order.
+    asked = [
+        next(b for b, (z_b, d_b) in enumerate(blocks)
+             if np.array_equal(args[0], z_b) and np.array_equal(args[1], d_b))
+        for args, _ in spy.call_args_list
+    ]
+    assert asked == sorted(set(asked))
+    assert all(b <= (len(blocks) if first is None else first) for b in asked)
 
 
 def golden_problem(n, p, seed):
