@@ -26,8 +26,8 @@ are those of the plain block-by-block sweep; only the work of the
 updates that change nothing is batched. The set-up is batched as well:
 quantile knots come from one sort of all columns, with numpy's "linear"
 quantile formula applied to the sorted values, and dense B-spline design
-matrices (de Boor's recursion), smoothness penalties (Gauss-Legendre
-quadrature) and the generalized eigendecompositions run for many
+matrices (de Boor's recursion), smoothness penalties (a closed form in
+the Gram matrix of piecewise-linear B-splines) and the generalized eigendecompositions run for many
 coordinates per call.
 
 Rank columns, empirical-CDF columns without ties, are permutations of
@@ -38,7 +38,6 @@ any other column keeps a design of its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -168,59 +167,49 @@ def _coordinate_bases(columns: np.ndarray, k: int | None) -> list[CoordinateBasi
     return [CoordinateBasis(row) for row in rows]
 
 
-@functools.cache
-def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _sobolev_batch(knots: np.ndarray, m: int) -> np.ndarray:
+def _sobolev_batch(knots: np.ndarray) -> np.ndarray:
     """Smoothness penalty matrices of a batch of clamped bases.
 
-    ``knots`` has shape (c, L). The m-th derivative of a spline is a
-    spline of degree ``DEGREE - m`` on the inner knots, whose coefficients
-    are a banded map of the original ones; its square is integrated by
-    Gauss-Legendre quadrature on every knot interval at once (an interval
-    of zero length gets zero weight).
+    ``knots`` has shape (c, L). The SMOOTHNESS_ORDER-th derivative of a
+    spline is a spline of degree ``DEGREE - SMOOTHNESS_ORDER`` on the
+    inner knots, whose coefficients are ``D beta`` for a banded map D of
+    the original ones ``beta``; its integrated square is ``beta' D' W D
+    beta``, with W the Gram matrix of the derivative's B-splines.
     """
-    if m > DEGREE:
-        raise ValueError(f"derivative order {m} exceeds degree {DEGREE}")
     c, q = knots.shape[0], knots.shape[1] - DEGREE - 1
-    op = np.broadcast_to(np.eye(q), (c, q, q))
+    diff = np.broadcast_to(np.eye(q), (c, q, q))
     size = q
     t, deg = knots, DEGREE
-    for _ in range(m):
+    for _ in range(SMOOTHNESS_ORDER):
         denom = t[:, deg + 1 : size + deg] - t[:, 1:size]
         scale = np.divide(deg, denom, out=np.zeros_like(denom), where=denom > 0)
         step = np.zeros((c, size - 1, size))
         band = np.arange(size - 1)
         step[:, band, band] = -scale
         step[:, band, band + 1] = scale
-        op = step @ op
+        diff = step @ diff
         t, deg, size = t[:, 1:-1], deg - 1, size - 1
-    # The integrand has degree 2 * (DEGREE - m); DEGREE + 1 nodes per
-    # interval are more than exact.
-    nodes, weights = _gauss_legendre(DEGREE + 1)
-    lo, hi = knots[:, DEGREE:q], knots[:, DEGREE + 1 : q + 1]
-    half = ((hi - lo) / 2)[:, :, None]
-    pts = ((hi + lo) / 2)[:, :, None] + half * nodes
-    wts = (half * weights).reshape(c, -1)
-    dmat = _design_batch(pts.reshape(c, -1), t, deg) @ op
-    return (dmat.transpose(0, 2, 1) * wts[:, None, :]) @ dmat
+    # W has this closed form because DEGREE - SMOOTHNESS_ORDER = 1: the
+    # derivative's B-splines are the hat functions on the inner knots u,
+    # so W is tridiagonal, with (u[k+2] - u[k]) / 3 on the diagonal and
+    # (u[k+2] - u[k+1]) / 6 beside it.
+    u = t
+    w = np.zeros((c, size, size))
+    band = np.arange(size)
+    w[:, band, band] = (u[:, 2:] - u[:, :-2]) / 3
+    w[:, band[1:], band[:-1]] = w[:, band[:-1], band[1:]] = (u[:, 2:-1] - u[:, 1:-2]) / 6
+    return diff.transpose(0, 2, 1) @ w @ diff
 
 
-def sobolev_penalty_matrix(basis: CoordinateBasis, m: int = SMOOTHNESS_ORDER) -> np.ndarray:
-    """Gram matrix of the integrated squared m-th derivative.
+def sobolev_penalty_matrix(basis: CoordinateBasis) -> np.ndarray:
+    """Gram matrix of the integrated squared SMOOTHNESS_ORDER-th derivative.
 
     ``beta @ Omega @ beta`` equals the integral over [0,1] of the squared
-    m-th derivative of the spline with coefficients ``beta``; computed by
-    Gauss-Legendre quadrature per knot interval, which is exact for the
-    piecewise-polynomial integrand.
+    derivative of the spline with coefficients ``beta``; it is computed in
+    closed form from the Gram matrix of the derivative's piecewise-linear
+    B-splines (see ``_sobolev_batch``).
     """
-    return _sobolev_batch(basis.knots[None, :], m)[0]
+    return _sobolev_batch(basis.knots[None, :])[0]
 
 
 DEFAULT_RHO_CONST = 0.05
@@ -493,7 +482,7 @@ def _whiten(columns: np.ndarray, knots: np.ndarray, first: int) -> tuple:
     n = columns.shape[1]
     raw = _design_batch(columns, knots, DEGREE).transpose(0, 2, 1)
     gram = raw @ raw.transpose(0, 2, 1) / n
-    d, vecs = _penalty_eigh(_sobolev_batch(knots, SMOOTHNESS_ORDER), gram, first)
+    d, vecs = _penalty_eigh(_sobolev_batch(knots), gram, first)
     chunk = vecs.transpose(0, 2, 1) @ raw
     ones = np.ones((len(columns), vecs.shape[1], 1))
     return d, vecs, chunk, chunk.mean(axis=2), np.linalg.solve(vecs, ones)[:, :, 0]

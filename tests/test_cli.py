@@ -746,8 +746,10 @@ def test_default_commands_load_no_scipy(tmp_path):
     # (the normal CDF is a numpy port). Folds of 100 rows and p = 2 take
     # the OLS projection, folds of 60 rows and p = 40 the Lasso. The worker
     # pool's modules load only for studies with workers, so these commands
-    # load no concurrent.futures either. A step without argv lists is the
-    # known-CDF fit, which no command makes.
+    # load no concurrent.futures either. The smoothness penalty is a closed
+    # form, so no fit loads numpy.polynomial either (for quadrature nodes).
+    # A step without argv lists is the known-CDF fit, which no command
+    # makes.
     ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
     steps = [
         ("import", []),
@@ -774,7 +776,8 @@ def test_default_commands_load_no_scipy(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [known_cdf_fit()] if runs is None else [dll.cli.main(a) for a in runs]
             out[name] = codes, sorted(
-                m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")
+                m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "concurrent") or m.startswith("numpy.polynomial")
             )
         print(json.dumps(out))
     """)

@@ -103,7 +103,7 @@ def representation_coefficients(basis, func):
 
 
 def test_penalty_matrix_polynomials(uniform_basis):
-    omega = sobolev_penalty_matrix(uniform_basis, 2)
+    omega = sobolev_penalty_matrix(uniform_basis)
     lin = representation_coefficients(uniform_basis, lambda z: 3 * z + 1)
     assert lin @ omega @ lin == pytest.approx(0.0, abs=1e-9)
     quadratic = representation_coefficients(uniform_basis, lambda z: z**2)
@@ -112,7 +112,7 @@ def test_penalty_matrix_polynomials(uniform_basis):
 
 def test_penalty_matrix_matches_quadrature(uniform_basis):
     rng = np.random.default_rng(0)
-    omega = sobolev_penalty_matrix(uniform_basis, 2)
+    omega = sobolev_penalty_matrix(uniform_basis)
     from scipy.interpolate import BSpline
 
     for _ in range(3):
@@ -125,9 +125,48 @@ def test_penalty_matrix_matches_quadrature(uniform_basis):
         assert beta @ omega @ beta == pytest.approx(val, rel=1e-8)
 
 
-def test_penalty_matrix_rejects_high_order(uniform_basis):
-    with pytest.raises(ValueError):
-        sobolev_penalty_matrix(uniform_basis, 4)
+def gauss_legendre_sobolev_batch(knots, m=spline.SMOOTHNESS_ORDER):
+    """The penalty matrices by Gauss-Legendre quadrature, as the package
+    computed them before the closed form: the m-th derivative's
+    coefficients are a banded map of the original ones, and its square is
+    integrated with DEGREE + 1 nodes per knot interval, more than exact."""
+    c, q = knots.shape[0], knots.shape[1] - spline.DEGREE - 1
+    op = np.broadcast_to(np.eye(q), (c, q, q))
+    size = q
+    t, deg = knots, spline.DEGREE
+    for _ in range(m):
+        denom = t[:, deg + 1 : size + deg] - t[:, 1:size]
+        scale = np.divide(deg, denom, out=np.zeros_like(denom), where=denom > 0)
+        step = np.zeros((c, size - 1, size))
+        band = np.arange(size - 1)
+        step[:, band, band] = -scale
+        step[:, band, band + 1] = scale
+        op = step @ op
+        t, deg, size = t[:, 1:-1], deg - 1, size - 1
+    nodes, weights = np.polynomial.legendre.leggauss(spline.DEGREE + 1)
+    lo, hi = knots[:, spline.DEGREE : q], knots[:, spline.DEGREE + 1 : q + 1]
+    half = ((hi - lo) / 2)[:, :, None]
+    pts = ((hi + lo) / 2)[:, :, None] + half * nodes
+    wts = (half * weights).reshape(c, -1)
+    dmat = spline._design_batch(pts.reshape(c, -1), t, deg) @ op
+    return (dmat.transpose(0, 2, 1) * wts[:, None, :]) @ dmat
+
+
+def test_penalty_matrix_closed_form_matches_gauss_legendre():
+    # The knot vectors a fit builds: quantile knots of random and of
+    # rounded (tied, so fewer distinct) columns, down to n = 2, and the
+    # basis with no interior knot.
+    rng = np.random.default_rng(12)
+    knots = [np.array([0.0] * 4 + [1.0] * 4)]
+    for n in (2, 3, 4, 7, 12, 30, 100, 400):
+        columns = rng.uniform(0, 1, (n, 16))
+        columns[:, 8:] = np.round(columns[:, 8:], 1)
+        knots += [basis.knots for basis in spline._coordinate_bases(columns, None)]
+    assert len({len(k) for k in knots}) > 3
+    for k in knots:
+        want = gauss_legendre_sobolev_batch(k[None, :])[0]
+        got = sobolev_penalty_matrix(CoordinateBasis(k))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def prox_objective(t, z, d, rho, lam):
@@ -428,7 +467,7 @@ def test_rank_columns_share_one_whitened_basis():
     for j, block in enumerate(blocks):
         vecs, eig = design.maps[j], design.eig[j]
         np.testing.assert_allclose(block @ block.T / n, np.eye(len(eig)), rtol=0, atol=1e-10)
-        omega = sobolev_penalty_matrix(bases[j], 2)
+        omega = sobolev_penalty_matrix(bases[j])
         np.testing.assert_allclose(vecs.T @ omega @ vecs, np.diag(eig), rtol=0, atol=1e-10 * eig.max())
         theta = rng.normal(size=len(eig))
         np.testing.assert_allclose(design.fitted(j, theta), theta @ block, rtol=0, atol=1e-12)
