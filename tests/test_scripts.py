@@ -199,3 +199,14 @@ def test_decorrelation_benefit_prints_win_rates():
     lines = out.stdout.splitlines()
     assert len(lines) == 3
     assert "wins" in lines[0]
+
+
+def test_ab_inprocess_finds_no_difference_between_a_tree_and_itself():
+    root = str(SCRIPT.parents[1])
+    out = run_script("ab_inprocess.py", root, root, "--rounds", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["parent", "change"]
+    assert all(line.endswith("over 12 ops") for line in lines[:2])
+    assert lines[2].endswith("of 12 pairs")
+    assert lines[3] == "largest relative estimate difference: 0"
