@@ -27,8 +27,8 @@ updates that change nothing is batched. The set-up is batched as well:
 quantile knots come from one sort of all columns, with numpy's "linear"
 quantile formula applied to the sorted values, and dense B-spline design
 matrices (de Boor's recursion), smoothness penalties (a closed form in
-the Gram matrix of piecewise-linear B-splines) and the generalized eigendecompositions run for many
-coordinates per call.
+the Gram matrix of piecewise-linear B-splines) and the generalized
+eigendecompositions run for many coordinates per call.
 
 Rank columns, empirical-CDF columns without ties, are permutations of
 the grid ``transforms.rank_grid(n)``, passed as their sort orders. They
@@ -190,14 +190,13 @@ def _sobolev_batch(knots: np.ndarray) -> np.ndarray:
         diff = step @ diff
         t, deg, size = t[:, 1:-1], deg - 1, size - 1
     # W has this closed form because DEGREE - SMOOTHNESS_ORDER = 1: the
-    # derivative's B-splines are the hat functions on the inner knots u,
-    # so W is tridiagonal, with (u[k+2] - u[k]) / 3 on the diagonal and
-    # (u[k+2] - u[k+1]) / 6 beside it.
-    u = t
+    # derivative's B-splines are the hat functions on the inner knots t,
+    # so W is tridiagonal, with (t[k+2] - t[k]) / 3 on the diagonal and
+    # (t[k+2] - t[k+1]) / 6 beside it.
     w = np.zeros((c, size, size))
     band = np.arange(size)
-    w[:, band, band] = (u[:, 2:] - u[:, :-2]) / 3
-    w[:, band[1:], band[:-1]] = w[:, band[:-1], band[1:]] = (u[:, 2:-1] - u[:, 1:-2]) / 6
+    w[:, band, band] = (t[:, 2:] - t[:, :-2]) / 3
+    w[:, band[1:], band[:-1]] = w[:, band[:-1], band[1:]] = (t[:, 2:-1] - t[:, 1:-2]) / 6
     return diff.transpose(0, 2, 1) @ w @ diff
 
 

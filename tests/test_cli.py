@@ -747,9 +747,8 @@ def test_default_commands_load_no_scipy(tmp_path):
     # the OLS projection, folds of 60 rows and p = 40 the Lasso. The worker
     # pool's modules load only for studies with workers, so these commands
     # load no concurrent.futures either. The smoothness penalty is a closed
-    # form, so no fit loads numpy.polynomial either (for quadrature nodes).
-    # A step without argv lists is the known-CDF fit, which no command
-    # makes.
+    # form, so no fit loads numpy.polynomial. A step without argv lists is
+    # the known-CDF fit, which no command makes.
     ols, lasso = str(tmp_path / "ols.csv"), str(tmp_path / "lasso.csv")
     steps = [
         ("import", []),
